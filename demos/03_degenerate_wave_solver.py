@@ -68,4 +68,4 @@ try:
     solve_cauchy(flat, u0, u1, M=2000)
 except Exception as exc:
     print(f"  {type(exc).__name__}: {exc}")
-print("  (pass force=True to run it anyway)")
+print("  (pass check=False to run it anyway)")

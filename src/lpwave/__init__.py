@@ -14,8 +14,8 @@ from .coefficients import (CoefficientSet, ConditionReport, builtin_family,
                            check_levi, check_order_condition,
                            check_weak_hyperbolicity, constant_coefficients,
                            run_all_checks)
-from .commutator import (CommutatorScan, apply_commutator, commutator_norm,
-                         scan, schur_kernel, verify_decay)
+from .commutator import (CommutatorScan, apply_commutator, scan,
+                         schur_kernel, verify_decay)
 from .dyadic import (CutoffFamily, DyadicBlocks, bernstein_ratio,
                      build_cutoffs, decompose, reconstruct, sobolev_norm,
                      sobolev_norm_multiplier)
@@ -27,7 +27,7 @@ from .errors import (CFLError, ConditionError, ConfigurationError,
                      GridMismatchError, LPWaveError, NumericalBlowupError,
                      PowerIterationError, UnknownFamilyError, ZeroBlockError)
 from .experiment import ExperimentConfig, parse_config, read_config
-from .grid import (GridFunction, coefficients, derivative, from_callable,
+from .grid import (GridFunction, derivative, from_callable,
                    from_coefficients, frequencies, inner, norm,
                    random_band_limited)
 from .solver import (SpaceTimeFunction, Trajectory, apply_L, cfl_limit,

@@ -11,13 +11,8 @@ import dataclasses
 import sys
 
 from . import experiment, solver
-from .errors import (CFLError, ConfigurationError, ConditionError,
-                     LPWaveError, NumericalBlowupError)
-
-EXIT_OK = 0
-EXIT_FAIL = 1
-EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
+from .errors import (EXIT_FAIL, EXIT_OK, ConfigurationError, LPWaveError,
+                     classify)
 
 
 def _add_common(p, config_required=True):
@@ -95,32 +90,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigurationError, FileNotFoundError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (CFLError, NumericalBlowupError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ConditionError as exc:
-        print(f"condition failure: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except LPWaveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    except (LPWaveError, FileNotFoundError) as exc:
+        code, label = classify(exc)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 def _dispatch(args) -> int:
     if args.command == "sweep":
         results = experiment.run_sweep(args.configs, args.out,
                                        jobs=args.jobs, force=args.force)
-        worst = EXIT_OK
         for name, code in sorted(results.items()):
             print(f"{name}: {code}")
-            if not isinstance(code, int):
-                worst = max(worst, EXIT_FAIL)
-            elif code != 0:
-                worst = max(worst, code)
-        return worst
+        return max(results.values(), default=EXIT_OK)
 
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
@@ -134,7 +116,8 @@ def _dispatch(args) -> int:
 
     if args.command == "solve":
         if args.save_every is not None:
-            cfg = dataclasses.replace(cfg, save_every=args.save_every)
+            cfg = dataclasses.replace(cfg,
+                                      save_every=args.save_every).validate()
         traj, _, _ = experiment.run_solve(cfg, out or "trajectory",
                                           force=args.force)
         print(f"saved {traj.n_saved} states to {out or 'trajectory'}")
@@ -165,7 +148,7 @@ def _dispatch(args) -> int:
             cfg = dataclasses.replace(cfg, m=args.m)
         if args.delta_grid is not None:
             grid_vals = tuple(float(v) for v in args.delta_grid.split(","))
-            cfg = dataclasses.replace(cfg, delta_grid=grid_vals)
+            cfg = dataclasses.replace(cfg, delta_grid=grid_vals).validate()
         cs = experiment.coefficient_set(cfg)
         traj = solver.load_trajectory(args.traj, cs)
         _, _, _, report = experiment.run_verify_energy(

@@ -16,6 +16,7 @@ a witness, so near-violations are visible even when a check passes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -26,6 +27,7 @@ import numpy as np
 from .errors import ConfigurationError, UnknownFamilyError
 
 BUILTIN_FAMILIES = ("monomial", "interior_zero", "nondegenerate", "flat")
+MAX_ORDER = 12   # highest degeneration order the derivative check accepts
 
 
 @dataclass(frozen=True)
@@ -239,8 +241,8 @@ def _scan_grids(cs, x, nt):
     return t, np.asarray(x, dtype=float)
 
 
-def _tensor_scan(fn, t_grid, x_grid):
-    """Evaluate fn(t, x_grid) row by row; returns matrix (nt, nx)."""
+def tensor_scan(fn, t_grid, x_grid):
+    """Real part of fn(t, x_grid) for each t in t_grid: an (nt, nx) matrix."""
     out = np.empty((t_grid.size, x_grid.size))
     for i, t in enumerate(t_grid):
         out[i] = np.real(fn(t, x_grid))
@@ -250,7 +252,7 @@ def _tensor_scan(fn, t_grid, x_grid):
 def check_weak_hyperbolicity(cs: CoefficientSet, x=None, nt=512) -> ConditionReport:
     """a(t,x) >= 0 on [0,T] x grid, tolerance 1e-12."""
     t_grid, x_grid = _scan_grids(cs, x, nt)
-    vals = _tensor_scan(cs.a, t_grid, x_grid)
+    vals = tensor_scan(cs.a, t_grid, x_grid)
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
     amin = float(vals[i, j])
     return ConditionReport("weak_hyperbolicity", amin >= -1e-12,
@@ -258,29 +260,29 @@ def check_weak_hyperbolicity(cs: CoefficientSet, x=None, nt=512) -> ConditionRep
                            margin=amin)
 
 
-def check_finite_degeneration(cs: CoefficientSet, x=None, nt=512,
-                              max_order=12) -> ConditionReport:
+def check_finite_degeneration(cs: CoefficientSet, x=None,
+                              nt=512) -> ConditionReport:
     """sum_{j<=k} |d_t^j a| bounded away from zero on [0,T] x grid.
 
     With analytic derivative providers the threshold is exact positivity;
     the finite-difference fallback uses 10x its own error estimate as the
     threshold and records that estimate in the note.
     """
-    if cs.k > max_order:
+    if cs.k > MAX_ORDER:
         raise ConfigurationError(
-            f"degeneration order {cs.k} exceeds configured maximum {max_order}")
+            f"degeneration order {cs.k} exceeds the maximum {MAX_ORDER}")
     t_grid, x_grid = _scan_grids(cs, x, nt)
     analytic = (cs.alpha_derivative is not None
                 and cs.beta_time_derivative is not None)
     if analytic:
+        beta_dt = [tensor_scan(functools.partial(cs.beta_time_derivative, j),
+                               t_grid, x_grid) for j in range(cs.k + 1)]
         total = np.zeros((t_grid.size, x_grid.size))
         for j in range(cs.k + 1):
             dja = np.zeros_like(total)
             for i in range(j + 1):
                 av = np.asarray(cs.alpha_derivative(i, t_grid), dtype=float)
-                for r, t in enumerate(t_grid):
-                    dja[r] += (math.comb(j, i) * av[r]
-                               * np.real(cs.beta_time_derivative(j - i, t, x_grid)))
+                dja += math.comb(j, i) * av[:, None] * beta_dt[j - i]
             total += np.abs(dja)
         threshold = 0.0
         note = "analytic derivatives"
@@ -304,7 +306,7 @@ def _fd_derivative_sum(cs, t_grid, x_grid):
     """
     def stack(h):
         fine = np.arange(t_grid[0], t_grid[-1] + h / 2, h)
-        vals = _tensor_scan(cs.a, fine, x_grid)
+        vals = tensor_scan(cs.a, fine, x_grid)
         total = np.abs(vals)
         d = vals
         for _ in range(cs.k):
@@ -328,8 +330,8 @@ def check_levi(cs: CoefficientSet, x=None, nt=512) -> ConditionReport:
     was exercised.
     """
     t_grid, x_grid = _scan_grids(cs, x, nt)
-    a = _tensor_scan(cs.a, t_grid, x_grid)
-    bb = np.abs(_tensor_scan(cs.b, t_grid, x_grid))
+    a = tensor_scan(cs.a, t_grid, x_grid)
+    bb = np.abs(tensor_scan(cs.b, t_grid, x_grid))
     note = ""
     if cs.gamma == 0:
         ratio = bb
@@ -370,7 +372,7 @@ def check_order_condition(k, gamma) -> ConditionReport:
 def check_ellipticity(cs: CoefficientSet, x=None, nt=512) -> ConditionReport:
     """lambda0 <= beta <= Lambda0 on [0,T] x grid, tolerance 1e-12."""
     t_grid, x_grid = _scan_grids(cs, x, nt)
-    vals = _tensor_scan(cs.beta, t_grid, x_grid)
+    vals = tensor_scan(cs.beta, t_grid, x_grid)
     lo_margin = float(np.min(vals)) - cs.lambda0
     hi_margin = cs.Lambda0 - float(np.max(vals))
     if lo_margin <= hi_margin:

@@ -12,8 +12,8 @@ FFT-applied operator provides the second, independent route.
 
 from __future__ import annotations
 
-import csv
-import json
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +24,12 @@ from . import grid
 from .dyadic import CutoffFamily
 from .errors import GridMismatchError, PowerIterationError
 from .grid import GridFunction
+
+POWER_RESTARTS = 3      # randomized starts of the block power iteration
+POWER_MAX_ITER = 2000   # iterations allowed per start
+POWER_BLOCK = 4         # block width, covers mirror-pair clusters of four
+DECAY_FLOOR = 1e-14     # far entries at or below this count as exact zeros
+DECAY_ORDERS = (2, 4)   # q of the fitted constants norm * 2^(q*max(nu, mu))
 
 
 def _coef_values(coef, fam: CutoffFamily) -> np.ndarray:
@@ -90,8 +96,7 @@ def dense_norm(coef, nu, mu, fam: CutoffFamily) -> float:
     return float(svdvals(sub)[0])
 
 
-def power_norm(coef, nu, mu, fam: CutoffFamily, tol=1e-8, restarts=3,
-               max_iter=2000, rng=None, block=4) -> float:
+def power_norm(coef, nu, mu, fam: CutoffFamily, tol=1e-8) -> float:
     """Operator norm via block power iteration on T*T.
 
     Real-valued coefficients produce top singular values in near-degenerate
@@ -101,8 +106,7 @@ def power_norm(coef, nu, mu, fam: CutoffFamily, tol=1e-8, restarts=3,
     which bounds |theta - lambda_max| directly.  Randomized restarts guard
     against unlucky starts.
     """
-    if rng is None or isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(0 if rng is None else int(rng))
+    rng = np.random.default_rng(0)
     n = fam.n_points
     coef_scale = max(1.0, float(np.max(np.abs(_coef_values(coef, fam)))))
     # below this the operator is zero up to roundoff of the FFT products
@@ -120,15 +124,15 @@ def power_norm(coef, nu, mu, fam: CutoffFamily, tol=1e-8, restarts=3,
     best = 0.0
     converged = False
     last_residual = np.inf
-    for _ in range(restarts):
-        V = np.linalg.qr(rng.standard_normal((n, block))
-                         + 1j * rng.standard_normal((n, block)))[0]
+    for _ in range(POWER_RESTARTS):
+        V = np.linalg.qr(rng.standard_normal((n, POWER_BLOCK))
+                         + 1j * rng.standard_normal((n, POWER_BLOCK)))[0]
         ok = False
         sigma = 0.0
         residual = np.inf
         theta = 0.0
-        for _ in range(max_iter):
-            W = np.stack([apply_ata(V[:, j]) for j in range(block)], axis=1)
+        for _ in range(POWER_MAX_ITER):
+            W = np.stack([apply_ata(v) for v in V.T], axis=1)
             small = V.conj().T @ W
             evals, evecs = np.linalg.eigh((small + small.conj().T) / 2.0)
             theta = float(evals[-1])
@@ -152,15 +156,6 @@ def power_norm(coef, nu, mu, fam: CutoffFamily, tol=1e-8, restarts=3,
     return best
 
 
-def commutator_norm(coef, nu, mu, fam: CutoffFamily,
-                    method="dense-svd", tol=1e-8) -> float:
-    if method == "dense-svd":
-        return dense_norm(coef, nu, mu, fam)
-    if method == "power-iteration":
-        return power_norm(coef, nu, mu, fam, tol=tol)
-    raise ValueError(f"unknown method {method!r}")
-
-
 @dataclass(frozen=True)
 class CommutatorScan:
     """Operator norms of [phi_nu, q] psi_mu over the full (nu, mu) table.
@@ -181,6 +176,12 @@ class CommutatorScan:
 
 def scan(cs, t, fam: CutoffFamily, method="dense-svd", tol=1e-8) -> CommutatorScan:
     """Measure both coefficient commutator tables at time t."""
+    if method == "dense-svd":
+        norm = dense_norm
+    elif method == "power-iteration":
+        norm = functools.partial(power_norm, tol=tol)
+    else:
+        raise ValueError(f"unknown method {method!r}")
     x = grid.grid_points(fam.n_points, fam.period)
     beta_vals = np.asarray(cs.beta(t, x), dtype=complex)
     b_vals = np.asarray(cs.b(t, x), dtype=complex)
@@ -189,22 +190,19 @@ def scan(cs, t, fam: CutoffFamily, method="dense-svd", tol=1e-8) -> CommutatorSc
     norms_b = np.zeros((n, n))
     for nu in range(n):
         for mu in range(n):
-            norms_beta[nu, mu] = commutator_norm(beta_vals, nu, mu, fam,
-                                                 method, tol)
-            norms_b[nu, mu] = commutator_norm(b_vals, nu, mu, fam, method, tol)
+            norms_beta[nu, mu] = norm(beta_vals, nu, mu, fam)
+            norms_b[nu, mu] = norm(b_vals, nu, mu, fam)
     return CommutatorScan(float(t), norms_beta, norms_b, method, tol,
                           fam.nu_max, fam.n_points, fam.period)
 
 
 def scan_to_csv(s: CommutatorScan, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "nu", "mu", "norm_beta", "norm_b", "method"])
-        for nu in range(s.nu_max + 1):
-            for mu in range(s.nu_max + 1):
-                writer.writerow([grid._fmt(s.t), nu, mu,
-                                 grid._fmt(s.norms_beta[nu, mu]),
-                                 grid._fmt(s.norms_b[nu, mu]), s.method])
+    nu, mu = np.indices(s.norms_beta.shape).reshape(2, -1).tolist()
+    grid.write_csv(path, ["t", "nu", "mu", "norm_beta", "norm_b", "method"],
+                   zip(itertools.repeat(s.t), nu, mu,
+                       s.norms_beta.ravel().tolist(),
+                       s.norms_b.ravel().tolist(),
+                       itertools.repeat(s.method)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +211,22 @@ def scan_to_csv(s: CommutatorScan, path):
 
 @dataclass(frozen=True)
 class SchurKernel:
-    """Weighted kernel with its near/far split and row/column sup-sums."""
+    """Weighted cross-band kernel with its row/column sup-sums."""
 
     kernel: np.ndarray
-    near: np.ndarray    # entries with |nu - mu| <= 2, zero elsewhere
-    far: np.ndarray     # entries with |nu - mu| >= 3, zero elsewhere
-    row_sum: float      # sup_nu sum_mu |k|
-    col_sum: float      # sup_mu sum_nu |k|
+    row_sum: float      # sup_nu sum_mu k
+    col_sum: float      # sup_mu sum_nu k
 
 
-def _split(kernel):
-    n = kernel.shape[0]
-    offset = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    near = np.where(offset <= 2, kernel, 0.0)
-    far = np.where(offset >= 3, kernel, 0.0)
-    return near, far
+def _damped_kernel(h, norms, rows=1.0, cols=1.0) -> SchurKernel:
+    """Kernel e^{-(h_nu - h_mu)/2} * rows * norms / cols and its Schur sums.
+
+    Every factor is non-negative, so plain sums are the Schur test's sums.
+    """
+    damp = np.exp(-(h[:, None] - h[None, :]) / 2.0)
+    kernel = damp * rows * norms / cols
+    return SchurKernel(kernel, float(np.max(np.sum(kernel, axis=1))),
+                       float(np.max(np.sum(kernel, axis=0))))
 
 
 def schur_kernel(s: CommutatorScan, h_at_t, t, cs, which="a",
@@ -242,21 +241,16 @@ def schur_kernel(s: CommutatorScan, h_at_t, t, cs, which="a",
     n = s.nu_max + 1
     if h.shape[0] != n:
         raise ValueError("weight column does not match the scan size")
-    damp = np.exp(-(h[:, None] - h[None, :]) / 2.0)
     if which == "a":
         alpha_t = float(np.real(cs.alpha(t)))
-        kernel = damp * (2.0 ** np.arange(n))[:, None] * alpha_t * s.norms_beta
-    elif which == "b":
+        return _damped_kernel(h, s.norms_beta,
+                              rows=(2.0 ** np.arange(n))[:, None] * alpha_t)
+    if which == "b":
         if epsilons is None:
             raise ValueError("the first-order kernel needs the epsilon array")
         eps = np.asarray(epsilons, dtype=float)
-        kernel = damp * s.norms_b / eps[None, :]
-    else:
-        raise ValueError(f"unknown kernel selector {which!r}")
-    near, far = _split(kernel)
-    row = float(np.max(np.sum(np.abs(kernel), axis=1)))
-    col = float(np.max(np.sum(np.abs(kernel), axis=0)))
-    return SchurKernel(kernel, near, far, row, col)
+        return _damped_kernel(h, s.norms_b, cols=eps[None, :])
+    raise ValueError(f"unknown kernel selector {which!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +284,18 @@ class DecayReport:
         }
 
 
-def verify_decay(s: CommutatorScan, floor=1e-14,
-                 decay_orders=(2, 4)) -> DecayReport:
+def verify_decay(s: CommutatorScan) -> DecayReport:
     """Check the two decay regimes of the beta-commutator table.
 
     Near diagonal (|nu-mu| <= 2): reports sup 2^nu * norm.  Far regime
     (|nu-mu| >= 3): least-squares slope of log2(norm) against max(nu, mu)
-    over entries above ``floor``, plus the fitted constants norm *
-    2^(order * max(nu,mu)) for each requested order.
+    over entries above DECAY_FLOOR, plus the fitted constants norm *
+    2^(order * max(nu,mu)) for each order in DECAY_ORDERS.
     """
     n = s.nu_max + 1
     near_best, near_arg = 0.0, (0, 0)
     far_pts = []
-    consts = {order: 0.0 for order in decay_orders}
+    consts = {order: 0.0 for order in DECAY_ORDERS}
     for nu in range(n):
         for mu in range(n):
             v = s.norms_beta[nu, mu]
@@ -312,9 +305,9 @@ def verify_decay(s: CommutatorScan, floor=1e-14,
                     near_best, near_arg = float(scaled), (nu, mu)
             else:
                 top = max(nu, mu)
-                for order in decay_orders:
+                for order in DECAY_ORDERS:
                     consts[order] = max(consts[order], v * 2.0 ** (order * top))
-                if v > floor:
+                if v > DECAY_FLOOR:
                     far_pts.append((top, v))
     if not far_pts:
         return DecayReport(near_best, near_arg, None, 0, True, consts, None,
@@ -333,5 +326,4 @@ def verify_decay(s: CommutatorScan, floor=1e-14,
 
 
 def decay_report_to_json(report: DecayReport, path):
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
+    grid.write_json(path, report.to_dict())

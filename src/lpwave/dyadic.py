@@ -11,7 +11,6 @@ inverse transform of its coefficients multiplied by band nu's cutoff.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,9 +128,12 @@ class DyadicBlocks:
     def block(self, nu) -> GridFunction:
         return grid.from_coefficients(self.spectra[nu], self.period)
 
+    def block_norms(self) -> np.ndarray:
+        # Plancherel on the stored spectra; exact for band data
+        return np.sqrt(self.period * np.sum(np.abs(self.spectra) ** 2, axis=1))
+
     def block_norm(self, nu) -> float:
-        # Plancherel on the stored spectrum; exact for band data
-        return float(np.sqrt(self.period * np.sum(np.abs(self.spectra[nu]) ** 2)))
+        return float(self.block_norms()[nu])
 
 
 def decompose(w: GridFunction, fam: CutoffFamily) -> DyadicBlocks:
@@ -158,10 +160,9 @@ def sobolev_norm(w: GridFunction, m, fam: CutoffFamily) -> float:
     Equivalent to the multiplier norm within a fixed factor; see
     :func:`sobolev_norm_multiplier` for the direct route.
     """
-    blocks = decompose(w, fam)
     total = 0.0
-    for nu in range(len(blocks)):
-        total += 4.0 ** (m * nu) * blocks.block_norm(nu) ** 2
+    for nu, norm in enumerate(decompose(w, fam).block_norms().tolist()):
+        total += 4.0 ** (m * nu) * norm ** 2
     return float(np.sqrt(total))
 
 
@@ -190,11 +191,8 @@ def bernstein_ratio(blocks: DyadicBlocks, nu) -> float:
 
 def cutoffs_to_csv(fam: CutoffFamily, path):
     """Export the table as rows (nu, xi, phi_nu(xi)) for plotting."""
-    xi = fam.xi
-    order = np.argsort(xi)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["nu", "xi", "phi"])
-        for nu in range(fam.nu_max + 1):
-            for j in order:
-                writer.writerow([nu, grid._fmt(xi[j]), grid._fmt(fam.phi[nu, j])])
+    order = np.argsort(fam.xi)
+    xi = fam.xi[order].tolist()
+    grid.write_csv(path, ["nu", "xi", "phi"],
+                   ((nu, x, p) for nu in range(fam.nu_max + 1)
+                    for x, p in zip(xi, fam.phi[nu, order].tolist())))

@@ -12,8 +12,6 @@ one-sided evolution bound is verified in integrated form.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,11 +19,16 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import grid
-from .coefficients import CoefficientSet
-from .commutator import CommutatorScan
-from .dyadic import CutoffFamily, build_cutoffs, sobolev_norm
-from .grid import GridFunction
-from .solver import Trajectory, apply_L, cfl_limit, solve_cauchy
+from .coefficients import CoefficientSet, tensor_scan
+from .commutator import CommutatorScan, _damped_kernel
+from .dyadic import CutoffFamily, build_cutoffs, decompose, sobolev_norm
+from .grid import GridFunction, TWO_PI
+from .solver import (Trajectory, apply_L, cfl_limit, second_time_derivative,
+                     solve_cauchy)
+
+QUAD_TOL = 1e-10       # absolute and relative weight quadrature tolerance
+LOSS_C_CFL = 0.4       # Courant factor of the loss-search solves
+LOSS_STABILITY = 2.0   # max/min ratio across grid sizes that counts as stable
 
 
 def block_epsilon(k, nu) -> float:
@@ -97,7 +100,7 @@ def weight_integrand(cs: CoefficientSet, nu):
     return f
 
 
-def decay_weight(nu, t, cs: CoefficientSet, scale=1.0, tol=1e-10) -> float:
+def decay_weight(nu, t, cs: CoefficientSet, scale=1.0) -> float:
     """h(nu, t): integral of the band growth rate from 0 to t, times scale.
 
     Zero at t = 0, non-decreasing in t, and bounded by a multiple of nu
@@ -108,12 +111,11 @@ def decay_weight(nu, t, cs: CoefficientSet, scale=1.0, tol=1e-10) -> float:
     if t == 0.0:
         return 0.0
     val, _ = quad(weight_integrand(cs, nu), 0.0, t,
-                  epsabs=tol, epsrel=tol, limit=400)
+                  epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
     return float(scale * val)
 
 
-def weight_table(nu_max, times, cs: CoefficientSet, scale=1.0,
-                 tol=1e-10) -> np.ndarray:
+def weight_table(nu_max, times, cs: CoefficientSet, scale=1.0) -> np.ndarray:
     """Matrix h[nu, i] over the saved times, accumulated interval by interval."""
     times = np.asarray(times, dtype=float)
     out = np.zeros((nu_max + 1, times.size))
@@ -122,10 +124,12 @@ def weight_table(nu_max, times, cs: CoefficientSet, scale=1.0,
         acc = 0.0
         prev = times[0]
         if prev > 0.0:
-            acc, _ = quad(f, 0.0, prev, epsabs=tol, epsrel=tol, limit=400)
+            acc, _ = quad(f, 0.0, prev, epsabs=QUAD_TOL, epsrel=QUAD_TOL,
+                          limit=400)
         out[nu, 0] = acc
         for i in range(1, times.size):
-            inc, _ = quad(f, prev, times[i], epsabs=tol, epsrel=tol, limit=200)
+            inc, _ = quad(f, prev, times[i], epsabs=QUAD_TOL, epsrel=QUAD_TOL,
+                          limit=200)
             acc += inc
             prev = times[i]
             out[nu, i] = acc
@@ -157,11 +161,9 @@ class Constants:
                 "formulas": self.formulas}
 
 
-def _sup_scan(fn, cs, x, nt=512):
-    worst = 0.0
-    for t in np.linspace(0.0, cs.T, nt):
-        worst = max(worst, float(np.max(np.abs(np.real(fn(t, x))))))
-    return worst
+def _sup_scan(fn, cs, x, nt):
+    t = np.linspace(0.0, cs.T, nt)
+    return max(0.0, float(np.max(np.abs(tensor_scan(fn, t, x)))))
 
 
 def calibrate_constants(cs: CoefficientSet, fam: CutoffFamily,
@@ -203,14 +205,12 @@ def calibrate_constants(cs: CoefficientSet, fam: CutoffFamily,
                       for nu in range(scan.nu_max + 1)])
     eps = epsilon_array(cs.k, scan.nu_max)
     # second-order kernel: alpha-free norms with the (alpha+1)^(1/2) factor
-    damp = np.exp(-(h_col[:, None] - h_col[None, :]) / 2.0)
-    kernel_a = damp * (2.0 ** np.arange(scan.nu_max + 1))[:, None] * scan.norms_beta
-    S_row_a = float(np.max(np.sum(kernel_a, axis=1)))
-    S_col_a = float(np.max(np.sum(kernel_a, axis=0)))
+    ka = _damped_kernel(h_col, scan.norms_beta,
+                        rows=(2.0 ** np.arange(scan.nu_max + 1))[:, None])
+    S_row_a, S_col_a = ka.row_sum, ka.col_sum
     C_A = 4.0 * np.sqrt((sup_alpha + 1.0) / lam) * np.sqrt(S_row_a * S_col_a)
-    kernel_b = damp * scan.norms_b / eps[None, :]
-    S_row_b = float(np.max(np.sum(kernel_b, axis=1)))
-    S_col_b = float(np.max(np.sum(kernel_b, axis=0)))
+    kb = _damped_kernel(h_col, scan.norms_b, cols=eps[None, :])
+    S_row_b, S_col_b = kb.row_sum, kb.col_sum
     C_B = 2.0 * np.sqrt(S_row_b * S_col_b)
     C_schur = float(C_A + C_B + 1.0)
 
@@ -306,19 +306,12 @@ def verify_energy_inequality(traj: Trajectory, fam: CutoffFamily,
     the quadrature tolerance of the weights.  Positive violations are
     reported as-is, never clipped.
     """
-    if traj.n_saved < 3:
-        raise ValueError("need at least three saved states")
     d = traj.dt
     n = traj.n_saved
     rhs = np.empty(n)
     sigma = ledger.constants.sigma
     for i in range(n):
-        if i == 0:
-            ut2 = (-3 * traj.ut[0] + 4 * traj.ut[1] - traj.ut[2]) / (2 * d)
-        elif i == n - 1:
-            ut2 = (3 * traj.ut[i] - 4 * traj.ut[i - 1] + traj.ut[i - 2]) / (2 * d)
-        else:
-            ut2 = (traj.ut[i + 1] - traj.ut[i - 1]) / (2 * d)
+        ut2 = second_time_derivative(traj, i)
         t = float(traj.times[i])
         lu = apply_L(cs, traj.u_at(i), GridFunction(ut2, traj.period), t)
         lu_hat = np.fft.fft(lu.values) / traj.n_points
@@ -345,22 +338,31 @@ def loss_ratio_curve(traj: Trajectory, fam: CutoffFamily, m, deltas,
                      source_integral=0.0) -> np.ndarray:
     """Ratio sup_t [|u|_{m+1-d} + |d_t u|_{m-d}] / data norms, per delta.
 
-    Norms are the dyadic proxies.  ``source_integral`` adds the time
-    integral of the forcing's H^m norm to the denominator.
+    Norms are the dyadic proxies of :func:`dyadic.sobolev_norm`, formed
+    for all deltas at once from one squared block-norm matrix per field.
+    ``source_integral`` adds the time integral of the forcing's H^m norm
+    to the denominator.
     """
     deltas = np.asarray(deltas, dtype=float)
     denom = (sobolev_norm(traj.u_at(0), m + 1.0, fam)
              + sobolev_norm(traj.ut_at(0), m, fam) + source_integral)
     if denom == 0.0:
         return np.zeros_like(deltas)
-    ratios = np.zeros_like(deltas)
-    for i in range(traj.n_saved):
-        u_i, ut_i = traj.u_at(i), traj.ut_at(i)
-        for j, d in enumerate(deltas):
-            lhs = (sobolev_norm(u_i, m + 1.0 - d, fam)
-                   + sobolev_norm(ut_i, m - d, fam))
-            ratios[j] = max(ratios[j], lhs / denom)
-    return ratios
+    nus = np.arange(fam.nu_max + 1)
+
+    def norms(states, order):
+        # float_power is libm pow, as the scalar arithmetic of sobolev_norm;
+        # numpy's vectorised power may differ from it in the last bit
+        sq = np.float_power([decompose(GridFunction(v, traj.period), fam)
+                             .block_norms() for v in states], 2)
+        weights = np.float_power(4.0, np.multiply.outer(order, nus))
+        total = np.zeros((len(states), deltas.size))
+        for nu in nus:
+            total += weights[:, nu] * sq[:, nu, None]
+        return np.sqrt(total)
+
+    lhs = norms(traj.u, m + 1.0 - deltas) + norms(traj.ut, m - deltas)
+    return np.max(lhs / denom, axis=0)
 
 
 @dataclass(frozen=True)
@@ -403,39 +405,42 @@ def _rough_data(n_points, period, m, seed, xi_cap):
 
 
 def estimate_loss(cs: CoefficientSet, m, deltas, grid_sizes=(128, 256, 512),
-                  seed=0, stability=2.0, period=2.0 * np.pi,
-                  c_cfl=0.4) -> LossReport:
+                  seed=0) -> LossReport:
     """Search the delta grid for the smallest loss stable under refinement.
 
     Each grid size gets the same rough data law (truncations of one
-    function pair), a forcing-free solve, and a ratio curve.  delta* is
-    the smallest grid value whose worst-case ratio varies by at most the
-    ``stability`` factor across the grid sizes; the reported constant is
-    the largest ratio there.
+    function pair), a forcing-free solve to T, and a ratio curve.  delta*
+    is the smallest grid value whose worst-case ratio varies by at most
+    the LOSS_STABILITY factor across the grid sizes; the reported
+    constant is the largest ratio there.
     """
     deltas = np.asarray(deltas, dtype=float)
     ratios_by_n = {}
     for n_pts in grid_sizes:
-        fam = build_cutoffs(n_pts, period)
+        fam = build_cutoffs(n_pts, TWO_PI)
         xi_cap = 2.0 ** fam.nu_max
-        u0, u1 = _rough_data(n_pts, period, m, seed, xi_cap)
-        limit = 0.999 * cfl_limit(cs, n_pts, period, c_cfl)
+        u0, u1 = _rough_data(n_pts, TWO_PI, m, seed, xi_cap)
+        limit = 0.999 * cfl_limit(cs, n_pts, TWO_PI, LOSS_C_CFL)
         steps = int(np.ceil(cs.T / limit))
+        save_every = max(1, steps // 128)
+        # round up to a multiple of save_every, so the final time is saved
+        steps = -(-steps // save_every) * save_every
         traj = solve_cauchy(cs, u0, u1, f=None, M=steps, check=False,
-                            save_every=max(1, steps // 128))
+                            save_every=save_every)
         ratios_by_n[n_pts] = loss_ratio_curve(traj, fam, m, deltas)
     found = None
     for j, d in enumerate(deltas):
         vals = np.array([ratios_by_n[n][j] for n in grid_sizes])
-        if np.all(vals > 0) and float(vals.max() / vals.min()) <= stability:
+        if np.all(vals > 0) and vals.max() / vals.min() <= LOSS_STABILITY:
             found = j
             break
     if found is None:
-        return LossReport(None, None, deltas, ratios_by_n, stability, False,
+        return LossReport(None, None, deltas, ratios_by_n, LOSS_STABILITY,
+                          False,
                           note="no delta in the grid was refinement-stable")
     worst = max(ratios_by_n[n][found] for n in grid_sizes)
     return LossReport(float(deltas[found]), float(worst), deltas, ratios_by_n,
-                      stability, True)
+                      LOSS_STABILITY, True)
 
 
 # ---------------------------------------------------------------------------
@@ -444,27 +449,23 @@ def estimate_loss(cs: CoefficientSet, m, deltas, grid_sizes=(128, 256, 512),
 
 def ledger_to_csv(ledger: EnergyLedger, path):
     """energies.csv rows: (t, nu, E, h, weight)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "nu", "E", "h", "weight"])
-        for i, t in enumerate(ledger.times):
-            for nu in range(ledger.nu_max + 1):
-                w = np.exp(-ledger.h[nu, i] - 2.0 * ledger.constants.sigma * t)
-                writer.writerow([grid._fmt(t), nu, grid._fmt(ledger.E[nu, i]),
-                                 grid._fmt(ledger.h[nu, i]), grid._fmt(w)])
+    n = ledger.nu_max + 1
+    weight = np.exp(-ledger.h - 2.0 * ledger.constants.sigma
+                    * ledger.times[None, :])
+    grid.write_csv(path, ["t", "nu", "E", "h", "weight"],
+                   zip(np.repeat(ledger.times, n).tolist(),
+                       list(range(n)) * ledger.times.size,
+                       ledger.E.T.ravel().tolist(),
+                       ledger.h.T.ravel().tolist(), weight.T.ravel().tolist()))
 
 
 def inequality_to_csv(report: InequalityReport, path):
     """etot.csv rows: (t, Etot, rhs_integral, violation)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "Etot", "rhs_integral", "violation"])
-        for i, t in enumerate(report.times):
-            writer.writerow([grid._fmt(t), grid._fmt(report.Etot[i]),
-                             grid._fmt(report.rhs_cumulative[i]),
-                             grid._fmt(report.violation[i])])
+    grid.write_csv(path, ["t", "Etot", "rhs_integral", "violation"],
+                   zip(report.times.tolist(), report.Etot.tolist(),
+                       report.rhs_cumulative.tolist(),
+                       report.violation.tolist()))
 
 
 def constants_to_json(constants: Constants, path):
-    with open(path, "w") as fh:
-        json.dump(constants.to_dict(), fh, indent=1, sort_keys=True)
+    grid.write_json(path, constants.to_dict())

@@ -50,3 +50,25 @@ class PowerIterationError(LPWaveError):
 
 class ConditionError(LPWaveError):
     """A coefficient hypothesis check failed before a solve."""
+
+
+EXIT_OK = 0
+EXIT_FAIL = 1
+EXIT_CONFIG = 2
+EXIT_NUMERICAL = 3
+
+# (exception types, exit code, message label); the first match wins
+_EXIT_CLASSES = (
+    ((ConfigurationError, FileNotFoundError), EXIT_CONFIG,
+     "configuration error"),
+    ((CFLError, NumericalBlowupError), EXIT_NUMERICAL, "numerical failure"),
+    ((ConditionError,), EXIT_FAIL, "condition failure"),
+)
+
+
+def classify(exc: BaseException):
+    """(exit code, message label) that a failed run reports for ``exc``."""
+    for types, code, label in _EXIT_CLASSES:
+        if isinstance(exc, types):
+            return code, label
+    return EXIT_FAIL, "error"

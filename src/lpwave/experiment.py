@@ -9,20 +9,19 @@ JSON artifacts plus a manifest with a content hash per file.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
-import json
 import multiprocessing
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import commutator, dyadic, energy, grid, solver
-from .coefficients import builtin_family, run_all_checks
-from .errors import ConfigurationError
+from .coefficients import builtin_family, run_all_checks, tensor_scan
+from .errors import ConfigurationError, classify
 from .grid import GridFunction
 
 
@@ -31,6 +30,8 @@ class ConfigError(ConfigurationError):
 
 
 _DEFAULT_DELTAS = tuple(round(0.1 * i, 10) for i in range(1, 31))
+# samples of the scan-time search: nt times over [0, T], nx grid points
+_SCAN_NT, _SCAN_NX = 64, 256
 
 
 @dataclass(frozen=True)
@@ -65,11 +66,21 @@ class ExperimentConfig:
             raise ConfigError("T must be positive")
         if self.save_every < 1:
             raise ConfigError("save_every must be >= 1")
+        ratio = self.T / self.dt
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            raise ConfigError(f"T/dt = {ratio!r} is not a whole number")
+        if self.steps % self.save_every != 0:
+            raise ConfigError("T/dt must be a multiple of save_every")
         if self.data not in ("manufactured", "random", "zero"):
             raise ConfigError(f"unknown data kind {self.data!r}")
         if any(d <= 0 for d in self.delta_grid):
             raise ConfigError("delta grid entries must be positive")
         return self
+
+    @property
+    def steps(self) -> int:
+        """Number of solver steps, T/dt (a whole number once validated)."""
+        return int(round(self.T / self.dt))
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
@@ -159,16 +170,11 @@ def initial_data(cfg: ExperimentConfig, cs):
     return zero, zero, None
 
 
-def scan_time(cs, nt=64):
+def scan_time(cs):
     """Time at which beta oscillates most in x (largest commutators)."""
-    x = grid.grid_points(256)
-    best_t, best = 0.0, -1.0
-    for t in np.linspace(0.0, cs.T, nt):
-        vals = np.real(cs.beta(t, x))
-        osc = float(np.max(vals) - np.min(vals))
-        if osc > best:
-            best_t, best = float(t), osc
-    return best_t
+    t = np.linspace(0.0, cs.T, _SCAN_NT)
+    vals = tensor_scan(cs.beta, t, grid.grid_points(_SCAN_NX))
+    return float(t[np.argmax(np.max(vals, axis=1) - np.min(vals, axis=1))])
 
 
 def _hash_file(path):
@@ -191,15 +197,13 @@ def write_manifest(out_dir, cfg, stages, extra=None):
     manifest = {"config": config_dict(cfg), "stages": stages, "files": files}
     if extra:
         manifest.update(extra)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    grid.write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 
 
 def write_plot_script(out_dir, plots):
     """Renderer-agnostic plot description referencing the CSVs."""
-    with open(os.path.join(out_dir, "plots.json"), "w") as fh:
-        json.dump({"plots": plots}, fh, indent=1, sort_keys=True)
+    grid.write_json(os.path.join(out_dir, "plots.json"), {"plots": plots})
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +217,7 @@ def run_check_conditions(cfg: ExperimentConfig, out_dir=None):
     payload = [r.to_dict() for r in reports]
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "conditions.json"), "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+        grid.write_json(os.path.join(out_dir, "conditions.json"), payload)
     code = 0 if all(r.verdict for r in reports) else 1
     return code, payload
 
@@ -222,9 +225,8 @@ def run_check_conditions(cfg: ExperimentConfig, out_dir=None):
 def run_solve(cfg: ExperimentConfig, out_dir, force=False):
     cs = coefficient_set(cfg)
     u0, u1, f = initial_data(cfg, cs)
-    steps = int(round(cfg.T / cfg.dt))
-    traj = solver.solve_cauchy(cs, u0, u1, f=f, M=steps, t_end=cfg.T,
-                               save_every=cfg.save_every, force=force)
+    traj = solver.solve_cauchy(cs, u0, u1, f=f, M=cfg.steps, t_end=cfg.T,
+                               save_every=cfg.save_every, check=not force)
     os.makedirs(out_dir, exist_ok=True)
     solver.save_trajectory(traj, out_dir)
     return traj, cs, f
@@ -246,10 +248,8 @@ def run_decompose(cfg: ExperimentConfig, out_dir, source_csv=None):
     err = grid.norm(dyadic.reconstruct(blocks) - w) / max(grid.norm(w), 1e-300)
     summary = {"nu_max": fam.nu_max, "source_hash": blocks.source_hash,
                "reconstruction_error": err,
-               "block_norms": [blocks.block_norm(nu)
-                               for nu in range(len(blocks))]}
-    with open(os.path.join(out_dir, "decompose.json"), "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
+               "block_norms": blocks.block_norms().tolist()}
+    grid.write_json(os.path.join(out_dir, "decompose.json"), summary)
     return summary
 
 
@@ -274,13 +274,10 @@ def run_weights(cfg: ExperimentConfig, out_dir, scale=1.0):
     times = np.linspace(0.0, cfg.T, 65)
     table = energy.weight_table(fam.nu_max, times, cs, scale=scale)
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "weights.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "nu", "h"])
-        for i, t in enumerate(times):
-            for nu in range(fam.nu_max + 1):
-                writer.writerow([grid._fmt(t), nu, grid._fmt(table[nu, i])])
+    n = fam.nu_max + 1
+    grid.write_csv(os.path.join(out_dir, "weights.csv"), ["t", "nu", "h"],
+                   zip(np.repeat(times, n).tolist(),
+                       list(range(n)) * times.size, table.T.ravel().tolist()))
     return table
 
 
@@ -298,8 +295,7 @@ def run_verify_energy(cfg: ExperimentConfig, traj, cs, out_dir, budget=1e-4):
     energy.ledger_to_csv(ledger, os.path.join(out_dir, "energies.csv"))
     energy.inequality_to_csv(report, os.path.join(out_dir, "etot.csv"))
     energy.constants_to_json(constants, os.path.join(out_dir, "constants.json"))
-    with open(os.path.join(out_dir, "verify.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
+    grid.write_json(os.path.join(out_dir, "verify.json"), report.to_dict())
     return s, constants, ledger, report
 
 
@@ -338,8 +334,7 @@ def run_full_pipeline(cfg: ExperimentConfig, out_dir=None, force=False,
         sizes = sorted({max(64, cfg.N // 2), cfg.N})
         loss = energy.estimate_loss(cs, cfg.m, cfg.delta_grid,
                                     grid_sizes=sizes, seed=cfg.seed)
-        with open(os.path.join(out_dir, "loss.json"), "w") as fh:
-            json.dump(loss.to_dict(), fh, indent=1, sort_keys=True)
+        grid.write_json(os.path.join(out_dir, "loss.json"), loss.to_dict())
         stage("done")
         write_plot_script(out_dir, [
             {"title": "weighted band energies", "xlabel": "t",
@@ -364,15 +359,18 @@ def run_full_pipeline(cfg: ExperimentConfig, out_dir=None, force=False,
 
 
 def _sweep_worker(args):
+    """One sweep member; returns (name, exit code) and never raises."""
     path, out_root, force = args
-    cfg = read_config(path)
     name = os.path.splitext(os.path.basename(path))[0]
-    out = os.path.join(out_root, name)
     try:
-        result = run_full_pipeline(cfg, out, force=force)
+        cfg = read_config(path)
+        result = run_full_pipeline(cfg, os.path.join(out_root, name),
+                                   force=force)
         return name, result["exit_code"]
     except Exception as exc:          # worker must not kill the pool
-        return name, f"error: {exc}"
+        code, label = classify(exc)
+        print(f"{name}: {label}: {exc}", file=sys.stderr)
+        return name, code
 
 
 def run_sweep(config_paths, out_root, jobs=1, force=False):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,8 +118,7 @@ def inner(f: GridFunction, g: GridFunction) -> complex:
 
 def derivative(w: GridFunction, order: int = 1) -> GridFunction:
     """Spectral derivative: multiply coefficients by (i*xi)^order."""
-    xi = frequencies(w.n_points, w.period)
-    return from_coefficients(coefficients(w) * (1j * xi) ** order, w.period)
+    return GridFunction(derivative_values(w.values, w.period, order), w.period)
 
 
 def derivative_values(values, period=TWO_PI, order=1):
@@ -129,7 +129,7 @@ def derivative_values(values, period=TWO_PI, order=1):
 
 
 def random_band_limited(n_points, period=TWO_PI, xi_max=None, rng=None,
-                        decay=0.0, include_mean=True) -> GridFunction:
+                        decay=0.0) -> GridFunction:
     """Random function with Fourier support in |xi| <= xi_max.
 
     Coefficients are complex standard normals scaled by (1+|xi|)^(-decay).
@@ -147,8 +147,6 @@ def random_band_limited(n_points, period=TWO_PI, xi_max=None, rng=None,
     coeffs = (rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points))
     coeffs *= (1.0 + np.abs(xi)) ** (-decay)
     coeffs[np.abs(xi) > xi_max] = 0.0
-    if not include_mean:
-        coeffs[0] = 0.0
     return from_coefficients(coeffs, period)
 
 
@@ -163,14 +161,28 @@ def content_hash(w: GridFunction) -> str:
 # serialization: CSV columns are (index, x, re, im); JSON is binary-free
 
 
-def to_csv(w: GridFunction, path):
-    x = w.x
+def write_csv(path, header, rows):
+    """Write a header line, then rows of str, int and float cells.
+
+    Floats come out as their shortest round-trip decimal, so output is
+    reproducible; ``ndarray.tolist()`` columns are the fast way to build rows.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["index", "x", "re", "im"])
-        for j in range(w.n_points):
-            writer.writerow([j, _fmt(x[j]), _fmt(w.values[j].real),
-                             _fmt(w.values[j].imag)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, obj):
+    """Indented JSON with sorted keys, so reruns give identical bytes."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+
+
+def to_csv(w: GridFunction, path):
+    write_csv(path, ["index", "x", "re", "im"],
+              zip(range(w.n_points), w.x.tolist(), w.values.real.tolist(),
+                  w.values.imag.tolist()))
 
 
 def from_csv(path, period=TWO_PI) -> GridFunction:
@@ -194,8 +206,3 @@ def to_json_dict(w: GridFunction) -> dict:
 
 def from_json_dict(d) -> GridFunction:
     return GridFunction(np.array(d["re"]) + 1j * np.array(d["im"]), d["period"])
-
-
-def _fmt(v) -> str:
-    """Shortest round-trip decimal form, for reproducible CSV output."""
-    return repr(float(v))

@@ -19,9 +19,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import grid
-from .coefficients import CoefficientSet, run_all_checks
+from .coefficients import CoefficientSet, run_all_checks, tensor_scan
 from .errors import CFLError, ConditionError, NumericalBlowupError
 from .grid import GridFunction, TWO_PI, same_grid
+
+C_CFL = 0.5         # Courant factor of the solver's step bound
+SUP_A_TIMES = 512   # time samples of the sup a scan behind that bound
 
 
 @dataclass(frozen=True)
@@ -109,78 +112,56 @@ def manufactured_rhs(cs: CoefficientSet, exact: SpaceTimeFunction) -> Callable:
     return f
 
 
-def sup_a(cs: CoefficientSet, n_points, period=TWO_PI, nt=512) -> float:
+def sup_a(cs: CoefficientSet, n_points, period=TWO_PI) -> float:
     x = grid.grid_points(n_points, period)
-    worst = 0.0
-    for t in np.linspace(0.0, cs.T, nt):
-        worst = max(worst, float(np.max(np.real(cs.a(t, x)))))
-    return worst
+    t = np.linspace(0.0, cs.T, SUP_A_TIMES)
+    return max(0.0, float(np.max(tensor_scan(cs.a, t, x))))
 
 
-def cfl_limit(cs: CoefficientSet, n_points, period=TWO_PI, c_cfl=0.5) -> float:
+def cfl_limit(cs: CoefficientSet, n_points, period=TWO_PI,
+              c_cfl=C_CFL) -> float:
     """Largest stable step: c_cfl * dx / sqrt(sup a + 1)."""
     dx = period / n_points
     return c_cfl * dx / np.sqrt(sup_a(cs, n_points, period) + 1.0)
 
 
-def _dealias_product(f_vals, g_vals):
-    """Product via 3/2-rule zero padding (both factors band-limited)."""
-    n = f_vals.shape[0]
-    m = 3 * n // 2
-    out = np.zeros(m, dtype=complex)
-
-    def pad(v):
-        spec = np.fft.fft(v)
-        padded = np.zeros(m, dtype=complex)
-        padded[: n // 2] = spec[: n // 2]
-        padded[m - n // 2:] = spec[n // 2:]
-        return np.fft.ifft(padded) * (m / n)
-
-    prod = pad(f_vals) * pad(g_vals)
-    spec = np.fft.fft(prod) * (n / m)
-    out = np.zeros(n, dtype=complex)
-    out[: n // 2] = spec[: n // 2]
-    out[n // 2:] = spec[m - n // 2:]
-    return np.fft.ifft(out)
-
-
 def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
                  f: Optional[Callable] = None, M: int = 1000,
                  t_end: Optional[float] = None, save_every: int = 1,
-                 check: bool = True, force: bool = False,
-                 c_cfl: float = 0.5, dealias: bool = False) -> Trajectory:
+                 check: bool = True) -> Trajectory:
     """Integrate the Cauchy problem from data (u0, u1) with forcing f.
 
     ``M`` steps of size t_end/M (t_end defaults to the family's T).  The
-    hypothesis checkers run first unless ``force``; a step size above the
+    hypothesis checkers run first when ``check``; a step size above the
     CFL bound is refused outright.  States are recorded every
-    ``save_every`` steps (the final time is always included, so M should
-    be a multiple of save_every).
+    ``save_every`` steps, and M must be a multiple of save_every so the
+    final time is always saved.
     """
     same_grid(u0, u1)
     if t_end is None:
         t_end = cs.T
     if M < 1:
         raise ValueError("need at least one step")
-    if check and not force:
+    if save_every < 1 or M % save_every != 0:
+        raise ValueError(f"M = {M} is not a multiple of save_every = "
+                         f"{save_every}")
+    if check:
         failures = [r for r in run_all_checks(cs, x=u0.x) if not r.verdict]
         if failures:
             ids = ", ".join(r.condition_id for r in failures)
             raise ConditionError(f"coefficient checks failed: {ids}")
     dt = t_end / M
-    limit = cfl_limit(cs, u0.n_points, u0.period, c_cfl)
+    limit = cfl_limit(cs, u0.n_points, u0.period)
     if dt > limit * (1.0 + 1e-12):
         raise CFLError(f"dt = {dt:.3e} exceeds stability bound {limit:.3e}")
 
     period = u0.period
     x = u0.x
-    zero = np.zeros(u0.n_points, dtype=complex)
-    mul = _dealias_product if dealias else (lambda p, q: p * q)
 
     def rhs(t, u, v):
         a = cs.a(t, x)
         ux = _dx(u, period)
-        vdot = _dx(mul(a, ux), period) - mul(cs.b(t, x), ux) - mul(cs.c(t, x), u)
+        vdot = _dx(a * ux, period) - cs.b(t, x) * ux - cs.c(t, x) * u
         if f is not None:
             vdot = vdot + f(t, x)
         return v, vdot
@@ -207,25 +188,29 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
         if (step + 1) % save_every == 0:
             times[saved], us[saved], uts[saved] = (step + 1) * dt, u, v
             saved += 1
-    return Trajectory(times[:saved], us[:saved], uts[:saved],
-                      dt * save_every, period, cs, dt)
+    return Trajectory(times, us, uts, dt * save_every, period, cs, dt)
 
 
-def residual_norm(traj: Trajectory, i, f: Optional[Callable] = None) -> float:
-    """|| L u - f || at saved index i, with d_t^2 u from central differences.
+def second_time_derivative(traj: Trajectory, i) -> np.ndarray:
+    """d_t^2 u at saved index i, differencing the saved d_t u.
 
-    Second-order in the save spacing; endpoints use one-sided stencils.
+    Central differences inside, one-sided second-order stencils at the
+    ends; second-order in the save spacing.
     """
     d = traj.dt
     if traj.n_saved < 3:
         raise ValueError("need at least three saved states")
     if i == 0:
-        ut2 = (-3 * traj.ut[0] + 4 * traj.ut[1] - traj.ut[2]) / (2 * d)
-    elif i == traj.n_saved - 1:
-        ut2 = (3 * traj.ut[i] - 4 * traj.ut[i - 1] + traj.ut[i - 2]) / (2 * d)
-    else:
-        ut2 = (traj.ut[i + 1] - traj.ut[i - 1]) / (2 * d)
-    lu = apply_L(traj.coeffs, traj.u_at(i), GridFunction(ut2, traj.period),
+        return (-3 * traj.ut[0] + 4 * traj.ut[1] - traj.ut[2]) / (2 * d)
+    if i == traj.n_saved - 1:
+        return (3 * traj.ut[i] - 4 * traj.ut[i - 1] + traj.ut[i - 2]) / (2 * d)
+    return (traj.ut[i + 1] - traj.ut[i - 1]) / (2 * d)
+
+
+def residual_norm(traj: Trajectory, i, f: Optional[Callable] = None) -> float:
+    """|| L u - f || at saved index i, with d_t^2 u by finite differences."""
+    lu = apply_L(traj.coeffs, traj.u_at(i),
+                 GridFunction(second_time_derivative(traj, i), traj.period),
                  float(traj.times[i]))
     vals = lu.values
     if f is not None:
@@ -252,20 +237,15 @@ def save_trajectory(traj: Trajectory, out_dir):
         "saved_indices": list(range(traj.n_saved)),
         "times": [float(t) for t in traj.times],
     }
-    with open(os.path.join(out_dir, "trajectory.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-    x = grid.grid_points(traj.n_points, traj.period)
+    grid.write_json(os.path.join(out_dir, "trajectory.json"), manifest)
+    index = range(traj.n_points)
+    x = grid.grid_points(traj.n_points, traj.period).tolist()
     for i in range(traj.n_saved):
-        with open(os.path.join(out_dir, f"state_{i:06d}.csv"), "w",
-                  newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "x", "re_u", "im_u", "re_ut", "im_ut"])
-            for j in range(traj.n_points):
-                writer.writerow([j, grid._fmt(x[j]),
-                                 grid._fmt(traj.u[i, j].real),
-                                 grid._fmt(traj.u[i, j].imag),
-                                 grid._fmt(traj.ut[i, j].real),
-                                 grid._fmt(traj.ut[i, j].imag)])
+        grid.write_csv(os.path.join(out_dir, f"state_{i:06d}.csv"),
+                       ["index", "x", "re_u", "im_u", "re_ut", "im_ut"],
+                       zip(index, x, traj.u[i].real.tolist(),
+                           traj.u[i].imag.tolist(), traj.ut[i].real.tolist(),
+                           traj.ut[i].imag.tolist()))
 
 
 def load_trajectory(out_dir, cs: Optional[CoefficientSet] = None) -> Trajectory:

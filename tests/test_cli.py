@@ -61,6 +61,21 @@ def test_cfl_violation_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_step_not_dividing_T_is_config_error(tmp_path, capsys):
+    # T/dt = 142.857...: the run would not end at T
+    cfg = tmp_path / "dt.cfg"
+    cfg.write_text("family = monomial\nk = 2\nN = 64\ndt = 0.007\n")
+    assert main(["solve", "--config", str(cfg),
+                 "--out", str(tmp_path / "t")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_save_every_not_dividing_steps_is_config_error(tmp_path, tiny_cfg):
+    # tiny runs 250 steps
+    assert main(["solve", "--config", tiny_cfg, "--save-every", "3",
+                 "--out", str(tmp_path / "t")]) == 2
+
+
 def test_solve_writes_trajectory(tmp_path, tiny_cfg):
     out = tmp_path / "traj"
     assert main(["solve", "--config", tiny_cfg, "--out", str(out)]) == 0
@@ -115,3 +130,16 @@ def test_sweep_subcommand(tmp_path, tiny_cfg, capsys):
     out = tmp_path / "sweep"
     assert main(["sweep", tiny_cfg, "--out", str(out), "--jobs", "2"]) == 0
     assert (out / "tiny" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_isolates_workers_and_keeps_exit_codes(tmp_path, tiny_cfg,
+                                                     capsys, jobs):
+    bad_k = tmp_path / "bad_k.cfg"
+    bad_k.write_text("family = monomial\nk = 0\n")
+    bad_dt = tmp_path / "bad_dt.cfg"
+    bad_dt.write_text("family = monomial\nk = 2\nN = 64\ndt = 0.5\n")
+    assert main(["sweep", tiny_cfg, str(bad_k), str(bad_dt),
+                 "--out", str(tmp_path / "sweep"), "--jobs", jobs]) == 3
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == ["bad_dt: 3", "bad_k: 2", "tiny: 0"]

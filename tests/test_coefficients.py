@@ -16,6 +16,13 @@ def zero_field(t, x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
+def test_package_attribute_is_the_submodule():
+    import sys
+
+    import lpwave
+    assert lpwave.coefficients is sys.modules["lpwave.coefficients"]
+
+
 def test_unknown_family():
     with pytest.raises(UnknownFamilyError):
         builtin_family("cubic_spline")

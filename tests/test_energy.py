@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from lpwave import grid
 from lpwave.coefficients import builtin_family, constant_coefficients
 from lpwave.commutator import scan
-from lpwave.dyadic import build_cutoffs
+from lpwave.dyadic import build_cutoffs, sobolev_norm
 from lpwave.energy import (block_energy, block_epsilon, build_ledger,
                            calibrate_constants, decay_weight, energy_table,
                            epsilon_array, estimate_loss, loss_ratio_curve,
@@ -332,6 +332,26 @@ def test_loss_ratio_zero_data():
     fam = build_cutoffs(64)
     ratios = loss_ratio_curve(traj, fam, 0.0, (0.1, 0.5, 1.0))
     assert np.all(ratios == 0.0)
+
+
+@pytest.mark.parametrize("n_points, m", [(64, 0.0), (128, 0.5)])
+def test_loss_ratio_matches_per_delta_loop(n_points, m):
+    # reference: one sobolev_norm pair per saved state and delta
+    cs = builtin_family("monomial", k=2)
+    rng = np.random.default_rng(n_points)
+    u0 = grid.random_band_limited(n_points, rng=rng, decay=1.0)
+    u1 = grid.random_band_limited(n_points, rng=rng, decay=0.5)
+    traj = solve_cauchy(cs, u0, u1, M=200, save_every=20, check=False)
+    fam = build_cutoffs(n_points)
+    deltas = np.array([round(0.1 * i, 10) for i in range(1, 31)])
+    denom = sobolev_norm(u0, m + 1.0, fam) + sobolev_norm(u1, m, fam)
+    expected = np.zeros_like(deltas)
+    for i in range(traj.n_saved):
+        for j, d in enumerate(deltas):
+            lhs = (sobolev_norm(traj.u_at(i), m + 1.0 - d, fam)
+                   + sobolev_norm(traj.ut_at(i), m - d, fam))
+            expected[j] = max(expected[j], lhs / denom)
+    assert np.array_equal(loss_ratio_curve(traj, fam, m, deltas), expected)
 
 
 def test_loss_estimate_nondegenerate_hits_grid_bottom():

@@ -212,8 +212,19 @@ def test_condition_gate_and_force():
     u1 = GridFunction(np.zeros(64, dtype=complex))
     with pytest.raises(ConditionError):
         solve_cauchy(cs, u0, u1, M=400)
-    traj = solve_cauchy(cs, u0, u1, M=400, force=True)
+    traj = solve_cauchy(cs, u0, u1, M=400, check=False)
     assert traj.n_saved == 401
+
+
+def test_save_every_must_divide_steps():
+    # otherwise the final time would not be saved
+    cs = constant_coefficients(a0=1.0)
+    u0 = grid.from_callable(np.cos, 64)
+    u1 = GridFunction(np.zeros(64, dtype=complex))
+    with pytest.raises(ValueError):
+        solve_cauchy(cs, u0, u1, M=40, save_every=3, check=False)
+    traj = solve_cauchy(cs, u0, u1, M=40, save_every=4, check=False)
+    assert traj.n_saved == 11 and traj.times[-1] == cs.T
 
 
 def test_blowup_detection():
