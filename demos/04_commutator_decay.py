@@ -31,11 +31,11 @@ for nu in range(fam.nu_max + 1):
 print("the scaled norms level off: the 2^-nu rate is sharp")
 
 print()
-print("dense SVD vs power iteration on a few entries:")
+print("dense SVD vs ARPACK via scipy.sparse.linalg.svds on a few entries:")
 for nu, mu in ((2, 2), (4, 3), (6, 6)):
     d = dense_norm(beta, nu, mu, fam)
     p = power_norm(beta, nu, mu, fam, tol=1e-10)
-    print(f"  ({nu},{mu}): dense {d:.12e}  power {p:.12e}")
+    print(f"  ({nu},{mu}): dense {d:.12e}  svds {p:.12e}")
 
 print()
 print("=" * 64)

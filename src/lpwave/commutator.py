@@ -6,28 +6,27 @@ For a spatial coefficient q the operator studied here is
 
 small when q is smooth and nu is large.  In frequency space its kernel is
 K[xi, eta] = qhat(xi - eta) * (phi_nu(xi) - phi_nu(eta)) * psi_mu(eta),
-which is assembled densely for SVD norms; power iteration on the
-FFT-applied operator provides the second, independent route.
+which is assembled densely for SVD norms; ARPACK via
+``scipy.sparse.linalg.svds`` on the FFT-applied operator provides the
+second, independent route.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import svdvals
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 
 from . import grid
 from .dyadic import CutoffFamily
 from .errors import GridMismatchError, PowerIterationError
 from .grid import GridFunction
 
-POWER_RESTARTS = 3      # randomized starts of the block power iteration
-POWER_MAX_ITER = 2000   # iterations allowed per start
-POWER_BLOCK = 4         # block width, covers mirror-pair clusters of four
+POWER_TOL = 1e-8        # svds tolerance of power_norm, recorded by scan
 DECAY_FLOOR = 1e-14     # far entries at or below this count as exact zeros
 DECAY_ORDERS = (2, 4)   # q of the fitted constants norm * 2^(q*max(nu, mu))
 
@@ -96,64 +95,33 @@ def dense_norm(coef, nu, mu, fam: CutoffFamily) -> float:
     return float(svdvals(sub)[0])
 
 
-def power_norm(coef, nu, mu, fam: CutoffFamily, tol=1e-8) -> float:
-    """Operator norm via block power iteration on T*T.
+def power_norm(coef, nu, mu, fam: CutoffFamily, tol=POWER_TOL) -> float:
+    """Operator norm by ARPACK via ``scipy.sparse.linalg.svds``.
 
-    Real-valued coefficients produce top singular values in near-degenerate
-    clusters of up to four (exact mirror pairs split by a tiny coupling), so
-    a four-vector block with Rayleigh-Ritz extraction is used; convergence
-    is declared on the Ritz residual ||T*T y - theta y|| <= tol * theta,
-    which bounds |theta - lambda_max| directly.  Randomized restarts guard
-    against unlucky starts.
+    Implicitly restarted Lanczos on T*T, with T and T* applied by FFTs, so
+    no kernel is formed.  The grid weight is uniform, so sample-space
+    euclidean algebra gives the same norm and the same adjoint.  The start
+    vector is fixed, so reruns are bit-identical.
     """
-    rng = np.random.default_rng(0)
+    q = _coef_values(coef, fam)
     n = fam.n_points
-    coef_scale = max(1.0, float(np.max(np.abs(_coef_values(coef, fam)))))
-    # below this the operator is zero up to roundoff of the FFT products
-    zero_floor = 1e-13 * coef_scale
-    # the residual of the applied operator cannot drop below FFT roundoff
-    noise = 100.0 * np.finfo(float).eps * coef_scale
 
-    # the grid weight is uniform, so sample-space euclidean algebra gives
-    # the same operator norm and the same adjoint matrix
-    def apply_ata(vals):
-        tv = apply_commutator(coef, nu, mu, GridFunction(vals, fam.period),
-                              fam)
-        return apply_commutator_adjoint(coef, nu, mu, tv, fam).values
+    def applied(op):
+        return lambda v: op(q, nu, mu, GridFunction(np.ravel(v), fam.period),
+                            fam).values
 
-    best = 0.0
-    converged = False
-    last_residual = np.inf
-    for _ in range(POWER_RESTARTS):
-        V = np.linalg.qr(rng.standard_normal((n, POWER_BLOCK))
-                         + 1j * rng.standard_normal((n, POWER_BLOCK)))[0]
-        ok = False
-        sigma = 0.0
-        residual = np.inf
-        theta = 0.0
-        for _ in range(POWER_MAX_ITER):
-            W = np.stack([apply_ata(v) for v in V.T], axis=1)
-            small = V.conj().T @ W
-            evals, evecs = np.linalg.eigh((small + small.conj().T) / 2.0)
-            theta = float(evals[-1])
-            sigma = np.sqrt(max(theta, 0.0))
-            if sigma < zero_floor:
-                ok = True
-                break
-            residual = float(np.linalg.norm(W @ evecs[:, -1]
-                                            - theta * (V @ evecs[:, -1])))
-            if residual <= tol * theta + noise * sigma:
-                ok = True
-                break
-            V = np.linalg.qr(W)[0]
-        if ok:
-            converged = True
-            best = max(best, float(sigma))
-        else:
-            last_residual = residual / max(theta, 1e-300)
-    if not converged:
-        raise PowerIterationError(last_residual, best)
-    return best
+    T = LinearOperator((n, n), matvec=applied(apply_commutator),
+                       rmatvec=applied(apply_commutator_adjoint), dtype=complex)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    if not np.any(T.rmatvec(T.matvec(v0))):
+        return 0.0    # a generic start vector in the null space: T = 0
+    try:
+        return float(svds(T, k=1, tol=tol, v0=v0,
+                          return_singular_vectors=False)[0])
+    except ArpackNoConvergence as exc:
+        raise PowerIterationError(
+            f"ARPACK did not reach tol {tol:g} on (nu, mu) = ({nu}, {mu})"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -174,13 +142,10 @@ class CommutatorScan:
     period: float
 
 
-def scan(cs, t, fam: CutoffFamily, method="dense-svd", tol=1e-8) -> CommutatorScan:
+def scan(cs, t, fam: CutoffFamily, method="dense-svd") -> CommutatorScan:
     """Measure both coefficient commutator tables at time t."""
-    if method == "dense-svd":
-        norm = dense_norm
-    elif method == "power-iteration":
-        norm = functools.partial(power_norm, tol=tol)
-    else:
+    norm = {"dense-svd": dense_norm, "power-iteration": power_norm}.get(method)
+    if norm is None:
         raise ValueError(f"unknown method {method!r}")
     x = grid.grid_points(fam.n_points, fam.period)
     beta_vals = np.asarray(cs.beta(t, x), dtype=complex)
@@ -192,7 +157,7 @@ def scan(cs, t, fam: CutoffFamily, method="dense-svd", tol=1e-8) -> CommutatorSc
         for mu in range(n):
             norms_beta[nu, mu] = norm(beta_vals, nu, mu, fam)
             norms_b[nu, mu] = norm(b_vals, nu, mu, fam)
-    return CommutatorScan(float(t), norms_beta, norms_b, method, tol,
+    return CommutatorScan(float(t), norms_beta, norms_b, method, POWER_TOL,
                           fam.nu_max, fam.n_points, fam.period)
 
 
@@ -292,36 +257,35 @@ def verify_decay(s: CommutatorScan) -> DecayReport:
     over entries above DECAY_FLOOR, plus the fitted constants norm *
     2^(order * max(nu,mu)) for each order in DECAY_ORDERS.
     """
+    v = s.norms_beta
     n = s.nu_max + 1
-    near_best, near_arg = 0.0, (0, 0)
-    far_pts = []
-    consts = {order: 0.0 for order in DECAY_ORDERS}
-    for nu in range(n):
-        for mu in range(n):
-            v = s.norms_beta[nu, mu]
-            if abs(nu - mu) <= 2:
-                scaled = 2.0 ** nu * v
-                if scaled > near_best:
-                    near_best, near_arg = float(scaled), (nu, mu)
-            else:
-                top = max(nu, mu)
-                for order in DECAY_ORDERS:
-                    consts[order] = max(consts[order], v * 2.0 ** (order * top))
-                if v > DECAY_FLOOR:
-                    far_pts.append((top, v))
+    nu, mu = np.indices((n, n))
+    near = np.abs(nu - mu) <= 2
+    far = ~near
+    top = np.maximum(nu, mu)
+    # ldexp scales by exact powers of two, as 2.0 ** k * v does
+    scaled = np.where(near, np.ldexp(v, nu), 0.0)
+    flat = int(np.argmax(scaled))             # first maximum in row-major order
+    near_best = float(scaled.flat[flat])
+    near_arg = divmod(flat, n) if near_best > 0.0 else (0, 0)
+    consts = {order: float(np.max(np.ldexp(v[far], order * top[far]),
+                                  initial=0.0))
+              for order in DECAY_ORDERS}
+    above = far & (v > DECAY_FLOOR)           # boolean masks read row-major
+    far_pts = int(np.count_nonzero(above))
     if not far_pts:
         return DecayReport(near_best, near_arg, None, 0, True, consts, None,
                            note="all far entries at or below the floor")
-    if len(far_pts) < 3:
-        return DecayReport(near_best, near_arg, None, len(far_pts), False,
+    if far_pts < 3:
+        return DecayReport(near_best, near_arg, None, far_pts, False,
                            consts, None,
                            note="too few far entries above the floor to fit")
-    xs = np.array([p for p, _ in far_pts], dtype=float)
-    ys = np.log2([v for _, v in far_pts])
+    xs = top[above].astype(float)
+    ys = np.log2(v[above])
     design = np.vstack([xs, np.ones_like(xs)]).T
     (slope, _), res, _, _ = np.linalg.lstsq(design, ys, rcond=None)
-    residual = float(np.sqrt(res[0] / len(far_pts))) if res.size else 0.0
-    return DecayReport(near_best, near_arg, float(slope), len(far_pts), False,
+    residual = float(np.sqrt(res[0] / far_pts)) if res.size else 0.0
+    return DecayReport(near_best, near_arg, float(slope), far_pts, False,
                        consts, residual)
 
 

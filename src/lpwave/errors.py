@@ -37,15 +37,7 @@ class NumericalBlowupError(LPWaveError):
 
 
 class PowerIterationError(LPWaveError):
-    """Power iteration stagnated before reaching its tolerance."""
-
-    def __init__(self, residual, estimate):
-        self.residual = residual
-        self.estimate = estimate
-        super().__init__(
-            f"power iteration stagnated (residual {residual:.3e}, "
-            f"estimate {estimate:.6e})"
-        )
+    """ARPACK (via ``scipy.sparse.linalg.svds``) missed its tolerance."""
 
 
 class ConditionError(LPWaveError):

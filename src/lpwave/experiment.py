@@ -253,12 +253,11 @@ def run_decompose(cfg: ExperimentConfig, out_dir, source_csv=None):
     return summary
 
 
-def run_commutator_scan(cfg: ExperimentConfig, out_dir, t=None,
-                        nu_max=None, method="dense-svd"):
+def run_commutator_scan(cfg: ExperimentConfig, out_dir, t=None, nu_max=None):
     cs = coefficient_set(cfg)
     fam = dyadic.build_cutoffs(cfg.N, nu_max=nu_max or cfg.nu_max_override)
     t_scan = scan_time(cs) if t is None else float(t)
-    s = commutator.scan(cs, t_scan, fam, method=method)
+    s = commutator.scan(cs, t_scan, fam)
     os.makedirs(out_dir, exist_ok=True)
     commutator.scan_to_csv(s, os.path.join(out_dir, "commutator_scan.csv"))
     report = commutator.verify_decay(s)

@@ -1,13 +1,25 @@
+import dataclasses
+import functools
+import json
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from lpwave import grid
+from lpwave import experiment, grid
 from lpwave.coefficients import builtin_family
-from lpwave.commutator import (CommutatorScan, apply_commutator,
+from lpwave.commutator import (DECAY_FLOOR, DECAY_ORDERS, CommutatorScan,
+                               DecayReport, apply_commutator,
                                apply_commutator_adjoint, dense_norm,
                                power_norm, scan, schur_kernel, verify_decay)
 from lpwave.dyadic import build_cutoffs
+from lpwave.errors import PowerIterationError
 from lpwave.grid import GridFunction
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def poisson_coefficient(n_points, r=0.75, amplitude=0.25):
@@ -35,6 +47,13 @@ def test_constant_coefficient_commutes():
     assert grid.norm(out) < 1e-14 * grid.norm(w)
     assert dense_norm(ones, 2, 2, fam) == 0.0
     assert power_norm(ones, 2, 2, fam) < 1e-14
+
+
+def test_zero_coefficient_norm_is_zero():
+    fam = build_cutoffs(64)
+    zero = np.zeros(64, dtype=complex)
+    assert dense_norm(zero, 2, 3, fam) == 0.0
+    assert power_norm(zero, 2, 3, fam) == 0.0
 
 
 def test_single_mode_shift_identity():
@@ -234,3 +253,162 @@ def test_b_kernel_uses_epsilon_column():
     assert abs(k.row_sum - expect_row) < 1e-12
     with pytest.raises(ValueError):
         schur_kernel(s, np.zeros(n), 0.5, cs, which="b")
+
+
+def test_power_norm_reruns_bit_identical():
+    fam = build_cutoffs(128)
+    coef = poisson_coefficient(128)
+    first = [power_norm(coef, nu, mu, fam) for nu, mu in ((2, 2), (4, 3))]
+    again = [power_norm(coef, nu, mu, fam) for nu, mu in ((2, 2), (4, 3))]
+    assert first == again
+
+
+def test_arpack_no_convergence_is_power_iteration_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0),
+                                  np.zeros((64, 0)))
+
+    monkeypatch.setattr("lpwave.commutator.svds", no_convergence)
+    fam = build_cutoffs(64)
+    with pytest.raises(PowerIterationError):
+        power_norm(np.ones(64, dtype=complex), 2, 2, fam)
+
+
+def _decay_report_loop(s):
+    """Reference: the per-entry loop over (nu, mu, order)."""
+    n = s.nu_max + 1
+    near_best, near_arg = 0.0, (0, 0)
+    far_pts = []
+    consts = {order: 0.0 for order in DECAY_ORDERS}
+    for nu in range(n):
+        for mu in range(n):
+            v = s.norms_beta[nu, mu]
+            if abs(nu - mu) <= 2:
+                scaled = 2.0 ** nu * v
+                if scaled > near_best:
+                    near_best, near_arg = float(scaled), (nu, mu)
+            else:
+                top = max(nu, mu)
+                for order in DECAY_ORDERS:
+                    consts[order] = max(consts[order], v * 2.0 ** (order * top))
+                if v > DECAY_FLOOR:
+                    far_pts.append((top, v))
+    if not far_pts:
+        return DecayReport(near_best, near_arg, None, 0, True, consts, None,
+                           note="all far entries at or below the floor")
+    if len(far_pts) < 3:
+        return DecayReport(near_best, near_arg, None, len(far_pts), False,
+                           consts, None,
+                           note="too few far entries above the floor to fit")
+    xs = np.array([p for p, _ in far_pts], dtype=float)
+    ys = np.log2([v for _, v in far_pts])
+    design = np.vstack([xs, np.ones_like(xs)]).T
+    (slope, _), res, _, _ = np.linalg.lstsq(design, ys, rcond=None)
+    residual = float(np.sqrt(res[0] / len(far_pts))) if res.size else 0.0
+    return DecayReport(near_best, near_arg, float(slope), len(far_pts), False,
+                       consts, residual)
+
+
+def _table_scan(norms):
+    n = norms.shape[0]
+    return CommutatorScan(0.0, norms, np.zeros_like(norms), "dense-svd", 1e-8,
+                          n - 1, 256, 2 * np.pi)
+
+
+def _shipped_scan(cfg_name, n_points):
+    cfg = experiment.read_config(os.path.join(CONFIG_DIR, cfg_name))
+    cs = experiment.coefficient_set(cfg)
+    return scan(cs, experiment.scan_time(cs), build_cutoffs(n_points))
+
+
+def _broad_scan(n_points):
+    fam = build_cutoffs(n_points)
+    coef = poisson_coefficient(n_points)
+    n = fam.nu_max + 1
+    return _table_scan(np.array([[dense_norm(coef, nu, mu, fam)
+                                  for mu in range(n)] for nu in range(n)]))
+
+
+_RNG_TABLE = np.random.default_rng(11).random((7, 7)) \
+    * 10.0 ** -np.random.default_rng(12).integers(0, 18, (7, 7))
+
+DECAY_CASES = {
+    **{f"{name}-{n_points}": functools.partial(_shipped_scan, f"{name}.cfg",
+                                               n_points)
+       for name in ("k2-gamma0", "k4-gamma0.3", "nondegenerate")
+       for n_points in (128, 256)},
+    "broad-256": functools.partial(_broad_scan, 256),
+    "all-zero": lambda: _table_scan(np.zeros((6, 6))),
+    "no-far-entries": lambda: _table_scan(np.full((3, 3), 0.5)),
+    "two-far-points": lambda: _table_scan(
+        np.where(np.eye(6, k=4) > 0, 1e-3, 1e-16)),
+    "tied-near-max": lambda: _table_scan(
+        np.diag(np.r_[0.1, 0.7 * 2.0 ** -np.arange(1.0, 6.0)])),
+    "random": lambda: _table_scan(_RNG_TABLE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECAY_CASES))
+def test_verify_decay_matches_per_entry_loop(case):
+    # exact equality of every field, and the same lemma2_report.json text
+    s = DECAY_CASES[case]()
+    fast, ref = verify_decay(s), _decay_report_loop(s)
+    for field in dataclasses.fields(DecayReport):
+        got, want = getattr(fast, field.name), getattr(ref, field.name)
+        assert got == want, (field.name, got, want)
+    assert json.dumps(fast.to_dict(), indent=1, sort_keys=True) \
+        == json.dumps(ref.to_dict(), indent=1, sort_keys=True)
+
+
+# --- property tests: random trigonometric-polynomial coefficients ----------
+
+_FAMILIES = {n: build_cutoffs(n) for n in (64, 128)}
+
+_amplitudes = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def commutator_cases(draw):
+    """(coefficient samples, nu, mu, family, seed) for a random q.
+
+    q(x) = sum over |m| <= degree of c_m e^{imx}; a real q has
+    c_{-m} = conj(c_m).
+    """
+    fam = _FAMILIES[draw(st.sampled_from(sorted(_FAMILIES)))]
+    degree = draw(st.integers(0, 4))
+    c = np.array([complex(draw(_amplitudes), draw(_amplitudes))
+                  for _ in range(2 * degree + 1)])
+    real = draw(st.booleans())
+    if real:
+        c = (c + np.conj(c[::-1])) / 2.0
+    x = grid.grid_points(fam.n_points)
+    q = np.exp(1j * np.outer(x, np.arange(-degree, degree + 1))) @ c
+    q = (q.real if real else q).astype(complex)
+    nu = draw(st.integers(0, fam.nu_max))
+    mu = draw(st.integers(0, fam.nu_max))
+    return q, nu, mu, fam, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(commutator_cases())
+def test_property_adjoint_consistency(case):
+    # relative to sup|q| ||v|| ||w||, which bounds both sides up to a
+    # factor 2; the commutator cancels to roundoff when q is nearly constant
+    q, nu, mu, fam, seed = case
+    rng = np.random.default_rng(seed)
+    v = grid.random_band_limited(fam.n_points, rng=rng)
+    w = grid.random_band_limited(fam.n_points, rng=rng)
+    lhs = grid.inner(apply_commutator(q, nu, mu, v, fam), w)
+    rhs = grid.inner(v, apply_commutator_adjoint(q, nu, mu, w, fam))
+    scale = np.max(np.abs(q)) * grid.norm(v) * grid.norm(w)
+    assert abs(lhs - rhs) <= 1e-12 * max(scale, 1e-300)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(commutator_cases())
+def test_property_power_norm_matches_dense(case):
+    q, nu, mu, fam, _ = case
+    d = dense_norm(q, nu, mu, fam)
+    p = power_norm(q, nu, mu, fam)
+    if d > 1e-8:
+        assert abs(p - d) <= 1e-6 * d, (nu, mu, d, p)
