@@ -23,8 +23,7 @@ from .coefficients import CoefficientSet, tensor_scan
 from .commutator import CommutatorScan, _damped_kernel
 from .dyadic import CutoffFamily, build_cutoffs, decompose, sobolev_norm
 from .grid import GridFunction, TWO_PI
-from .solver import (Trajectory, apply_L, cfl_limit, second_time_derivative,
-                     solve_cauchy)
+from .solver import Trajectory, cfl_limit, operator_at, solve_cauchy
 
 QUAD_TOL = 1e-10       # absolute and relative weight quadrature tolerance
 LOSS_C_CFL = 0.4       # Courant factor of the loss-search solves
@@ -55,7 +54,7 @@ def energy_table(traj: Trajectory, fam: CutoffFamily, cs: CoefficientSet,
                  indices=None) -> np.ndarray:
     """Matrix E[nu, i] of band energies over saved times.
 
-    One FFT per saved state; bands are then frequency-mask multiplies.
+    One FFT per saved state; the bands are one batched inverse FFT.
     """
     if indices is None:
         indices = range(traj.n_saved)
@@ -64,19 +63,17 @@ def energy_table(traj: Trajectory, fam: CutoffFamily, cs: CoefficientSet,
     x = grid.grid_points(traj.n_points, traj.period)
     dx_w = traj.period / traj.n_points
     out = np.empty((fam.nu_max + 1, len(indices)))
-    eps = epsilon_array(cs.k, fam.nu_max)
+    eps = epsilon_array(cs.k, fam.nu_max)[:, None]
     for col, i in enumerate(indices):
         t = float(traj.times[i])
         a_vals = np.real(cs.a(t, x))
         uhat = np.fft.fft(traj.u[i]) / traj.n_points
         uthat = np.fft.fft(traj.ut[i]) / traj.n_points
-        for nu in range(fam.nu_max + 1):
-            band = fam.phi[nu]
-            # Plancherel for the time-derivative block
-            kinetic = traj.period * np.sum(np.abs(band * uthat) ** 2)
-            ux_nu = np.fft.ifft(1j * xi * band * uhat) * traj.n_points
-            quad_form = dx_w * np.sum((a_vals + eps[nu]) * np.abs(ux_nu) ** 2)
-            out[nu, col] = kinetic + quad_form
+        # Plancherel for the time-derivative blocks
+        kinetic = traj.period * np.sum(np.abs(fam.phi * uthat) ** 2, axis=1)
+        ux = np.fft.ifft(1j * xi * fam.phi * uhat) * traj.n_points
+        quad_form = dx_w * np.sum((a_vals + eps) * np.abs(ux) ** 2, axis=1)
+        out[:, col] = kinetic + quad_form
     return out
 
 
@@ -121,17 +118,11 @@ def weight_table(nu_max, times, cs: CoefficientSet, scale=1.0) -> np.ndarray:
     out = np.zeros((nu_max + 1, times.size))
     for nu in range(nu_max + 1):
         f = weight_integrand(cs, nu)
-        acc = 0.0
-        prev = times[0]
-        if prev > 0.0:
-            acc, _ = quad(f, 0.0, prev, epsabs=QUAD_TOL, epsrel=QUAD_TOL,
-                          limit=400)
-        out[nu, 0] = acc
+        acc = out[nu, 0] = decay_weight(nu, times[0], cs)
         for i in range(1, times.size):
-            inc, _ = quad(f, prev, times[i], epsabs=QUAD_TOL, epsrel=QUAD_TOL,
-                          limit=200)
+            inc, _ = quad(f, times[i - 1], times[i], epsabs=QUAD_TOL,
+                          epsrel=QUAD_TOL, limit=200)
             acc += inc
-            prev = times[i]
             out[nu, i] = acc
     return scale * out
 
@@ -311,10 +302,8 @@ def verify_energy_inequality(traj: Trajectory, fam: CutoffFamily,
     rhs = np.empty(n)
     sigma = ledger.constants.sigma
     for i in range(n):
-        ut2 = second_time_derivative(traj, i)
         t = float(traj.times[i])
-        lu = apply_L(cs, traj.u_at(i), GridFunction(ut2, traj.period), t)
-        lu_hat = np.fft.fft(lu.values) / traj.n_points
+        lu_hat = np.fft.fft(operator_at(cs, traj, i)) / traj.n_points
         band_norms_sq = traj.period * np.sum(
             np.abs(fam.phi * lu_hat[None, :]) ** 2, axis=1)
         rhs[i] = np.sum(np.exp(-ledger.h[:, i] - 2.0 * sigma * t)

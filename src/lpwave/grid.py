@@ -186,13 +186,9 @@ def to_csv(w: GridFunction, path):
 
 
 def from_csv(path, period=TWO_PI) -> GridFunction:
-    re, im = [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            re.append(float(row["re"]))
-            im.append(float(row["im"]))
-    return GridFunction(np.array(re) + 1j * np.array(im), period)
+    re, im = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(2, 3),
+                        unpack=True)
+    return GridFunction(re + 1j * im, period)
 
 
 def to_json_dict(w: GridFunction) -> dict:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they complete.  Tolerances are fixed here, not tuned at runtime.
 """
 
+import dataclasses
 import os
 import time
 
@@ -19,7 +20,7 @@ from lpwave.dyadic import (bernstein_ratio, build_cutoffs, decompose,
 from lpwave.energy import (block_epsilon, build_ledger, calibrate_constants,
                            decay_weight, estimate_loss,
                            verify_energy_inequality)
-from lpwave.experiment import read_config
+from lpwave.experiment import coefficient_set, initial_data, read_config
 from lpwave.grid import GridFunction
 from lpwave.solver import (SpaceTimeFunction, cosine_mode, manufactured_rhs,
                            solve_cauchy)
@@ -201,6 +202,30 @@ def test_criterion_6_integrated_evolution_inequality():
     details.append(f"halved {halved.max_violation:.2e}")
     _verdict("criterion 6: integrated evolution inequality", ok,
              ", ".join(details))
+
+
+def test_criterion_6_negative_control_random_k2():
+    # random k2 data (N = 128, dt = 1e-3, T = 1): the calibrated constants
+    # pass, and sigma = Ctilde = 0 on the same trajectory must fail
+    cfg = dataclasses.replace(
+        read_config(os.path.join(CONFIG_DIR, "k2-gamma0.cfg")),
+        data="random", dt=1e-3, save_every=1)
+    cs = coefficient_set(cfg)
+    u0, u1, f = initial_data(cfg, cs)
+    traj = solve_cauchy(cs, u0, u1, f=f, M=int(round(cfg.T / cfg.dt)),
+                        check=False)
+    fam = build_cutoffs(cfg.N)
+    constants = calibrate_constants(cs, fam,
+                                    commutator_scan(cs, scan_time(cs), fam))
+    reports = [verify_energy_inequality(traj, fam, cs,
+                                        build_ledger(traj, fam, cs, c))
+               for c in (constants, dataclasses.replace(constants, sigma=0.0,
+                                                        Ctilde=0.0))]
+    ok = (reports[0].passed and not reports[1].passed
+          and reports[1].max_violation > reports[1].budget)
+    _verdict("criterion 6 negative control: zeroed constants fail", ok,
+             f"calibrated {reports[0].max_violation:.2e}, "
+             f"zeroed {reports[1].max_violation:.2e}")
 
 
 def test_criterion_7_loss_of_derivatives():

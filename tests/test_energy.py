@@ -109,6 +109,30 @@ def test_block_energy_against_naive_quadrature():
         assert abs(fast - slow) <= 1e-10 * max(slow, 1e-12)
 
 
+def test_energy_table_matches_per_band_loop():
+    cs = builtin_family("monomial", k=4, gamma=0.3)
+    rng = np.random.default_rng(11)
+    u0 = grid.random_band_limited(128, rng=rng, decay=1.0)
+    u1 = grid.random_band_limited(128, rng=rng, decay=0.5)
+    traj = solve_cauchy(cs, u0, u1, M=100, save_every=10, check=False)
+    fam = build_cutoffs(128)
+    xi = grid.frequencies(128)
+    x = grid.grid_points(128)
+    eps = epsilon_array(cs.k, fam.nu_max)
+    expect = np.empty((fam.nu_max + 1, traj.n_saved))
+    for i in range(traj.n_saved):
+        a_vals = np.real(cs.a(float(traj.times[i]), x))
+        uhat = np.fft.fft(traj.u[i]) / 128
+        uthat = np.fft.fft(traj.ut[i]) / 128
+        for nu in range(fam.nu_max + 1):
+            band = fam.phi[nu]
+            kinetic = traj.period * np.sum(np.abs(band * uthat) ** 2)
+            ux_nu = np.fft.ifft(1j * xi * band * uhat) * 128
+            expect[nu, i] = kinetic + traj.period / 128 * np.sum(
+                (a_vals + eps[nu]) * np.abs(ux_nu) ** 2)
+    assert energy_table(traj, fam, cs).tobytes() == expect.tobytes()
+
+
 def test_energy_lower_bounds():
     # E >= eps*||d_x u_nu||^2 and E >= ||d_t u_nu||^2, band by band
     cs = builtin_family("monomial", k=2, gamma=0.25)
@@ -184,6 +208,15 @@ def test_decay_weight_table_matches_pointwise():
     for nu in (0, 3, 5):
         for i, t in enumerate(times):
             assert abs(table[nu, i] - decay_weight(nu, t, cs, scale=2.0)) < 1e-8
+
+
+def test_weight_table_first_column_is_decay_weight():
+    cs = builtin_family("monomial", k=2)
+    table = weight_table(4, [0.3, 0.5], cs)
+    for nu in range(5):
+        assert table[nu, 0] == decay_weight(nu, 0.3, cs)
+    with pytest.raises(ValueError):
+        weight_table(4, [-0.1, 0.5], cs)
 
 
 def test_decay_weight_linear_growth_in_band_index():

@@ -262,3 +262,122 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.ut, traj.ut)
     assert np.array_equal(back.times, traj.times)
     assert back.coeffs.name == "monomial"
+
+
+# The operator as written before it moved into one kernel: an inline RK4
+# right-hand side, and a forcing that wraps GridFunctions and applies the
+# operator again, evaluated at every one of the four stages.
+
+def _old_dx(values, period):
+    return grid.derivative_values(values, period, order=1)
+
+
+def _old_apply_L(cs, u, ut2, t):
+    x = u.x
+    a = cs.a(t, x)
+    ux = _old_dx(u.values, u.period)
+    div = _old_dx(a * ux, u.period)
+    vals = ut2.values - div + cs.b(t, x) * ux + cs.c(t, x) * u.values
+    return GridFunction(vals, u.period)
+
+
+def _old_manufactured_rhs(cs, exact):
+    def f(t, x):
+        period = float(x[1] - x[0]) * x.shape[0]
+        uf = GridFunction(np.asarray(exact.u(t, x), dtype=complex), period)
+        utt = GridFunction(np.asarray(exact.utt(t, x), dtype=complex), period)
+        return _old_apply_L(cs, uf, utt, t).values
+    return f
+
+
+def _old_solve(cs, u0, u1, f, M, save_every):
+    dt, period, x = cs.T / M, u0.period, u0.x
+
+    def rhs(t, u, v):
+        a = cs.a(t, x)
+        ux = _old_dx(u, period)
+        vdot = _old_dx(a * ux, period) - cs.b(t, x) * ux - cs.c(t, x) * u
+        if f is not None:
+            vdot = vdot + f(t, x)
+        return v, vdot
+
+    us, uts = [u0.values.copy()], [u1.values.copy()]
+    u, v = us[0], uts[0]
+    for step in range(M):
+        t = step * dt
+        k1u, k1v = rhs(t, u, v)
+        k2u, k2v = rhs(t + dt / 2, u + dt / 2 * k1u, v + dt / 2 * k1v)
+        k3u, k3v = rhs(t + dt / 2, u + dt / 2 * k2u, v + dt / 2 * k2v)
+        k4u, k4v = rhs(t + dt, u + dt * k3u, v + dt * k3v)
+        u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+        v = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        if (step + 1) % save_every == 0:
+            us.append(u)
+            uts.append(v)
+    return np.array(us), np.array(uts)
+
+
+def _forced_k4():
+    cs = builtin_family("monomial", k=4, gamma=0.3)
+    exact = cosine_mode()
+    u0, u1 = exact.initial_data(128)
+    return cs, u0, u1, manufactured_rhs(cs, exact), \
+        _old_manufactured_rhs(cs, exact)
+
+
+def _random_k2():
+    cs = builtin_family("monomial", k=2)
+    rng = np.random.default_rng(7)
+    u0 = grid.random_band_limited(128, rng=rng, decay=1.0)
+    u1 = grid.random_band_limited(128, rng=rng, decay=0.5)
+    return cs, u0, u1, None, None
+
+
+@pytest.mark.parametrize("case", [_forced_k4, _random_k2])
+def test_solve_matches_old_rhs_bit_for_bit(case):
+    cs, u0, u1, f, old_f = case()
+    traj = solve_cauchy(cs, u0, u1, f=f, M=300, save_every=20, check=False)
+    us, uts = _old_solve(cs, u0, u1, old_f, M=300, save_every=20)
+    assert traj.u.tobytes() == us.tobytes()
+    assert traj.ut.tobytes() == uts.tobytes()
+
+
+def test_apply_L_and_forcing_match_old_bit_for_bit():
+    cs, u0, u1, f, old_f = _forced_k4()
+    ut2 = grid.random_band_limited(128, rng=3)
+    for t in (0.0, 0.37, 1.0):
+        assert (apply_L(cs, u0, ut2, t).values.tobytes()
+                == _old_apply_L(cs, u0, ut2, t).values.tobytes())
+        assert f(t, u0.x).tobytes() == old_f(t, u0.x).tobytes()
+
+
+def test_forcing_evaluated_once_per_stage_time():
+    cs, u0, u1, f, _ = _forced_k4()
+    times = []
+
+    def counted(t, x):
+        times.append(t)
+        return f(t, x)
+
+    solve_cauchy(cs, u0, u1, f=counted, M=100, check=False)
+    assert len(times) == 3 * 100
+    dt = cs.T / 100
+    assert times[:3] == [0.0, dt / 2, dt]
+
+
+def test_load_matches_csv_module_parse(tmp_path):
+    import csv
+    cs, u0, u1, _, _ = _random_k2()
+    traj = solve_cauchy(cs, u0, u1, M=100, save_every=50, check=False)
+    traj.u[1, :4] = [complex(-0.0, -0.0), complex(0.0, -0.0),
+                     complex(-0.0, 0.0), complex(-1.5, -0.0)]
+    save_trajectory(traj, tmp_path / "run")
+    back = load_trajectory(tmp_path / "run")
+    for i in range(traj.n_saved):
+        with open(tmp_path / "run" / f"state_{i:06d}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        u = np.array([float(r["re_u"]) + 1j * float(r["im_u"]) for r in rows])
+        ut = np.array([float(r["re_ut"]) + 1j * float(r["im_ut"])
+                       for r in rows])
+        assert back.u[i].tobytes() == u.tobytes()
+        assert back.ut[i].tobytes() == ut.tobytes()
