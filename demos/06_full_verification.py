@@ -53,7 +53,7 @@ print(f"  band energies at t=0:",
 
 print()
 print("stage 5: integrated evolution inequality")
-report = verify_energy_inequality(traj, fam, cs, ledger, budget=1e-4)
+report = verify_energy_inequality(traj, fam, cs, ledger)
 print(f"  max_t [E(t) - E(0) - source integral]/E(0) = "
       f"{report.max_violation:.3e} at t = {report.argmax_t}")
 print(f"  within budget {report.budget:.0e}: {report.passed}")

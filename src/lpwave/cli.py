@@ -60,9 +60,6 @@ def build_parser():
                             "saved trajectory")
     _add_common(p)
     p.add_argument("--traj", required=True, help="saved trajectory directory")
-    p.add_argument("--m", type=float, default=None)
-    p.add_argument("--delta-grid", default=None,
-                   help="comma-separated loss grid")
 
     p = sub.add_parser("pipeline", help="full check/solve/verify pipeline")
     _add_common(p)
@@ -144,11 +141,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "verify-energy":
-        if args.m is not None:
-            cfg = dataclasses.replace(cfg, m=args.m)
-        if args.delta_grid is not None:
-            grid_vals = tuple(float(v) for v in args.delta_grid.split(","))
-            cfg = dataclasses.replace(cfg, delta_grid=grid_vals).validate()
         cs = experiment.coefficient_set(cfg)
         traj = solver.load_trajectory(args.traj, cs)
         _, _, _, report = experiment.run_verify_energy(

@@ -17,7 +17,6 @@ a witness, so near-violations are visible even when a check passes.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -28,6 +27,7 @@ from .errors import ConfigurationError, UnknownFamilyError
 
 BUILTIN_FAMILIES = ("monomial", "interior_zero", "nondegenerate", "flat")
 MAX_ORDER = 12   # highest degeneration order the derivative check accepts
+SCAN_TIMES = 512   # time samples of the (t, x) grid the checkers scan
 
 
 @dataclass(frozen=True)
@@ -230,14 +230,11 @@ class ConditionReport:
         return {"condition_id": self.condition_id, "verdict": self.verdict,
                 "witness": w, "margin": self.margin, "note": self.note}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
-
-def _scan_grids(cs, x, nt):
+def _scan_grids(cs, x):
     if x is None:
         x = np.arange(256) * (2.0 * np.pi / 256)
-    t = np.linspace(0.0, cs.T, max(int(nt), 512))
+    t = np.linspace(0.0, cs.T, SCAN_TIMES)
     return t, np.asarray(x, dtype=float)
 
 
@@ -249,9 +246,9 @@ def tensor_scan(fn, t_grid, x_grid):
     return out
 
 
-def check_weak_hyperbolicity(cs: CoefficientSet, x=None, nt=512) -> ConditionReport:
+def check_weak_hyperbolicity(cs: CoefficientSet, x=None) -> ConditionReport:
     """a(t,x) >= 0 on [0,T] x grid, tolerance 1e-12."""
-    t_grid, x_grid = _scan_grids(cs, x, nt)
+    t_grid, x_grid = _scan_grids(cs, x)
     vals = tensor_scan(cs.a, t_grid, x_grid)
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
     amin = float(vals[i, j])
@@ -260,8 +257,7 @@ def check_weak_hyperbolicity(cs: CoefficientSet, x=None, nt=512) -> ConditionRep
                            margin=amin)
 
 
-def check_finite_degeneration(cs: CoefficientSet, x=None,
-                              nt=512) -> ConditionReport:
+def check_finite_degeneration(cs: CoefficientSet, x=None) -> ConditionReport:
     """sum_{j<=k} |d_t^j a| bounded away from zero on [0,T] x grid.
 
     With analytic derivative providers the threshold is exact positivity;
@@ -271,7 +267,7 @@ def check_finite_degeneration(cs: CoefficientSet, x=None,
     if cs.k > MAX_ORDER:
         raise ConfigurationError(
             f"degeneration order {cs.k} exceeds the maximum {MAX_ORDER}")
-    t_grid, x_grid = _scan_grids(cs, x, nt)
+    t_grid, x_grid = _scan_grids(cs, x)
     analytic = (cs.alpha_derivative is not None
                 and cs.beta_time_derivative is not None)
     if analytic:
@@ -322,14 +318,14 @@ def _fd_derivative_sum(cs, t_grid, x_grid):
     return fine, err
 
 
-def check_levi(cs: CoefficientSet, x=None, nt=512) -> ConditionReport:
+def check_levi(cs: CoefficientSet, x=None) -> ConditionReport:
     """|b| <= C0 * a**gamma, with the a = 0 set handled by convention.
 
     For gamma > 0 the ratio is undefined where a vanishes; there the check
     requires |b| = 0 (to rounding) and flags the report when that branch
     was exercised.
     """
-    t_grid, x_grid = _scan_grids(cs, x, nt)
+    t_grid, x_grid = _scan_grids(cs, x)
     a = tensor_scan(cs.a, t_grid, x_grid)
     bb = np.abs(tensor_scan(cs.b, t_grid, x_grid))
     note = ""
@@ -369,9 +365,9 @@ def check_order_condition(k, gamma) -> ConditionReport:
                            Witness(None, None, gamma + 1.0 / k), margin=margin)
 
 
-def check_ellipticity(cs: CoefficientSet, x=None, nt=512) -> ConditionReport:
+def check_ellipticity(cs: CoefficientSet, x=None) -> ConditionReport:
     """lambda0 <= beta <= Lambda0 on [0,T] x grid, tolerance 1e-12."""
-    t_grid, x_grid = _scan_grids(cs, x, nt)
+    t_grid, x_grid = _scan_grids(cs, x)
     vals = tensor_scan(cs.beta, t_grid, x_grid)
     lo_margin = float(np.min(vals)) - cs.lambda0
     hi_margin = cs.Lambda0 - float(np.max(vals))
@@ -386,11 +382,11 @@ def check_ellipticity(cs: CoefficientSet, x=None, nt=512) -> ConditionReport:
                            margin=margin)
 
 
-def run_all_checks(cs: CoefficientSet, x=None, nt=512) -> list:
+def run_all_checks(cs: CoefficientSet, x=None) -> list:
     return [
-        check_weak_hyperbolicity(cs, x, nt),
-        check_finite_degeneration(cs, x, nt),
-        check_levi(cs, x, nt),
+        check_weak_hyperbolicity(cs, x),
+        check_finite_degeneration(cs, x),
+        check_levi(cs, x),
         check_order_condition(cs.k, cs.gamma),
-        check_ellipticity(cs, x, nt),
+        check_ellipticity(cs, x),
     ]

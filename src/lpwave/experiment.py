@@ -21,7 +21,7 @@ import numpy as np
 
 from . import commutator, dyadic, energy, grid, solver
 from .coefficients import builtin_family, run_all_checks, tensor_scan
-from .errors import ConfigurationError, classify
+from .errors import ConditionError, ConfigurationError, classify
 from .grid import GridFunction
 
 
@@ -40,8 +40,6 @@ class ExperimentConfig:
     k: int = 2
     gamma: float = 0.0
     C0: float = 1.0
-    lambda0: float = 0.5
-    Lambda0: float = 1.5
     T: float = 1.0
     N: int = 128
     dt: float = 1e-3
@@ -225,7 +223,7 @@ def run_check_conditions(cfg: ExperimentConfig, out_dir=None):
 def run_solve(cfg: ExperimentConfig, out_dir, force=False):
     cs = coefficient_set(cfg)
     u0, u1, f = initial_data(cfg, cs)
-    traj = solver.solve_cauchy(cs, u0, u1, f=f, M=cfg.steps, t_end=cfg.T,
+    traj = solver.solve_cauchy(cs, u0, u1, f=f, M=cfg.steps,
                                save_every=cfg.save_every, check=not force)
     os.makedirs(out_dir, exist_ok=True)
     solver.save_trajectory(traj, out_dir)
@@ -280,15 +278,14 @@ def run_weights(cfg: ExperimentConfig, out_dir, scale=1.0):
     return table
 
 
-def run_verify_energy(cfg: ExperimentConfig, traj, cs, out_dir, budget=1e-4):
+def run_verify_energy(cfg: ExperimentConfig, traj, cs, out_dir):
     """Scan, calibrate, build the ledger, and check the integrated bound."""
     fam = dyadic.build_cutoffs(traj.n_points, traj.period,
                                nu_max=cfg.nu_max_override)
     s = commutator.scan(cs, scan_time(cs), fam)
     constants = energy.calibrate_constants(cs, fam, s)
-    ledger = energy.build_ledger(traj, fam, cs, constants, m=cfg.m)
-    report = energy.verify_energy_inequality(traj, fam, cs, ledger,
-                                             budget=budget)
+    ledger = energy.build_ledger(traj, fam, cs, constants)
+    report = energy.verify_energy_inequality(traj, fam, cs, ledger)
     os.makedirs(out_dir, exist_ok=True)
     commutator.scan_to_csv(s, os.path.join(out_dir, "commutator_scan.csv"))
     energy.ledger_to_csv(ledger, os.path.join(out_dir, "energies.csv"))
@@ -298,8 +295,7 @@ def run_verify_energy(cfg: ExperimentConfig, traj, cs, out_dir, budget=1e-4):
     return s, constants, ledger, report
 
 
-def run_full_pipeline(cfg: ExperimentConfig, out_dir=None, force=False,
-                      budget=1e-4):
+def run_full_pipeline(cfg: ExperimentConfig, out_dir=None, force=False):
     """check -> solve -> scan -> calibrate -> energies -> verify -> loss.
 
     Raises on the first failing stage; artifacts written so far stay in
@@ -316,7 +312,7 @@ def run_full_pipeline(cfg: ExperimentConfig, out_dir=None, force=False,
         stage("check-conditions")
         code, reports = run_check_conditions(cfg, out_dir)
         if code != 0 and not force:
-            raise ConfigurationError(
+            raise ConditionError(
                 "hypothesis checks failed: "
                 + ", ".join(r["condition_id"] for r in reports
                             if not r["verdict"]))
@@ -324,8 +320,7 @@ def run_full_pipeline(cfg: ExperimentConfig, out_dir=None, force=False,
         traj, cs, f = run_solve(cfg, os.path.join(out_dir, "trajectory"),
                                 force=force)
         stage("verify-energy")
-        s, constants, ledger, ineq = run_verify_energy(cfg, traj, cs, out_dir,
-                                                       budget=budget)
+        s, constants, ledger, ineq = run_verify_energy(cfg, traj, cs, out_dir)
         decay = commutator.verify_decay(s)
         commutator.decay_report_to_json(
             decay, os.path.join(out_dir, "lemma2_report.json"))

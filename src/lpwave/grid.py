@@ -190,15 +190,3 @@ def from_csv(path, period=TWO_PI) -> GridFunction:
                         unpack=True)
     return GridFunction(re + 1j * im, period)
 
-
-def to_json_dict(w: GridFunction) -> dict:
-    return {
-        "n_points": w.n_points,
-        "period": w.period,
-        "re": [float(v) for v in w.values.real],
-        "im": [float(v) for v in w.values.imag],
-    }
-
-
-def from_json_dict(d) -> GridFunction:
-    return GridFunction(np.array(d["re"]) + 1j * np.array(d["im"]), d["period"])

@@ -125,7 +125,10 @@ def manufactured_rhs(cs: CoefficientSet, exact: SpaceTimeFunction) -> Callable:
     return f
 
 
+@functools.lru_cache(maxsize=32)
 def sup_a(cs: CoefficientSet, n_points, period=TWO_PI) -> float:
+    """max(0, sup a) over [0, T] x grid; memoised, because estimate_loss
+    and solve_cauchy both ask for it on every grid."""
     x = grid.grid_points(n_points, period)
     t = np.linspace(0.0, cs.T, SUP_A_TIMES)
     return max(0.0, float(np.max(tensor_scan(cs.a, t, x))))
@@ -140,19 +143,16 @@ def cfl_limit(cs: CoefficientSet, n_points, period=TWO_PI,
 
 def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
                  f: Optional[Callable] = None, M: int = 1000,
-                 t_end: Optional[float] = None, save_every: int = 1,
-                 check: bool = True) -> Trajectory:
+                 save_every: int = 1, check: bool = True) -> Trajectory:
     """Integrate the Cauchy problem from data (u0, u1) with forcing f.
 
-    ``M`` steps of size t_end/M (t_end defaults to the family's T).  The
+    ``M`` steps of size T/M, T the family's final time.  The
     hypothesis checkers run first when ``check``; a step size above the
     CFL bound is refused outright.  States are recorded every
     ``save_every`` steps, and M must be a multiple of save_every so the
     final time is always saved.
     """
     same_grid(u0, u1)
-    if t_end is None:
-        t_end = cs.T
     if M < 1:
         raise ValueError("need at least one step")
     if save_every < 1 or M % save_every != 0:
@@ -163,7 +163,7 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
         if failures:
             ids = ", ".join(r.condition_id for r in failures)
             raise ConditionError(f"coefficient checks failed: {ids}")
-    dt = t_end / M
+    dt = cs.T / M
     limit = cfl_limit(cs, u0.n_points, u0.period)
     if dt > limit * (1.0 + 1e-12):
         raise CFLError(f"dt = {dt:.3e} exceeds stability bound {limit:.3e}")

@@ -110,8 +110,7 @@ def test_verify_energy_on_saved_trajectory(tmp_path, tiny_cfg):
     assert main(["solve", "--config", tiny_cfg, "--out", str(traj_dir)]) == 0
     out = tmp_path / "verify"
     code = main(["verify-energy", "--config", tiny_cfg,
-                 "--traj", str(traj_dir), "--out", str(out),
-                 "--m", "0", "--delta-grid", "0.2,0.5"])
+                 "--traj", str(traj_dir), "--out", str(out)])
     assert code == 0
     report = json.loads((out / "verify.json").read_text())
     assert report["passed"] is True
@@ -143,3 +142,42 @@ def test_sweep_isolates_workers_and_keeps_exit_codes(tmp_path, tiny_cfg,
                  "--out", str(tmp_path / "sweep"), "--jobs", jobs]) == 3
     printed = capsys.readouterr().out.splitlines()
     assert printed == ["bad_dt: 3", "bad_k: 2", "tiny: 0"]
+
+
+@pytest.mark.parametrize("key", ["lambda0", "Lambda0"])
+def test_removed_config_key_is_config_error(tmp_path, capsys, key):
+    # the ellipticity bounds belong to the coefficient family, not the config
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(TINY + f"{key} = 0.9\n")
+    assert main(["check-conditions", "--config", str(cfg),
+                 "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("flag", [["--m", "0"], ["--delta-grid", "0.2,0.5"]],
+                         ids=["m", "delta-grid"])
+def test_verify_energy_rejects_removed_flags(tmp_path, tiny_cfg, capsys,
+                                             flag):
+    traj_dir = tmp_path / "traj"
+    assert main(["solve", "--config", tiny_cfg, "--out", str(traj_dir)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-energy", "--config", tiny_cfg, "--traj", str(traj_dir),
+              "--out", str(tmp_path / "verify")] + flag)
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+def test_pipeline_failed_checks_exit_1(tmp_path, capsys):
+    # as for solve and check-conditions, a failed hypothesis check is exit 1
+    flat = tmp_path / "flat.cfg"
+    flat.write_text("family = flat\nk = 2\n")
+    assert main(["solve", "--config", str(flat),
+                 "--out", str(tmp_path / "t")]) == 1
+    assert main(["pipeline", "--config", str(flat),
+                 "--out", str(tmp_path / "pipe")]) == 1
+    assert "condition failure" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "pipe" / "manifest.json").read_text())
+    assert manifest["stages"] == ["check-conditions", "FAILED"]
+    assert main(["sweep", str(flat), "--out", str(tmp_path / "sweep")]) == 1
+    assert capsys.readouterr().out.splitlines() == ["flat: 1"]

@@ -3,14 +3,14 @@ import pytest
 from scipy.integrate import quad
 
 from lpwave import grid
-from lpwave.coefficients import builtin_family, constant_coefficients
+from lpwave.coefficients import (builtin_family, constant_coefficients,
+                                 tensor_scan)
 from lpwave.commutator import scan
 from lpwave.dyadic import build_cutoffs, sobolev_norm
-from lpwave.energy import (block_energy, block_epsilon, build_ledger,
-                           calibrate_constants, decay_weight, energy_table,
-                           epsilon_array, estimate_loss, loss_ratio_curve,
-                           total_energy, verify_energy_inequality,
-                           weight_table)
+from lpwave.energy import (block_epsilon, build_ledger, calibrate_constants,
+                           decay_weight, energy_table, epsilon_array,
+                           estimate_loss, loss_ratio_curve,
+                           verify_energy_inequality, weight_table)
 from lpwave.grid import GridFunction
 from lpwave.solver import Trajectory, cosine_mode, manufactured_rhs, solve_cauchy
 
@@ -90,9 +90,10 @@ def test_block_energy_pure_band_regularization_term():
     fam = build_cutoffs(64)
     eps1 = block_epsilon(2, 1)
     expect = eps1 * 4.0 * np.pi   # ||2 sin(2x)||^2 = 4*pi on [0, 2*pi)
-    assert abs(block_energy(traj, 0, 1, fam, cs) - expect) < 1e-12
+    table = energy_table(traj, fam, cs)
+    assert abs(table[1, 0] - expect) < 1e-12
     for nu in (0, 2, 3):
-        assert block_energy(traj, 0, nu, fam, cs) < 1e-28
+        assert table[nu, 0] < 1e-28
 
 
 def test_block_energy_against_naive_quadrature():
@@ -103,8 +104,9 @@ def test_block_energy_against_naive_quadrature():
     traj = solve_cauchy(cs, u0, u1, f=f, M=500, save_every=250, check=False)
     fam = build_cutoffs(64)
     i = 1   # t = 0.5
+    table = energy_table(traj, fam, cs)
     for nu in range(fam.nu_max + 1):
-        fast = block_energy(traj, i, nu, fam, cs)
+        fast = table[nu, i]
         slow = naive_band_energy(traj, i, nu, fam, cs)
         assert abs(fast - slow) <= 1e-10 * max(slow, 1e-12)
 
@@ -275,7 +277,8 @@ def test_total_energy_t0_is_plain_sum():
     ledger = build_ledger(traj, fam, cs, const)
     assert abs(ledger.Etot[0] - ledger.E[:, 0].sum()) \
         < 1e-12 * ledger.E[:, 0].sum()
-    assert total_energy(traj, 0, ledger) == ledger.Etot[0]
+    w = np.exp(-ledger.h[:, 0] - 2.0 * const.sigma * traj.times[0])
+    assert np.sum(w * ledger.E[:, 0]) == ledger.Etot[0]
 
 
 def test_total_energy_mode_packet_concentrates():
@@ -393,3 +396,18 @@ def test_loss_estimate_nondegenerate_hits_grid_bottom():
                            grid_sizes=(64, 128), seed=3)
     assert report.found
     assert report.delta_star == 0.1
+
+
+def test_loss_search_scans_sup_a_once_per_grid(monkeypatch):
+    # estimate_loss and solve_cauchy both ask for cfl_limit on each grid;
+    # the memoised sup_a scans the (t, x) grid once for the two of them
+    calls = []
+
+    def counting(fn, t_grid, x_grid):
+        calls.append(x_grid.size)
+        return tensor_scan(fn, t_grid, x_grid)
+
+    monkeypatch.setattr("lpwave.solver.tensor_scan", counting)
+    cs = builtin_family("nondegenerate", k=1)   # fresh closures, cold cache
+    estimate_loss(cs, 0.0, (0.1, 0.5), grid_sizes=(64, 128), seed=3)
+    assert calls == [64, 128]

@@ -91,10 +91,3 @@ def test_csv_roundtrip(tmp_path):
     grid.to_csv(w, path)
     back = grid.from_csv(path)
     assert np.array_equal(back.values, w.values)  # repr round-trips floats
-
-
-def test_json_roundtrip():
-    w = grid.random_band_limited(16, rng=8)
-    back = grid.from_json_dict(grid.to_json_dict(w))
-    assert np.array_equal(back.values, w.values)
-    assert back.period == w.period
