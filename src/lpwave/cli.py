@@ -15,14 +15,18 @@ from .errors import (EXIT_FAIL, EXIT_OK, ConfigurationError, LPWaveError,
                      classify)
 
 
-def _add_common(p, config_required=True):
-    p.add_argument("--config", required=config_required,
+def _add_common(p, force=False, seed=False):
+    """--config and --out, plus --force and --seed where the command
+    reads them."""
+    p.add_argument("--config", required=True,
                    help="experiment config file (key = value lines)")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--force", action="store_true",
-                   help="run even if hypothesis checks fail")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the config's seed")
+    if force:
+        p.add_argument("--force", action="store_true",
+                       help="run even if hypothesis checks fail")
+    if seed:
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the config's seed")
 
 
 def build_parser():
@@ -37,12 +41,12 @@ def build_parser():
     _add_common(p)
 
     p = sub.add_parser("solve", help="integrate the Cauchy problem")
-    _add_common(p)
+    _add_common(p, force=True, seed=True)
     p.add_argument("--save-every", type=int, default=None)
 
     p = sub.add_parser("decompose",
                        help="dyadic decomposition of a grid function")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--in", dest="source", default=None,
                    help="grid-function CSV (default: seeded random)")
 
@@ -62,7 +66,7 @@ def build_parser():
     p.add_argument("--traj", required=True, help="saved trajectory directory")
 
     p = sub.add_parser("pipeline", help="full check/solve/verify pipeline")
-    _add_common(p)
+    _add_common(p, force=True, seed=True)
 
     p = sub.add_parser("sweep", help="run several configs in parallel")
     p.add_argument("configs", nargs="+", help="config files")

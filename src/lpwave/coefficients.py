@@ -64,11 +64,13 @@ class CoefficientSet:
 
 
 def _monomial_alpha(k, shift=0.0):
+    # float_power is libm pow whatever the shape of t, so a column of times
+    # gives the bits of scalar calls; numpy's vectorised ** may not
     def alpha(t):
-        return (np.asarray(t, dtype=float) - shift) ** k
+        return np.float_power(np.asarray(t, dtype=float) - shift, k)
 
     def alpha_prime(t):
-        return k * (np.asarray(t, dtype=float) - shift) ** (k - 1)
+        return k * np.float_power(np.asarray(t, dtype=float) - shift, k - 1)
 
     def alpha_derivative(j, t):
         t = np.asarray(t, dtype=float)

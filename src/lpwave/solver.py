@@ -4,11 +4,15 @@ One array-level kernel, ``_terms``, holds the spatial operator: spectral
 x-derivatives through a 1j*xi multiplier built once per grid, pointwise
 coefficient products, and the divergence-form term evaluated as
 d_x(a * d_x u) so the structure the energy analysis integrates by parts
-against is preserved exactly.  ``apply_L``, the RK4 right-hand side and
-the manufactured forcing all call it.  Time stepping is classical
-fourth-order Runge-Kutta on the first-order system (u, d_t u), with the
-forcing evaluated once per distinct stage time and an explicit CFL bound
-tied to sup a.
+against is preserved exactly.  ``apply_L``, the RK4 right-hand side, the
+manufactured forcing and ``operator_blocks`` all call it.  Time stepping is
+classical fourth-order Runge-Kutta on the first-order system (u, d_t u)
+with an explicit CFL bound tied to sup a.  The work that depends on time
+alone is taken out of the step loop: for a chunk of steps the stage times
+t, t + dt/2 and t + dt form one column, and a, b, c and the forcing are
+tabulated on it in one call each, so the loop itself only makes the four
+operator FFTs per stage.  Coefficient callables and forcings must
+therefore accept a column of times, (S, 1), as well as a scalar.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .grid import GridFunction, TWO_PI, same_grid
 
 C_CFL = 0.5         # Courant factor of the solver's step bound
 SUP_A_TIMES = 512   # time samples of the sup a scan behind that bound
+CHUNK_VALUES = 8192  # grid values per step chunk: N * steps tabulated at once
 
 
 @dataclass(frozen=True)
@@ -65,14 +70,26 @@ def _ik(n_points, period):
     return ik
 
 
-def _terms(cs: CoefficientSet, t, x, ik, u):
-    """The spatial operator's terms (d_x(a d_x u), b d_x u, c u) at time t.
+def chunk_rows(n_points) -> int:
+    """Rows of n_points values in one chunk of about CHUNK_VALUES."""
+    return max(1, CHUNK_VALUES // n_points)
 
-    Plain arrays in and out; ``ik`` is ``_ik(N, period)`` of the grid x.
+
+def _coefficients(cs: CoefficientSet, t, x):
+    """(a, b, c) at time t, a scalar or an (S, 1) column, on the grid x."""
+    return cs.a(t, x), cs.b(t, x), cs.c(t, x)
+
+
+def _terms(a, b, c, ik, u):
+    """The spatial operator's terms (d_x(a d_x u), b d_x u, c u).
+
+    Plain arrays in and out, the FFTs along the last axis, so rows of u
+    may be states at different times with matching coefficient rows;
+    ``ik`` is ``_ik(N, period)`` of the grid.
     """
     ux = np.fft.ifft(ik * np.fft.fft(u))
-    div = np.fft.ifft(ik * np.fft.fft(cs.a(t, x) * ux))
-    return div, cs.b(t, x) * ux, cs.c(t, x) * u
+    div = np.fft.ifft(ik * np.fft.fft(a * ux))
+    return div, b * ux, c * u
 
 
 def apply_L(cs: CoefficientSet, u: GridFunction, ut2: GridFunction,
@@ -82,7 +99,8 @@ def apply_L(cs: CoefficientSet, u: GridFunction, ut2: GridFunction,
     Returns ut2 - d_x(a d_x u) + b d_x u + c u with spectral derivatives.
     """
     same_grid(u, ut2)
-    div, bux, cu = _terms(cs, t, u.x, _ik(u.n_points, u.period), u.values)
+    div, bux, cu = _terms(*_coefficients(cs, t, u.x),
+                          _ik(u.n_points, u.period), u.values)
     return GridFunction(ut2.values - div + bux + cu, u.period)
 
 
@@ -114,12 +132,14 @@ def manufactured_rhs(cs: CoefficientSet, exact: SpaceTimeFunction) -> Callable:
 
     The spatial part is the same discrete operator the solver steps, so
     the exact solution satisfies the semi-discrete system identically and
-    convergence studies see pure time-integration error.
+    convergence studies see pure time-integration error.  ``t`` may be a
+    scalar or an (S, 1) column of times, giving one row per time.
     """
     def f(t, x):
         n = x.shape[0]
         u = np.asarray(exact.u(t, x), dtype=complex)
-        div, bux, cu = _terms(cs, t, x, _ik(n, float(x[1] - x[0]) * n), u)
+        div, bux, cu = _terms(*_coefficients(cs, t, x),
+                              _ik(n, float(x[1] - x[0]) * n), u)
         return np.asarray(exact.utt(t, x), dtype=complex) - div + bux + cu
 
     return f
@@ -141,6 +161,13 @@ def cfl_limit(cs: CoefficientSet, n_points, period=TWO_PI,
     return c_cfl * dx / np.sqrt(sup_a(cs, n_points, period) + 1.0)
 
 
+def _stage_times(start, stop, dt) -> np.ndarray:
+    """RK4 stage times t, t + dt/2, t + dt of steps start..stop-1 as a
+    (3S, 1) column, in step order; t = step*dt as the loop computes it."""
+    t = np.arange(start, stop) * dt
+    return np.stack([t, t + dt / 2, t + dt], axis=1).reshape(-1, 1)
+
+
 def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
                  f: Optional[Callable] = None, M: int = 1000,
                  save_every: int = 1, check: bool = True) -> Trajectory:
@@ -151,6 +178,11 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
     CFL bound is refused outright.  States are recorded every
     ``save_every`` steps, and M must be a multiple of save_every so the
     final time is always saved.
+
+    The steps run in chunks of ``chunk_rows(N)``.  Per chunk, a, b,
+    c and f are called once on the (3S, 1) column of its stage times, so
+    each must accept such a column and return (3S, N) or (N,) values; a
+    scalar time still works, as for ``apply_L``.
     """
     same_grid(u0, u1)
     if M < 1:
@@ -168,59 +200,89 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
     if dt > limit * (1.0 + 1e-12):
         raise CFLError(f"dt = {dt:.3e} exceeds stability bound {limit:.3e}")
 
-    x, ik = u0.x, _ik(u0.n_points, u0.period)
-
-    def rhs(t, u, v, ft):
-        div, bux, cu = _terms(cs, t, x, ik, u)
-        vdot = div - bux - cu
-        return v, (vdot if ft is None else vdot + ft)
-
+    n, x, ik = u0.n_points, u0.x, _ik(u0.n_points, u0.period)
+    chunk = chunk_rows(n)
+    half, sixth = dt / 2, dt / 6
     n_saved = M // save_every + 1
     times = np.empty(n_saved)
-    us = np.empty((n_saved, u0.n_points), dtype=complex)
+    us = np.empty((n_saved, n), dtype=complex)
     uts = np.empty_like(us)
     u, v = u0.values.copy(), u1.values.copy()
     times[0], us[0], uts[0] = 0.0, u, v
     saved = 1
-    for step in range(M):
-        t = step * dt
-        mid, end = t + dt / 2, t + dt
-        fs = [None] * 3 if f is None else [f(s, x) for s in (t, mid, end)]
-        k1u, k1v = rhs(t, u, v, fs[0])
-        k2u, k2v = rhs(mid, u + dt / 2 * k1u, v + dt / 2 * k1v, fs[1])
-        k3u, k3v = rhs(mid, u + dt / 2 * k2u, v + dt / 2 * k2v, fs[1])
-        k4u, k4v = rhs(end, u + dt * k3u, v + dt * k3v, fs[2])
-        u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        v = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if (step % 25 == 24 or step == M - 1) and not (
-                np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise NumericalBlowupError((step + 1) * dt)
-        if (step + 1) % save_every == 0:
-            times[saved], us[saved], uts[saved] = (step + 1) * dt, u, v
-            saved += 1
+
+    def rhs(row, u, v):
+        # a, b, c and fs are the tables of the current chunk
+        div, bux, cu = _terms(a[row], b[row], c[row], ik, u)
+        vdot = div - bux - cu
+        return v, (vdot if fs is None else vdot + fs[row])
+
+    for start in range(0, M, chunk):
+        stop = min(start + chunk, M)
+        ts = _stage_times(start, stop, dt)
+        shape = (ts.shape[0], n)
+        a, b, c = (np.broadcast_to(vals, shape)
+                   for vals in _coefficients(cs, ts, x))
+        fs = None if f is None else np.broadcast_to(f(ts, x), shape)
+        for step in range(start, stop):
+            r = 3 * (step - start)
+            k1u, k1v = rhs(r, u, v)
+            k2u, k2v = rhs(r + 1, u + half * k1u, v + half * k1v)
+            k3u, k3v = rhs(r + 1, u + half * k2u, v + half * k2v)
+            k4u, k4v = rhs(r + 2, u + dt * k3u, v + dt * k3v)
+            u = u + sixth * (k1u + 2 * k2u + 2 * k3u + k4u)
+            v = v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
+            if (step % 25 == 24 or step == M - 1) and not (
+                    np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+                raise NumericalBlowupError((step + 1) * dt)
+            if (step + 1) % save_every == 0:
+                times[saved], us[saved], uts[saved] = (step + 1) * dt, u, v
+                saved += 1
     return Trajectory(times, us, uts, dt * save_every, u0.period, cs, dt)
 
 
-def second_time_derivative(traj: Trajectory, i) -> np.ndarray:
-    """d_t^2 u at saved index i, differencing the saved d_t u.
+def second_time_derivative(traj: Trajectory, rows: slice) -> np.ndarray:
+    """d_t^2 u at the saved times of ``rows``, differencing the saved d_t u.
 
     Central differences inside, one-sided second-order stencils at the
-    ends; second-order in the save spacing.
+    ends; second-order in the save spacing.  One row per saved time.
     """
-    d = traj.dt
-    if traj.n_saved < 3:
+    d, ut, n = traj.dt, traj.ut, traj.n_saved
+    if n < 3:
         raise ValueError("need at least three saved states")
-    if i == 0:
-        return (-3 * traj.ut[0] + 4 * traj.ut[1] - traj.ut[2]) / (2 * d)
-    if i == traj.n_saved - 1:
-        return (3 * traj.ut[i] - 4 * traj.ut[i - 1] + traj.ut[i - 2]) / (2 * d)
-    return (traj.ut[i + 1] - traj.ut[i - 1]) / (2 * d)
+    start, stop, _ = rows.indices(n)
+    lo, hi = max(start, 1), min(stop, n - 1)
+    out = np.empty((stop - start, traj.n_points), dtype=ut.dtype)
+    out[lo - start:hi - start] = (ut[lo + 1:hi + 1] - ut[lo - 1:hi - 1]) \
+        / (2 * d)
+    if start == 0:
+        out[0] = (-3 * ut[0] + 4 * ut[1] - ut[2]) / (2 * d)
+    if stop == n:
+        out[-1] = (3 * ut[-1] - 4 * ut[-2] + ut[-3]) / (2 * d)
+    return out
+
+
+def operator_blocks(cs: CoefficientSet, traj: Trajectory):
+    """L u at every saved time, d_t^2 u by finite differences, as
+    (rows, values) blocks of about CHUNK_VALUES grid values: one
+    coefficient call on the column of a block's times and one batched
+    operator per block, so temporaries stay small for long trajectories."""
+    x = grid.grid_points(traj.n_points, traj.period)
+    ik = _ik(traj.n_points, traj.period)
+    size = chunk_rows(traj.n_points)
+    for start in range(0, traj.n_saved, size):
+        rows = slice(start, start + size)
+        div, bux, cu = _terms(*_coefficients(cs, traj.times[rows, None], x),
+                              ik, traj.u[rows])
+        yield rows, second_time_derivative(traj, rows) - div + bux + cu
 
 
 def operator_at(cs: CoefficientSet, traj: Trajectory, i) -> np.ndarray:
     """L u at saved index i, with d_t^2 u by finite differences."""
-    ut2 = GridFunction(second_time_derivative(traj, i), traj.period)
-    return apply_L(cs, traj.u_at(i), ut2, float(traj.times[i])).values
+    i = range(traj.n_saved)[i]
+    ut2 = second_time_derivative(traj, slice(i, i + 1))[0]
+    return apply_L(cs, traj.u_at(i), GridFunction(ut2, traj.period),
+                   float(traj.times[i])).values
 
 
 def residual_norm(traj: Trajectory, i, f: Optional[Callable] = None) -> float:

@@ -181,3 +181,24 @@ def test_pipeline_failed_checks_exit_1(tmp_path, capsys):
     assert manifest["stages"] == ["check-conditions", "FAILED"]
     assert main(["sweep", str(flat), "--out", str(tmp_path / "sweep")]) == 1
     assert capsys.readouterr().out.splitlines() == ["flat: 1"]
+
+
+@pytest.mark.parametrize("argv", [["weights", "--force"],
+                                  ["commutator-scan", "--seed", "9"]],
+                         ids=["weights-force", "commutator-scan-seed"])
+def test_unread_flags_are_unrecognised(tmp_path, tiny_cfg, capsys, argv):
+    # --force and --seed exist only where the command reads them
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", tiny_cfg, "--out", str(tmp_path / "o")]
+             + argv[1:])
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+
+
+def test_decompose_seed_changes_the_random_function(tmp_path, tiny_cfg):
+    for seed in ("1", "2"):
+        assert main(["decompose", "--config", tiny_cfg, "--seed", seed,
+                     "--out", str(tmp_path / seed)]) == 0
+    files = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert any((tmp_path / "1" / name).read_bytes()
+               != (tmp_path / "2" / name).read_bytes() for name in files)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpwave import dyadic, grid
 from lpwave.dyadic import (band_cutoff, bernstein_ratio, build_cutoffs,
@@ -226,3 +228,58 @@ def test_cutoff_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "nu,xi,phi"
     assert len(lines) == 1 + (fam.nu_max + 1) * 64
+
+
+# Property tests of the exactness claims, on every grid size 16..1024 and
+# two periods.  Plateaus and supports are exact zeros and ones; sums of
+# cutoffs telescope to one up to rounding.
+
+GRIDS = st.tuples(st.sampled_from([2 ** p for p in range(4, 11)]),
+                  st.sampled_from([grid.TWO_PI, np.pi]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(GRIDS)
+def test_property_partition_of_unity(case):
+    n, period = case
+    fam = build_cutoffs(n, period)
+    covered = np.abs(fam.xi) <= 2.0 ** fam.nu_max
+    assert np.any(covered)
+    total = fam.phi.sum(axis=0)
+    assert np.max(np.abs(total[covered] - 1.0)) < 1e-15
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(GRIDS)
+def test_property_psi_is_one_on_band_support(case):
+    fam = build_cutoffs(*case)
+    for mu in range(fam.nu_max + 1):
+        on = fam.phi[mu] > 0.0
+        assert np.all(fam.psi[mu][on] == 1.0), mu
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(GRIDS)
+def test_property_band_support_is_exact(case):
+    # the annulus of the Bernstein bracket, 2^(nu-1) <= |xi| <= 2^(nu+1)
+    fam = build_cutoffs(*case)
+    xi = np.abs(fam.xi)
+    for nu in range(1, fam.nu_max + 1):
+        outside = (xi < 2.0 ** (nu - 1)) | (xi > 2.0 ** (nu + 1))
+        assert np.all(fam.phi[nu][outside] == 0.0), nu
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(GRIDS, st.integers(0, 2 ** 32 - 1))
+def test_property_reconstruction_of_band_limited(case, seed):
+    n, period = case
+    fam = build_cutoffs(n, period)
+    w = grid.random_band_limited(n, period, xi_max=2.0 ** fam.nu_max,
+                                 rng=seed)
+    back = reconstruct(decompose(w, fam))
+    assert np.max(np.abs(back.values - w.values)) \
+        <= 1e-14 * np.max(np.abs(w.values))
+    blocks = decompose(w, fam)
+    for nu in range(1, fam.nu_max + 1):
+        ratio = bernstein_ratio(blocks, nu)
+        assert 2.0 ** (nu - 1) <= ratio <= 2.0 ** (nu + 1)

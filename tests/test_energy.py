@@ -1,8 +1,11 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lpwave import grid
+from lpwave import experiment, grid
 from lpwave.coefficients import (builtin_family, constant_coefficients,
                                  tensor_scan)
 from lpwave.commutator import scan
@@ -10,9 +13,13 @@ from lpwave.dyadic import build_cutoffs, sobolev_norm
 from lpwave.energy import (block_epsilon, build_ledger, calibrate_constants,
                            decay_weight, energy_table, epsilon_array,
                            estimate_loss, loss_ratio_curve,
-                           verify_energy_inequality, weight_table)
+                           verify_energy_inequality, weight_integrand,
+                           weight_table)
 from lpwave.grid import GridFunction
-from lpwave.solver import Trajectory, cosine_mode, manufactured_rhs, solve_cauchy
+from lpwave.solver import (Trajectory, apply_L, cosine_mode,
+                           manufactured_rhs, solve_cauchy)
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def frozen_trajectory(u: GridFunction, ut: GridFunction, cs, times=(0.0,)):
@@ -221,6 +228,72 @@ def test_weight_table_first_column_is_decay_weight():
         weight_table(4, [-0.1, 0.5], cs)
 
 
+def _old_weight_table(nu_max, times, cs, scale=1.0):
+    """The table as one scalar quad call per band and interval."""
+    times = np.asarray(times, dtype=float)
+    out = np.zeros((nu_max + 1, times.size))
+    for nu in range(nu_max + 1):
+        f = weight_integrand(cs, nu)
+        acc = out[nu, 0] = decay_weight(nu, times[0], cs)
+        for i in range(1, times.size):
+            inc, _ = quad(f, times[i - 1], times[i], epsabs=1e-10,
+                          epsrel=1e-10, limit=200)
+            acc += inc
+            out[nu, i] = acc
+    return scale * out
+
+
+def _counting_quad(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr("lpwave.energy.quad", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cfg_name",
+                         ["k2-gamma0", "k4-gamma0.3", "nondegenerate"])
+def test_weight_table_matches_quad_loop_on_shipped_grids(monkeypatch,
+                                                         cfg_name):
+    # the saved times of the shipped runs: 1 001 of them; the vectorised
+    # Gauss-Kronrod step is accepted on every interval, so quad is not called
+    cfg = experiment.read_config(os.path.join(CONFIG_DIR, cfg_name + ".cfg"))
+    cs = experiment.coefficient_set(cfg)
+    nu_max = experiment.cutoff_family(cfg).nu_max
+    times = np.arange(0, cfg.steps + 1, cfg.save_every) * (cs.T / cfg.steps)
+    assert times.size == 1001
+    expected = _old_weight_table(nu_max, times, cs, scale=6.0)
+    calls = _counting_quad(monkeypatch)
+    table = weight_table(nu_max, times, cs, scale=6.0)
+    assert table.tobytes() == expected.tobytes()
+    assert calls == []
+
+
+def test_weight_table_falls_back_to_quad(monkeypatch):
+    # coarse intervals and high bands: the sharp |alpha'|/(alpha+eps) peak
+    # near t = 0 fails the first-step error test, and quad takes over
+    cs = builtin_family("monomial", k=2)
+    times = np.linspace(0.0, 1.0, 9)
+    expected = _old_weight_table(10, times, cs)
+    calls = _counting_quad(monkeypatch)
+    table = weight_table(10, times, cs)
+    assert len(calls) >= 1
+    assert table.tobytes() == expected.tobytes()
+
+
+def test_weight_integrand_takes_arrays():
+    cs = builtin_family("monomial", k=4, gamma=0.3)
+    s = np.linspace(0.0, 1.0, 33)
+    for nu in (0, 3, 7):
+        f = weight_integrand(cs, nu)
+        values = f(s)
+        assert values.tobytes() == np.array([f(v) for v in s.tolist()]
+                                            ).tobytes()
+
+
 def test_decay_weight_linear_growth_in_band_index():
     # h(nu, T)/nu bounded for the quadratic family; neighbor gaps level off
     cs = builtin_family("monomial", k=2)
@@ -332,6 +405,52 @@ def _pipeline(cs, n=64, steps=1000, save_every=10, data=None):
     ledger = build_ledger(traj, fam, cs, const)
     report = verify_energy_inequality(traj, fam, cs, ledger)
     return traj, ledger, report
+
+
+@pytest.mark.parametrize("forced", [True, False], ids=["forced_k4",
+                                                        "random_k2"])
+@pytest.mark.parametrize("zeroed", [False, True], ids=["calibrated",
+                                                       "zeroed"])
+def test_inequality_matches_per_state_loop(forced, zeroed):
+    # reference: the per-index stencil, apply_L and one FFT per saved
+    # state, as before the saved states were batched; zeroed constants
+    # keep every weight alive
+    if forced:
+        cs = builtin_family("monomial", k=4, gamma=0.3)
+        data = None
+    else:
+        cs = builtin_family("monomial", k=2)
+        rng = np.random.default_rng(5)
+        data = (grid.random_band_limited(128, rng=rng, decay=1.0),
+                grid.random_band_limited(128, rng=rng, decay=0.5), None)
+    traj, ledger, report = _pipeline(cs, n=128, steps=400, save_every=2,
+                                     data=data)
+    fam = build_cutoffs(128)
+    if zeroed:
+        const = dataclasses.replace(ledger.constants, sigma=0.0, Ctilde=0.0)
+        ledger = build_ledger(traj, fam, cs, const)
+        report = verify_energy_inequality(traj, fam, cs, ledger)
+    weights = np.exp(-ledger.h - 2.0 * ledger.constants.sigma
+                     * traj.times[None, :])
+    rhs = np.empty(traj.n_saved)
+    d, ut, last = traj.dt, traj.ut, traj.n_saved - 1
+    for i in range(traj.n_saved):
+        if i == 0:
+            ut2 = (-3 * ut[0] + 4 * ut[1] - ut[2]) / (2 * d)
+        elif i == last:
+            ut2 = (3 * ut[i] - 4 * ut[i - 1] + ut[i - 2]) / (2 * d)
+        else:
+            ut2 = (ut[i + 1] - ut[i - 1]) / (2 * d)
+        lu = apply_L(cs, traj.u_at(i), GridFunction(ut2, traj.period),
+                     float(traj.times[i])).values
+        lu_hat = np.fft.fft(lu) / traj.n_points
+        band_norms_sq = traj.period * np.sum(
+            np.abs(fam.phi * lu_hat[None, :]) ** 2, axis=1)
+        rhs[i] = np.sum(weights[:, i] * band_norms_sq)
+    cumulative = np.concatenate(
+        [[0.0], np.cumsum((rhs[1:] + rhs[:-1]) / 2.0 * traj.dt)])
+    assert report.rhs_cumulative.tobytes() == cumulative.tobytes()
+    assert cumulative[-1] > 0.0
 
 
 def test_inequality_zero_data():

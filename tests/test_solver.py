@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpwave import grid
-from lpwave.coefficients import builtin_family, constant_coefficients
+from lpwave.coefficients import (BUILTIN_FAMILIES, builtin_family,
+                                 constant_coefficients)
 from lpwave.errors import (CFLError, ConditionError, GridMismatchError,
                            NumericalBlowupError)
 from lpwave.grid import GridFunction
-from lpwave.solver import (SpaceTimeFunction, apply_L, cfl_limit, cosine_mode,
-                           load_trajectory, manufactured_rhs, residual_norm,
-                           save_trajectory, solve_cauchy)
+from lpwave.solver import (CHUNK_VALUES, SpaceTimeFunction, apply_L,
+                           cfl_limit, cosine_mode, load_trajectory,
+                           manufactured_rhs, residual_norm, save_trajectory,
+                           solve_cauchy)
 
 
 def zero_field(t, x):
@@ -352,17 +356,97 @@ def test_apply_L_and_forcing_match_old_bit_for_bit():
 
 
 def test_forcing_evaluated_once_per_stage_time():
+    # the forcing is tabulated on columns of stage times, chunk by chunk;
+    # flattened, the columns are the loop's stage times in order, each once
     cs, u0, u1, f, _ = _forced_k4()
-    times = []
+    received = []
 
     def counted(t, x):
-        times.append(t)
+        received.append(np.asarray(t, dtype=float).ravel())
         return f(t, x)
 
-    solve_cauchy(cs, u0, u1, f=counted, M=100, check=False)
-    assert len(times) == 3 * 100
-    dt = cs.T / 100
-    assert times[:3] == [0.0, dt / 2, dt]
+    M = 100
+    solve_cauchy(cs, u0, u1, f=counted, M=M, check=False)
+    dt = cs.T / M
+    expected = [s for step in range(M)
+                for s in (step * dt, step * dt + dt / 2, step * dt + dt)]
+    assert np.concatenate(received).tolist() == expected
+
+
+CHUNK = CHUNK_VALUES // 128   # steps per tabulated chunk at N = 128
+
+
+@pytest.mark.parametrize("case", [_forced_k4, _random_k2])
+@pytest.mark.parametrize("M, save_every", [
+    (1, 1), (CHUNK - 1, 9), (CHUNK, 16), (CHUNK + 1, 13),
+    (3 * CHUNK + 7, 1), (3 * CHUNK + 7, 3 * CHUNK + 7)])
+def test_chunk_boundaries_match_old_solve_bit_for_bit(case, M, save_every):
+    cs, u0, u1, f, old_f = case()
+    cs = cs.with_params(T=min(cs.T, 0.01 * M))   # dt within the CFL bound
+    traj = solve_cauchy(cs, u0, u1, f=f, M=M, save_every=save_every,
+                        check=False)
+    us, uts = _old_solve(cs, u0, u1, old_f, M=M, save_every=save_every)
+    assert traj.u.tobytes() == us.tobytes()
+    assert traj.ut.tobytes() == uts.tobytes()
+    dt = cs.T / M
+    assert traj.times.tolist() == [i * save_every * dt
+                                   for i in range(M // save_every + 1)]
+
+
+def test_forced_k4_large_grid_matches_old_solve_bit_for_bit():
+    # N = 2048: four steps per chunk; a short T keeps the reference quick
+    cs = builtin_family("monomial", k=4, gamma=0.3, T=0.05)
+    exact = cosine_mode()
+    u0, u1 = exact.initial_data(2048)
+    M = int(np.ceil(cs.T / cfl_limit(cs, 2048)))
+    assert M > 3 * (CHUNK_VALUES // 2048)
+    traj = solve_cauchy(cs, u0, u1, f=manufactured_rhs(cs, exact), M=M,
+                        check=False)
+    us, uts = _old_solve(cs, u0, u1, _old_manufactured_rhs(cs, exact), M=M,
+                         save_every=1)
+    assert traj.u.tobytes() == us.tobytes()
+    assert traj.ut.tobytes() == uts.tobytes()
+
+
+def _blowup_step(M, first_bad):
+    """The step at which the loop's every-25-steps check sees the state."""
+    return next(s for s in range(first_bad, M) if s % 25 == 24 or s == M - 1)
+
+
+@pytest.mark.parametrize("M, t_bad", [(400, 0.0), (400, 0.3), (110, 0.95)])
+def test_blowup_raised_at_the_checked_step(M, t_bad):
+    # a forcing that turns infinite from t_bad on; the first step whose
+    # stage times reach it goes non-finite, and the check after it raises
+    cs = constant_coefficients(a0=1.0)
+    u0 = grid.from_callable(np.cos, 64)
+    u1 = GridFunction(np.zeros(64, dtype=complex))
+
+    def f(t, x):
+        return np.where(np.asarray(t) >= t_bad, np.inf, 0.0) * np.ones_like(x)
+
+    dt = cs.T / M
+    first_bad = next(s for s in range(M) if s * dt + dt >= t_bad)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NumericalBlowupError) as info:
+            solve_cauchy(cs, u0, u1, f=f, M=M, check=False)
+    assert info.value.t == (_blowup_step(M, first_bad) + 1) * dt
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(BUILTIN_FAMILIES), st.integers(1, 12),
+       st.floats(0.0, 2.0), st.sampled_from([16, 128]),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_property_coefficient_rows_match_scalar_calls(name, k, gamma, n,
+                                                      times):
+    if name == "interior_zero":
+        k += k % 2
+    cs = builtin_family(name, k=k, gamma=gamma)
+    x = grid.grid_points(n)
+    t = np.array(times)
+    for fn in (cs.a, cs.b, cs.c):
+        table = np.broadcast_to(fn(t[:, None], x), (t.size, n))
+        for row, s in zip(table, times):
+            assert row.tobytes() == np.broadcast_to(fn(s, x), (n,)).tobytes()
 
 
 def test_load_matches_csv_module_parse(tmp_path):
