@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.fft
 from scipy.linalg import svdvals
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 
@@ -47,10 +48,10 @@ def apply_commutator(coef, nu, mu, w: GridFunction, fam: CutoffFamily) -> GridFu
     if w.n_points != fam.n_points or w.period != fam.period:
         raise GridMismatchError("function grid differs from family grid")
     q = _coef_values(coef, fam)
-    what = np.fft.fft(w.values)
-    band = np.fft.ifft(fam.psi[mu] * what)
-    first = np.fft.ifft(fam.phi[nu] * np.fft.fft(q * band))
-    second = q * np.fft.ifft(fam.phi[nu] * fam.psi[mu] * what)
+    what = scipy.fft.fft(w.values)
+    band = scipy.fft.ifft(fam.psi[mu] * what)
+    first = scipy.fft.ifft(fam.phi[nu] * scipy.fft.fft(q * band))
+    second = q * scipy.fft.ifft(fam.phi[nu] * fam.psi[mu] * what)
     return GridFunction(first - second, w.period)
 
 
@@ -58,17 +59,18 @@ def apply_commutator_adjoint(coef, nu, mu, w: GridFunction,
                              fam: CutoffFamily) -> GridFunction:
     """Adjoint of :func:`apply_commutator` in the discrete L2 inner product."""
     q = np.conj(_coef_values(coef, fam))
-    what = np.fft.fft(w.values)
-    first = np.fft.ifft(
-        fam.psi[mu] * np.fft.fft(q * np.fft.ifft(fam.phi[nu] * what)))
-    second = np.fft.ifft(fam.psi[mu] * fam.phi[nu] * np.fft.fft(q * w.values))
+    what = scipy.fft.fft(w.values)
+    first = scipy.fft.ifft(
+        fam.psi[mu] * scipy.fft.fft(q * scipy.fft.ifft(fam.phi[nu] * what)))
+    second = scipy.fft.ifft(fam.psi[mu] * fam.phi[nu]
+                            * scipy.fft.fft(q * w.values))
     return GridFunction(first - second, w.period)
 
 
 def frequency_kernel(coef, nu, mu, fam: CutoffFamily) -> np.ndarray:
     """Dense frequency-space kernel of the commutator (FFT ordering)."""
     q = _coef_values(coef, fam)
-    qhat = np.fft.fft(q) / fam.n_points
+    qhat = scipy.fft.fft(q) / fam.n_points
     idx = np.arange(fam.n_points)
     shift = (idx[:, None] - idx[None, :]) % fam.n_points
     return qhat[shift] * (fam.phi[nu][:, None] - fam.phi[nu][None, :]) \

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.fft
 from scipy.integrate import quad
 
 from . import grid
@@ -56,30 +57,31 @@ def energy_table(traj: Trajectory, fam: CutoffFamily,
                  cs: CoefficientSet) -> np.ndarray:
     """Matrix E[nu, i] of band energies over saved times.
 
-    One FFT per saved state; the bands are one batched inverse FFT.  ``a``
-    is evaluated once per chunk of saved states, on the column of their
-    times.
+    Per chunk of saved states: one FFT of u and one of d_t u, and the
+    bands of every state in one (states, bands, N) inverse FFT.  A chunk
+    holds about ``solver.CHUNK_VALUES`` band values, so temporaries stay
+    small; ``a`` is evaluated once per chunk, on the column of its times.
     """
-    xi = grid.frequencies(traj.n_points, traj.period)
-    x = grid.grid_points(traj.n_points, traj.period)
-    dx_w = traj.period / traj.n_points
+    n = traj.n_points
+    x = grid.grid_points(n, traj.period)
+    ik_phi = 1j * grid.frequencies(n, traj.period) * fam.phi
+    dx_w = traj.period / n
     out = np.empty((fam.nu_max + 1, traj.n_saved))
     eps = epsilon_array(cs.k, fam.nu_max)[:, None]
-    size = chunk_rows(traj.n_points)
+    size = chunk_rows(n * (fam.nu_max + 1))
     for start in range(0, traj.n_saved, size):
-        times = traj.times[start:start + size, None]
-        a_rows = np.broadcast_to(np.real(cs.a(times, x)),
-                                 (times.size, traj.n_points))
-        for i, a_vals in enumerate(a_rows, start):
-            uhat = np.fft.fft(traj.u[i]) / traj.n_points
-            uthat = np.fft.fft(traj.ut[i]) / traj.n_points
-            # Plancherel for the time-derivative blocks
-            kinetic = traj.period * np.sum(np.abs(fam.phi * uthat) ** 2,
-                                           axis=1)
-            ux = np.fft.ifft(1j * xi * fam.phi * uhat) * traj.n_points
-            quad_form = dx_w * np.sum((a_vals + eps) * np.abs(ux) ** 2,
-                                      axis=1)
-            out[:, i] = kinetic + quad_form
+        rows = slice(start, start + size)
+        times = traj.times[rows, None]
+        a_rows = np.broadcast_to(np.real(cs.a(times, x)), (times.size, n))
+        uhat = scipy.fft.fft(np.asarray(traj.u[rows], dtype=complex)) / n
+        uthat = scipy.fft.fft(np.asarray(traj.ut[rows], dtype=complex)) / n
+        # Plancherel for the time-derivative blocks
+        kinetic = traj.period * np.sum(np.abs(fam.phi * uthat[:, None]) ** 2,
+                                       axis=-1)
+        ux = scipy.fft.ifft(ik_phi * uhat[:, None]) * n
+        quad_form = dx_w * np.sum((a_rows[:, None] + eps) * np.abs(ux) ** 2,
+                                  axis=-1)
+        out[:, rows] = (kinetic + quad_form).T
     return out
 
 
@@ -383,7 +385,7 @@ def verify_energy_inequality(traj: Trajectory, fam: CutoffFamily,
     weights = _weights(ledger.h, traj.times, ledger.constants.sigma)
     rhs = np.empty(traj.n_saved)
     for rows, lu in operator_blocks(cs, traj):
-        lu_hat = np.fft.fft(lu) / traj.n_points
+        lu_hat = scipy.fft.fft(lu) / traj.n_points
         band_norms_sq = np.stack(
             [traj.period * np.sum(np.abs(phi * lu_hat) ** 2, axis=1)
              for phi in fam.phi])

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.fft
 
 from . import grid
 from .coefficients import CoefficientSet, run_all_checks, tensor_scan
@@ -85,10 +86,11 @@ def _terms(a, b, c, ik, u):
 
     Plain arrays in and out, the FFTs along the last axis, so rows of u
     may be states at different times with matching coefficient rows;
-    ``ik`` is ``_ik(N, period)`` of the grid.
+    ``ik`` is ``_ik(N, period)`` of the grid.  u is cast to complex, as
+    ``scipy.fft`` must see it (see :mod:`lpwave.grid`).
     """
-    ux = np.fft.ifft(ik * np.fft.fft(u))
-    div = np.fft.ifft(ik * np.fft.fft(a * ux))
+    ux = scipy.fft.ifft(ik * scipy.fft.fft(np.asarray(u, dtype=complex)))
+    div = scipy.fft.ifft(ik * scipy.fft.fft(a * ux))
     return div, b * ux, c * u
 
 
@@ -313,8 +315,9 @@ def save_trajectory(traj: Trajectory, out_dir):
         "times": [float(t) for t in traj.times],
     }
     grid.write_json(os.path.join(out_dir, "trajectory.json"), manifest)
-    index = range(traj.n_points)
-    x = grid.grid_points(traj.n_points, traj.period).tolist()
+    # the index and x columns are the same in every file: format them once
+    index = list(map(str, range(traj.n_points)))
+    x = list(map(str, grid.grid_points(traj.n_points, traj.period).tolist()))
     for i in range(traj.n_saved):
         grid.write_csv(os.path.join(out_dir, f"state_{i:06d}.csv"),
                        ["index", "x", "re_u", "im_u", "re_ut", "im_ut"],

@@ -2,11 +2,19 @@
 
 Integer columns stay integers, floats are written as their shortest
 round-trip decimal (negative zero and exponents included), and string
-columns are written unquoted.
+columns are written unquoted.  ``grid.write_csv`` must write the bytes of
+``csv.writer`` with its defaults, kept here as the reference.
 """
+
+import csv
+import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpwave import commutator, dyadic, energy, experiment, grid, solver
 from lpwave.coefficients import builtin_family
@@ -142,3 +150,80 @@ def test_weights_csv_bytes(tmp_path, monkeypatch):
     assert lines[:5] + lines[-3:] == _text([
         "t,nu,h", "0.0,0,0.0", "0.0,1,0.0", "0.0,2,0.0", "1.0,0,0.0",
         "64.0,1,16.0", "64.0,2,32.0"]).split(b"\r\n")
+
+
+def _csv_reference(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-5, 1e-4,
+               9.999999999999999e15, 1e16]
+PLAIN_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters=',"\r\n'))
+CELLS = st.one_of(st.integers(), PLAIN_TEXT, st.sampled_from(EDGE_FLOATS),
+                  st.floats())
+ROW_COUNTS = [0, 1, grid.CSV_BLOCK_ROWS - 1, grid.CSV_BLOCK_ROWS,
+              grid.CSV_BLOCK_ROWS + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(2, 6), data=st.data(),
+       count=st.sampled_from(ROW_COUNTS),
+       form=st.sampled_from(["list", "generator", "zip"]))
+def test_write_csv_matches_csv_writer(tmp_path_factory, width, data, count,
+                                      form):
+    header = data.draw(st.lists(PLAIN_TEXT, min_size=width, max_size=width))
+    pool = data.draw(st.lists(st.tuples(*[CELLS] * width), min_size=1,
+                              max_size=8))
+    rows = list(itertools.islice(itertools.cycle(pool), count))
+    if form == "list":
+        given_rows = rows
+    elif form == "generator":
+        given_rows = (row for row in rows)
+    else:
+        # a constant first column, as the callers pass with repeat
+        first = data.draw(CELLS)
+        rows = [(first,) + row[1:] for row in rows]
+        given_rows = zip(itertools.repeat(first),
+                         *[[row[j] for row in rows] for j in range(1, width)])
+    out = tmp_path_factory.mktemp("csv")
+    grid.write_csv(out / "fast.csv", header, given_rows)
+    _csv_reference(out / "reference.csv", header, rows)
+    assert ((out / "fast.csv").read_bytes()
+            == (out / "reference.csv").read_bytes())
+
+
+@pytest.mark.parametrize("header, rows", [
+    (["a", "b"], [(1, "x,y")]),
+    (["a", "b"], [(1, 'say "hi"')]),
+    (["a", "b"], [(1, "two\nlines")]),
+    (["a", "b"], [(1, "cr\r")]),
+    (["a,b", "c"], []),
+    (["a"], [("",)]),
+    (["a", "b"], [(1, 2), (3,)]),
+    (["a", "b"], [(1, 2, 3)]),
+])
+def test_write_csv_refuses_what_csv_would_quote_or_pad(tmp_path, header,
+                                                       rows):
+    with pytest.raises(ValueError):
+        grid.write_csv(tmp_path / "bad.csv", header, rows)
+
+
+def test_write_csv_streams(tmp_path):
+    # 100 000 generated rows of 5 floats are about 8 MB of text; written in
+    # blocks, the peak of traced memory stays a small part of that
+    n_rows = 100_000
+    rows = ((i / 3.0, i / 7.0, -i / 11.0, i * 1.1e300 / 3.0, i + 0.1)
+            for i in range(n_rows))
+    tracemalloc.start()
+    try:
+        grid.write_csv(tmp_path / "big.csv", ["a", "b", "c", "d", "e"], rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "big.csv").stat().st_size
+    assert size > 7_000_000
+    assert peak < size / 4

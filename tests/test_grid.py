@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from lpwave import grid
 from lpwave.errors import GridMismatchError
@@ -91,3 +92,26 @@ def test_csv_roundtrip(tmp_path):
     grid.to_csv(w, path)
     back = grid.from_csv(path)
     assert np.array_equal(back.values, w.values)  # repr round-trips floats
+
+
+@pytest.mark.parametrize("n", [2 ** p for p in range(3, 13)])
+def test_scipy_fft_matches_numpy_on_complex_input(n):
+    # the package transforms with scipy.fft; on complex input it must give
+    # numpy's bits, batched along either axis as well as one row at a time
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    for transform, reference in ((scipy.fft.fft, np.fft.fft),
+                                 (scipy.fft.ifft, np.fft.ifft)):
+        assert transform(z).tobytes() == reference(z).tobytes()
+        assert transform(z[0]).tobytes() == reference(z[0]).tobytes()
+        assert (transform(z.T, axis=0).tobytes()
+                == reference(z.T, axis=0).tobytes())
+
+
+def test_derivative_values_of_real_input_matches_numpy():
+    # real input is cast to complex before scipy.fft, whose real-input
+    # route would give other bits than numpy's
+    values = np.random.default_rng(8).standard_normal(64)
+    ik = 1j * grid.frequencies(64)
+    expect = np.fft.ifft(ik * np.fft.fft(values))
+    assert grid.derivative_values(values).tobytes() == expect.tobytes()
