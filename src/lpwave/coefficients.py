@@ -24,6 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, UnknownFamilyError
+from .grid import row_chunks
 
 BUILTIN_FAMILIES = ("monomial", "interior_zero", "nondegenerate", "flat")
 MAX_ORDER = 12   # highest degeneration order the derivative check accepts
@@ -35,7 +36,9 @@ class CoefficientSet:
     """Coefficients of  d_t^2 u - d_x(a d_x u) + b d_x u + c u.
 
     ``alpha`` maps a scalar t (or array of t) to values; ``beta``, ``b``
-    and ``c`` map (scalar t, array x) to arrays.  ``alpha_derivative`` and
+    and ``c`` map (t, array x) to arrays, where t is a scalar or an (S, 1)
+    column of times giving one row per time (the solver, the hypothesis
+    checks and the sup scans pass columns).  ``alpha_derivative`` and
     ``beta_time_derivative``, when supplied, give exact time derivatives
     of any order and keep the degeneration check free of differencing
     noise; without them the check falls back to finite differences.
@@ -241,10 +244,11 @@ def _scan_grids(cs, x):
 
 
 def tensor_scan(fn, t_grid, x_grid):
-    """Real part of fn(t, x_grid) for each t in t_grid: an (nt, nx) matrix."""
+    """Real part of fn(t, x_grid) for each t in t_grid, a fresh (nt, nx)
+    matrix; fn is called on the (S, 1) time column of each row chunk."""
     out = np.empty((t_grid.size, x_grid.size))
-    for i, t in enumerate(t_grid):
-        out[i] = np.real(fn(t, x_grid))
+    for rows in row_chunks(t_grid.size, x_grid.size):
+        out[rows] = np.real(fn(t_grid[rows, None], x_grid))
     return out
 
 

@@ -136,6 +136,13 @@ class DyadicBlocks:
         return float(self.block_norms()[nu])
 
 
+def band_norms_sq(fam: CutoffFamily, coeffs) -> np.ndarray:
+    """period * sum |phi_nu c|^2: by Plancherel, the squared L2 norm of each
+    band of the Fourier coefficients c on the last axis of ``coeffs``."""
+    return fam.period * np.sum(np.abs(fam.phi * coeffs[..., None, :]) ** 2,
+                               axis=-1)
+
+
 def decompose(w: GridFunction, fam: CutoffFamily) -> DyadicBlocks:
     if w.n_points != fam.n_points or w.period != fam.period:
         raise grid.GridMismatchError("function and cutoff family grids differ")

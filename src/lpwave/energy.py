@@ -26,12 +26,11 @@ import scipy.fft
 from scipy.integrate import quad
 
 from . import grid
-from .coefficients import CoefficientSet, tensor_scan
+from .coefficients import SCAN_TIMES, CoefficientSet, tensor_scan
 from .commutator import CommutatorScan, _damped_kernel
-from .dyadic import CutoffFamily, build_cutoffs, decompose, sobolev_norm
-from .grid import GridFunction, TWO_PI
-from .solver import (Trajectory, cfl_limit, chunk_rows, operator_blocks,
-                     solve_cauchy)
+from .dyadic import CutoffFamily, band_norms_sq, build_cutoffs, sobolev_norm
+from .grid import TWO_PI
+from .solver import Trajectory, cfl_limit, operator_blocks, solve_cauchy
 
 QUAD_TOL = 1e-10       # absolute and relative weight quadrature tolerance
 BUDGET = 1e-4          # largest relative violation the inequality check passes
@@ -58,9 +57,9 @@ def energy_table(traj: Trajectory, fam: CutoffFamily,
     """Matrix E[nu, i] of band energies over saved times.
 
     Per chunk of saved states: one FFT of u and one of d_t u, and the
-    bands of every state in one (states, bands, N) inverse FFT.  A chunk
-    holds about ``solver.CHUNK_VALUES`` band values, so temporaries stay
-    small; ``a`` is evaluated once per chunk, on the column of its times.
+    bands of every state in one (states, bands, N) inverse FFT.  Chunks
+    are ``grid.row_chunks`` of N * (nu_max + 1) values, so temporaries
+    stay small; ``a`` is sampled once per chunk, on its column of times.
     """
     n = traj.n_points
     x = grid.grid_points(n, traj.period)
@@ -68,16 +67,11 @@ def energy_table(traj: Trajectory, fam: CutoffFamily,
     dx_w = traj.period / n
     out = np.empty((fam.nu_max + 1, traj.n_saved))
     eps = epsilon_array(cs.k, fam.nu_max)[:, None]
-    size = chunk_rows(n * (fam.nu_max + 1))
-    for start in range(0, traj.n_saved, size):
-        rows = slice(start, start + size)
-        times = traj.times[rows, None]
-        a_rows = np.broadcast_to(np.real(cs.a(times, x)), (times.size, n))
+    for rows in grid.row_chunks(traj.n_saved, n * (fam.nu_max + 1)):
+        a_rows = tensor_scan(cs.a, traj.times[rows], x)
         uhat = scipy.fft.fft(np.asarray(traj.u[rows], dtype=complex)) / n
         uthat = scipy.fft.fft(np.asarray(traj.ut[rows], dtype=complex)) / n
-        # Plancherel for the time-derivative blocks
-        kinetic = traj.period * np.sum(np.abs(fam.phi * uthat[:, None]) ** 2,
-                                       axis=-1)
+        kinetic = band_norms_sq(fam, uthat)
         ux = scipy.fft.ifft(ik_phi * uhat[:, None]) * n
         quad_form = dx_w * np.sum((a_rows[:, None] + eps) * np.abs(ux) ** 2,
                                   axis=-1)
@@ -245,7 +239,7 @@ def _sup_scan(fn, cs, x, nt):
 
 
 def calibrate_constants(cs: CoefficientSet, fam: CutoffFamily,
-                        scan: CommutatorScan, nt=512) -> Constants:
+                        scan: CommutatorScan, nt=SCAN_TIMES) -> Constants:
     """Compute explicit candidates for every constant from grid sup-norms.
 
     C1..C4 come from the band-energy growth bound (each formula recorded);
@@ -260,11 +254,11 @@ def calibrate_constants(cs: CoefficientSet, fam: CutoffFamily,
         sup_beta_t = _sup_scan(lambda t, xx: cs.beta_time_derivative(1, t, xx),
                                cs, x, nt)
     else:
-        dt_fd = cs.T / (8 * nt)
-        sup_beta_t = _sup_scan(
-            lambda t, xx: (cs.beta(min(t + dt_fd, cs.T), xx)
-                           - cs.beta(max(t - dt_fd, 0.0), xx))
-            / (min(t + dt_fd, cs.T) - max(t - dt_fd, 0.0)), cs, x, nt)
+        def beta_t(t, xx):   # central differences, one-sided at 0 and T
+            dt_fd = cs.T / (8 * nt)
+            hi, lo = np.minimum(t + dt_fd, cs.T), np.maximum(t - dt_fd, 0.0)
+            return (cs.beta(hi, xx) - cs.beta(lo, xx)) / (hi - lo)
+        sup_beta_t = _sup_scan(beta_t, cs, x, nt)
     sup_c = _sup_scan(cs.c, cs, x, nt)
     sup_b = _sup_scan(cs.b, cs, x, nt)
     sup_alpha = float(np.max(np.real(cs.alpha(np.linspace(0.0, cs.T, nt)))))
@@ -385,11 +379,8 @@ def verify_energy_inequality(traj: Trajectory, fam: CutoffFamily,
     weights = _weights(ledger.h, traj.times, ledger.constants.sigma)
     rhs = np.empty(traj.n_saved)
     for rows, lu in operator_blocks(cs, traj):
-        lu_hat = scipy.fft.fft(lu) / traj.n_points
-        band_norms_sq = np.stack(
-            [traj.period * np.sum(np.abs(phi * lu_hat) ** 2, axis=1)
-             for phi in fam.phi])
-        rhs[rows] = np.sum(weights[:, rows] * band_norms_sq, axis=0)
+        sq = band_norms_sq(fam, scipy.fft.fft(lu) / traj.n_points)
+        rhs[rows] = np.sum(weights[:, rows] * sq.T, axis=0)
     cumulative = np.concatenate([[0.0],
                                  np.cumsum((rhs[1:] + rhs[:-1]) / 2.0 * d)])
     denom = max(float(ledger.Etot[0]), 1e-300)
@@ -405,27 +396,29 @@ def verify_energy_inequality(traj: Trajectory, fam: CutoffFamily,
 # a-priori estimate: loss-of-derivatives search
 
 
-def loss_ratio_curve(traj: Trajectory, fam: CutoffFamily, m, deltas,
-                     source_integral=0.0) -> np.ndarray:
+def loss_ratio_curve(traj: Trajectory, fam: CutoffFamily, m,
+                     deltas) -> np.ndarray:
     """Ratio sup_t [|u|_{m+1-d} + |d_t u|_{m-d}] / data norms, per delta.
 
     Norms are the dyadic proxies of :func:`dyadic.sobolev_norm`, formed
-    for all deltas at once from one squared block-norm matrix per field.
-    ``source_integral`` adds the time integral of the forcing's H^m norm
-    to the denominator.
+    for all deltas at once from one squared block-norm matrix per field,
+    built a ``grid.row_chunks`` chunk of states at a time.
     """
     deltas = np.asarray(deltas, dtype=float)
     denom = (sobolev_norm(traj.u_at(0), m + 1.0, fam)
-             + sobolev_norm(traj.ut_at(0), m, fam) + source_integral)
+             + sobolev_norm(traj.ut_at(0), m, fam))
     if denom == 0.0:
         return np.zeros_like(deltas)
-    nus = np.arange(fam.nu_max + 1)
+    n, nus = traj.n_points, np.arange(fam.nu_max + 1)
 
     def norms(states, order):
-        # float_power is libm pow, as the scalar arithmetic of sobolev_norm;
-        # numpy's vectorised power may differ from it in the last bit
-        sq = np.float_power([decompose(GridFunction(v, traj.period), fam)
-                             .block_norms() for v in states], 2)
+        block_norms = np.empty((len(states), nus.size))
+        for rows in grid.row_chunks(len(states), n * nus.size):
+            c = scipy.fft.fft(np.asarray(states[rows], dtype=complex)) / n
+            block_norms[rows] = np.sqrt(band_norms_sq(fam, c))
+        # float_power (libm pow) and the band loop keep sobolev_norm's bits:
+        # numpy's ** or one np.sum over 8 or more bands change the last bit
+        sq = np.float_power(block_norms, 2)
         weights = np.float_power(4.0, np.multiply.outer(order, nus))
         total = np.zeros((len(states), deltas.size))
         for nu in nus:

@@ -253,7 +253,8 @@ def run_decompose(cfg: ExperimentConfig, out_dir, source_csv=None):
 
 def run_commutator_scan(cfg: ExperimentConfig, out_dir, t=None, nu_max=None):
     cs = coefficient_set(cfg)
-    fam = dyadic.build_cutoffs(cfg.N, nu_max=nu_max or cfg.nu_max_override)
+    fam = dyadic.build_cutoffs(
+        cfg.N, nu_max=cfg.nu_max_override if nu_max is None else nu_max)
     t_scan = scan_time(cs) if t is None else float(t)
     s = commutator.scan(cs, t_scan, fam)
     os.makedirs(out_dir, exist_ok=True)
@@ -264,12 +265,12 @@ def run_commutator_scan(cfg: ExperimentConfig, out_dir, t=None, nu_max=None):
     return s, report
 
 
-def run_weights(cfg: ExperimentConfig, out_dir, scale=1.0):
+def run_weights(cfg: ExperimentConfig, out_dir):
     """Weight table h(nu, t) on a coarse time grid, for plotting."""
     cs = coefficient_set(cfg)
     fam = cutoff_family(cfg)
     times = np.linspace(0.0, cfg.T, 65)
-    table = energy.weight_table(fam.nu_max, times, cs, scale=scale)
+    table = energy.weight_table(fam.nu_max, times, cs)
     os.makedirs(out_dir, exist_ok=True)
     n = fam.nu_max + 1
     grid.write_csv(os.path.join(out_dir, "weights.csv"), ["t", "nu", "h"],

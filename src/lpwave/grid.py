@@ -29,6 +29,7 @@ import scipy.fft
 from .errors import GridMismatchError
 
 TWO_PI = 2.0 * np.pi
+CHUNK_VALUES = 8192  # values per chunk of rows: see row_chunks
 
 
 def _is_pow2(n: int) -> bool:
@@ -77,6 +78,14 @@ class GridFunction:
         return GridFunction(self.values * scalar, self.period)
 
     __rmul__ = __mul__
+
+
+def row_chunks(n_rows, row_width):
+    """Slices of consecutive rows, about CHUNK_VALUES values each: every
+    table over times or states is built a chunk at a time."""
+    size = max(1, CHUNK_VALUES // row_width)
+    for start in range(0, n_rows, size):
+        yield slice(start, min(start + size, n_rows))
 
 
 def grid_points(n_points, period=TWO_PI):

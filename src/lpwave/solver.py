@@ -27,13 +27,13 @@ import numpy as np
 import scipy.fft
 
 from . import grid
-from .coefficients import CoefficientSet, run_all_checks, tensor_scan
-from .errors import CFLError, ConditionError, NumericalBlowupError
+from .coefficients import (SCAN_TIMES, CoefficientSet, builtin_family,
+                           run_all_checks, tensor_scan)
+from .errors import (CFLError, ConditionError, ConfigurationError,
+                     NumericalBlowupError)
 from .grid import GridFunction, TWO_PI, same_grid
 
 C_CFL = 0.5         # Courant factor of the solver's step bound
-SUP_A_TIMES = 512   # time samples of the sup a scan behind that bound
-CHUNK_VALUES = 8192  # grid values per step chunk: N * steps tabulated at once
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,6 @@ def _ik(n_points, period):
     ik = 1j * grid.frequencies(n_points, period)
     ik.flags.writeable = False
     return ik
-
-
-def chunk_rows(n_points) -> int:
-    """Rows of n_points values in one chunk of about CHUNK_VALUES."""
-    return max(1, CHUNK_VALUES // n_points)
 
 
 def _coefficients(cs: CoefficientSet, t, x):
@@ -152,7 +147,7 @@ def sup_a(cs: CoefficientSet, n_points, period=TWO_PI) -> float:
     """max(0, sup a) over [0, T] x grid; memoised, because estimate_loss
     and solve_cauchy both ask for it on every grid."""
     x = grid.grid_points(n_points, period)
-    t = np.linspace(0.0, cs.T, SUP_A_TIMES)
+    t = np.linspace(0.0, cs.T, SCAN_TIMES)
     return max(0.0, float(np.max(tensor_scan(cs.a, t, x))))
 
 
@@ -181,7 +176,7 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
     ``save_every`` steps, and M must be a multiple of save_every so the
     final time is always saved.
 
-    The steps run in chunks of ``chunk_rows(N)``.  Per chunk, a, b,
+    The steps run in ``grid.row_chunks(M, N)``.  Per chunk, a, b,
     c and f are called once on the (3S, 1) column of its stage times, so
     each must accept such a column and return (3S, N) or (N,) values; a
     scalar time still works, as for ``apply_L``.
@@ -203,7 +198,6 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
         raise CFLError(f"dt = {dt:.3e} exceeds stability bound {limit:.3e}")
 
     n, x, ik = u0.n_points, u0.x, _ik(u0.n_points, u0.period)
-    chunk = chunk_rows(n)
     half, sixth = dt / 2, dt / 6
     n_saved = M // save_every + 1
     times = np.empty(n_saved)
@@ -219,15 +213,14 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
         vdot = div - bux - cu
         return v, (vdot if fs is None else vdot + fs[row])
 
-    for start in range(0, M, chunk):
-        stop = min(start + chunk, M)
-        ts = _stage_times(start, stop, dt)
+    for steps in grid.row_chunks(M, n):
+        ts = _stage_times(steps.start, steps.stop, dt)
         shape = (ts.shape[0], n)
         a, b, c = (np.broadcast_to(vals, shape)
                    for vals in _coefficients(cs, ts, x))
         fs = None if f is None else np.broadcast_to(f(ts, x), shape)
-        for step in range(start, stop):
-            r = 3 * (step - start)
+        for step in range(steps.start, steps.stop):
+            r = 3 * (step - steps.start)
             k1u, k1v = rhs(r, u, v)
             k2u, k2v = rhs(r + 1, u + half * k1u, v + half * k1v)
             k3u, k3v = rhs(r + 1, u + half * k2u, v + half * k2v)
@@ -266,32 +259,25 @@ def second_time_derivative(traj: Trajectory, rows: slice) -> np.ndarray:
 
 def operator_blocks(cs: CoefficientSet, traj: Trajectory):
     """L u at every saved time, d_t^2 u by finite differences, as
-    (rows, values) blocks of about CHUNK_VALUES grid values: one
-    coefficient call on the column of a block's times and one batched
-    operator per block, so temporaries stay small for long trajectories."""
+    (rows, values) blocks of ``grid.row_chunks``: one coefficient call on
+    the column of a block's times and one batched operator per block, so
+    temporaries stay small for long trajectories."""
     x = grid.grid_points(traj.n_points, traj.period)
     ik = _ik(traj.n_points, traj.period)
-    size = chunk_rows(traj.n_points)
-    for start in range(0, traj.n_saved, size):
-        rows = slice(start, start + size)
+    for rows in grid.row_chunks(traj.n_saved, traj.n_points):
         div, bux, cu = _terms(*_coefficients(cs, traj.times[rows, None], x),
                               ik, traj.u[rows])
         yield rows, second_time_derivative(traj, rows) - div + bux + cu
 
 
-def operator_at(cs: CoefficientSet, traj: Trajectory, i) -> np.ndarray:
-    """L u at saved index i, with d_t^2 u by finite differences."""
-    i = range(traj.n_saved)[i]
-    ut2 = second_time_derivative(traj, slice(i, i + 1))[0]
-    return apply_L(cs, traj.u_at(i), GridFunction(ut2, traj.period),
-                   float(traj.times[i])).values
-
-
 def residual_norm(traj: Trajectory, i, f: Optional[Callable] = None) -> float:
     """|| L u - f || at saved index i, with d_t^2 u by finite differences."""
-    vals = operator_at(traj.coeffs, traj, i)
+    i = range(traj.n_saved)[i]
+    t, u = float(traj.times[i]), traj.u_at(i)
+    ut2 = second_time_derivative(traj, slice(i, i + 1))[0]
+    vals = apply_L(traj.coeffs, u, GridFunction(ut2, traj.period), t).values
     if f is not None:
-        vals = vals - f(float(traj.times[i]), traj.u_at(i).x)
+        vals = vals - f(t, u.x)
     return grid.norm(GridFunction(vals, traj.period))
 
 
@@ -299,18 +285,21 @@ def residual_norm(traj: Trajectory, i, f: Optional[Callable] = None) -> float:
 # persistence: one CSV per saved state plus a JSON manifest
 
 
+def _coefficients_record(cs: CoefficientSet) -> dict:
+    """The manifest's record of the coefficients a trajectory solves."""
+    return {"family": cs.name, "k": cs.k, "gamma": cs.gamma, "C0": cs.C0,
+            "lambda0": cs.lambda0, "Lambda0": cs.Lambda0, "T": cs.T}
+
+
 def save_trajectory(traj: Trajectory, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    cs = traj.coeffs
     manifest = {
         "N": traj.n_points,
         "dt": traj.dt,
         "solver_dt": traj.solver_dt,
         "M": traj.n_saved - 1,
         "period": traj.period,
-        "coefficients": {"family": cs.name, "k": cs.k, "gamma": cs.gamma,
-                         "C0": cs.C0, "lambda0": cs.lambda0,
-                         "Lambda0": cs.Lambda0, "T": cs.T},
+        "coefficients": _coefficients_record(traj.coeffs),
         "saved_indices": list(range(traj.n_saved)),
         "times": [float(t) for t in traj.times],
     }
@@ -327,15 +316,24 @@ def save_trajectory(traj: Trajectory, out_dir):
 
 
 def load_trajectory(out_dir, cs: Optional[CoefficientSet] = None) -> Trajectory:
-    """Load a saved trajectory; rebuilds built-in families from the manifest."""
-    from .coefficients import builtin_family
+    """Load a saved trajectory; rebuilds built-in families from the manifest.
 
+    A ``cs`` that differs from the manifest's coefficient record is refused
+    with a ConfigurationError naming each differing key.
+    """
     with open(os.path.join(out_dir, "trajectory.json")) as fh:
         manifest = json.load(fh)
+    p = manifest["coefficients"]
     if cs is None:
-        p = manifest["coefficients"]
         cs = builtin_family(p["family"], k=p["k"], gamma=p["gamma"],
                             C0=p["C0"], T=p["T"])
+    differ = [f"{key} saved {p.get(key)!r}, given {value!r}"
+              for key, value in _coefficients_record(cs).items()
+              if p.get(key) != value]
+    if differ:
+        raise ConfigurationError(
+            "trajectory was saved with other coefficients: "
+            + "; ".join(differ))
     times = np.array(manifest["times"])
     n = manifest["N"]
     us = np.empty((times.size, n), dtype=complex)

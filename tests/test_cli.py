@@ -117,6 +117,27 @@ def test_verify_energy_on_saved_trajectory(tmp_path, tiny_cfg):
     assert (out / "etot.csv").exists()
 
 
+def test_verify_energy_refuses_other_coefficients(tmp_path, tiny_cfg,
+                                                 capsys):
+    # a k2 trajectory checked against the k4 equation is a config error
+    traj_dir = tmp_path / "traj"
+    assert main(["solve", "--config", tiny_cfg, "--out", str(traj_dir)]) == 0
+    k4 = tmp_path / "k4.cfg"
+    k4.write_text(TINY.replace("k = 2", "k = 4").replace("gamma = 0.0",
+                                                         "gamma = 0.3"))
+    assert main(["verify-energy", "--config", str(k4), "--traj",
+                 str(traj_dir), "--out", str(tmp_path / "v4")]) == 2
+    err = capsys.readouterr().err
+    assert "k saved 2, given 4" in err and "gamma saved 0.0, given 0.3" in err
+    assert main(["verify-energy", "--config", tiny_cfg, "--traj",
+                 str(traj_dir), "--out", str(tmp_path / "v2")]) == 0
+
+
+def test_commutator_scan_nu_max_zero_is_config_error(tmp_path, tiny_cfg):
+    assert main(["commutator-scan", "--config", tiny_cfg, "--nu-max", "0",
+                 "--out", str(tmp_path / "scan")]) == 2
+
+
 def test_pipeline_subcommand(tmp_path, tiny_cfg, capsys):
     out = tmp_path / "pipe"
     assert main(["pipeline", "--config", tiny_cfg, "--out", str(out)]) == 0

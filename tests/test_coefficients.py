@@ -2,13 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lpwave.coefficients import (builtin_family, check_ellipticity,
+from lpwave.coefficients import (BUILTIN_FAMILIES, builtin_family,
+                                 check_ellipticity,
                                  check_finite_degeneration, check_levi,
                                  check_order_condition,
                                  check_weak_hyperbolicity,
                                  constant_coefficients, flat_alpha,
-                                 run_all_checks)
+                                 run_all_checks, tensor_scan)
 from lpwave.errors import ConfigurationError, UnknownFamilyError
 
 
@@ -211,3 +214,45 @@ def test_failing_report_requires_witness():
     from lpwave.coefficients import ConditionReport
     with pytest.raises(ValueError):
         ConditionReport("order", False, None, -1.0)
+
+
+def _per_time_scan(fn, t_grid, x_grid):
+    """The reference sampler: fn called once per scalar time."""
+    out = np.empty((t_grid.size, x_grid.size))
+    for i, t in enumerate(t_grid):
+        out[i] = np.real(fn(t, x_grid))
+    return out
+
+
+@st.composite
+def scan_cases(draw):
+    family = draw(st.sampled_from(BUILTIN_FAMILIES + ("constant",)))
+    k = draw(st.integers(1, 12))
+    if family == "interior_zero" and k % 2:
+        k += 1 if k < 12 else -1
+    if family == "constant":
+        cs = constant_coefficients(a0=draw(st.floats(0.5, 2.0)), k=k)
+    else:
+        cs = builtin_family(family, k=k, gamma=draw(st.floats(0.0, 2.0)),
+                            C0=draw(st.floats(0.1, 2.0)))
+    name = draw(st.sampled_from(("a", "b", "c", "beta", "beta_t")))
+    if name == "beta_t":
+        j = draw(st.integers(0, k))
+        fn = lambda t, x: cs.beta_time_derivative(j, t, x)
+    else:
+        fn = getattr(cs, name)
+    t_grid = np.linspace(0.0, cs.T, draw(st.sampled_from((1, 5, 512))))
+    n = draw(st.sampled_from((16, 128, 256, 2048)))
+    return fn, t_grid, np.arange(n) * (2.0 * np.pi / n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(scan_cases())
+def test_tensor_scan_matches_per_time_loop(case):
+    # nt = 1, 5 and 512 against 8192 // nx rows per call: one-row, whole
+    # and partial chunks all occur
+    fn, t_grid, x_grid = case
+    out = tensor_scan(fn, t_grid, x_grid)
+    assert out.flags.writeable and out.flags.owndata
+    assert out.shape == (t_grid.size, x_grid.size)
+    assert out.tobytes() == _per_time_scan(fn, t_grid, x_grid).tobytes()

@@ -8,11 +8,10 @@ from lpwave.coefficients import (BUILTIN_FAMILIES, builtin_family,
                                  constant_coefficients)
 from lpwave.errors import (CFLError, ConditionError, GridMismatchError,
                            NumericalBlowupError)
-from lpwave.grid import GridFunction
-from lpwave.solver import (CHUNK_VALUES, SpaceTimeFunction, apply_L,
-                           cfl_limit, cosine_mode, load_trajectory,
-                           manufactured_rhs, residual_norm, save_trajectory,
-                           solve_cauchy)
+from lpwave.grid import CHUNK_VALUES, GridFunction
+from lpwave.solver import (SpaceTimeFunction, apply_L, cfl_limit,
+                           cosine_mode, load_trajectory, manufactured_rhs,
+                           residual_norm, save_trajectory, solve_cauchy)
 
 
 def zero_field(t, x):
