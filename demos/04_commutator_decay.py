@@ -31,7 +31,8 @@ for nu in range(fam.nu_max + 1):
 print("the scaled norms level off: the 2^-nu rate is sharp")
 
 print()
-print("dense SVD vs ARPACK via scipy.sparse.linalg.svds on a few entries:")
+print("dense (Gram eigenvalue) vs ARPACK via scipy.sparse.linalg.svds "
+      "on a few entries:")
 for nu, mu in ((2, 2), (4, 3), (6, 6)):
     d = dense_norm(beta, nu, mu, fam)
     p = power_norm(beta, nu, mu, fam, tol=1e-10)

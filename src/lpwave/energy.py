@@ -377,10 +377,14 @@ def verify_energy_inequality(traj: Trajectory, fam: CutoffFamily,
     """
     d = traj.dt
     weights = _weights(ledger.h, traj.times, ledger.constants.sigma)
-    rhs = np.empty(traj.n_saved)
+    bands = fam.nu_max + 1
+    sq = np.empty((traj.n_saved, bands))
     for rows, lu in operator_blocks(cs, traj):
-        sq = band_norms_sq(fam, scipy.fft.fft(lu) / traj.n_points)
-        rhs[rows] = np.sum(weights[:, rows] * sq.T, axis=0)
+        coeffs, block = scipy.fft.fft(lu) / traj.n_points, sq[rows]
+        # (states, bands, N) temporaries: chunked as in energy_table
+        for part in grid.row_chunks(len(block), traj.n_points * bands):
+            block[part] = band_norms_sq(fam, coeffs[part])
+    rhs = np.sum(weights * sq.T, axis=0)
     cumulative = np.concatenate([[0.0],
                                  np.cumsum((rhs[1:] + rhs[:-1]) / 2.0 * d)])
     denom = max(float(ledger.Etot[0]), 1e-300)

@@ -280,7 +280,20 @@ def run_weights(cfg: ExperimentConfig, out_dir):
 
 
 def run_verify_energy(cfg: ExperimentConfig, traj, cs, out_dir):
-    """Scan, calibrate, build the ledger, and check the integrated bound."""
+    """Scan, calibrate, build the ledger, and check the integrated bound.
+
+    A trajectory saved on another grid than the config's (N, T/dt steps,
+    save_every) is refused with a ConfigurationError naming each key.
+    """
+    save_every = round(traj.dt / traj.solver_dt)
+    saved = {"N": traj.n_points, "steps": (traj.n_saved - 1) * save_every,
+             "save_every": save_every}
+    given = {"N": cfg.N, "steps": cfg.steps, "save_every": cfg.save_every}
+    differ = [f"{key} saved {saved[key]!r}, given {given[key]!r}"
+              for key in saved if saved[key] != given[key]]
+    if differ:
+        raise ConfigurationError("trajectory was saved on another grid: "
+                                 + "; ".join(differ))
     fam = dyadic.build_cutoffs(traj.n_points, traj.period,
                                nu_max=cfg.nu_max_override)
     s = commutator.scan(cs, scan_time(cs), fam)

@@ -133,6 +133,25 @@ def test_verify_energy_refuses_other_coefficients(tmp_path, tiny_cfg,
                  str(traj_dir), "--out", str(tmp_path / "v2")]) == 0
 
 
+def test_verify_energy_refuses_other_grid(tmp_path, tiny_cfg, capsys):
+    # N, T/dt steps and save_every of the config must match the manifest
+    traj_dir = tmp_path / "traj"
+    assert main(["solve", "--config", tiny_cfg, "--out", str(traj_dir)]) == 0
+    for key, old, new, message in (
+            ("N", "N = 64", "N = 32", "N saved 64, given 32"),
+            ("dt", "dt = 0.002", "dt = 0.001", "steps saved 250, given 500"),
+            ("save_every", "save_every = 5", "save_every = 10",
+             "save_every saved 5, given 10")):
+        other = tmp_path / f"{key}.cfg"
+        other.write_text(TINY.replace(old, new))
+        assert main(["verify-energy", "--config", str(other), "--traj",
+                     str(traj_dir), "--out", str(tmp_path / key)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err, err
+    assert main(["verify-energy", "--config", tiny_cfg, "--traj",
+                 str(traj_dir), "--out", str(tmp_path / "same")]) == 0
+
+
 def test_commutator_scan_nu_max_zero_is_config_error(tmp_path, tiny_cfg):
     assert main(["commutator-scan", "--config", tiny_cfg, "--nu-max", "0",
                  "--out", str(tmp_path / "scan")]) == 2

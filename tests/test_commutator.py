@@ -5,14 +5,16 @@ import os
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import svdvals
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from lpwave import experiment, grid
 from lpwave.coefficients import builtin_family
 from lpwave.commutator import (DECAY_FLOOR, DECAY_ORDERS, CommutatorScan,
-                               DecayReport, apply_commutator,
+                               DecayReport, _column_kernel, apply_commutator,
                                apply_commutator_adjoint, dense_norm,
                                power_norm, scan, schur_kernel, verify_decay)
 from lpwave.dyadic import build_cutoffs
@@ -412,3 +414,88 @@ def test_property_power_norm_matches_dense(case):
     p = power_norm(q, nu, mu, fam)
     if d > 1e-8:
         assert abs(p - d) <= 1e-6 * d, (nu, mu, d, p)
+
+
+# --- dense norm against the full-kernel SVD it replaced ----------------------
+
+
+def _reference_kernel(q, nu, mu, fam):
+    """Reference: the full N x N kernel with its all-zero rows and columns
+    trimmed, None when no entry is non-zero."""
+    qhat = scipy.fft.fft(np.asarray(q, dtype=complex)) / fam.n_points
+    idx = np.arange(fam.n_points)
+    shift = (idx[:, None] - idx[None, :]) % fam.n_points
+    kernel = qhat[shift] * (fam.phi[nu][:, None] - fam.phi[nu][None, :]) \
+        * fam.psi[mu][None, :]
+    rows = np.flatnonzero(np.any(kernel != 0, axis=1))
+    cols = np.flatnonzero(np.any(kernel != 0, axis=0))
+    if rows.size == 0 or cols.size == 0:
+        return None
+    return kernel[np.ix_(rows, cols)]
+
+
+def _reference_norm(kernel):
+    """Reference: the largest singular value from a full SVD."""
+    return 0.0 if kernel is None else float(svdvals(kernel)[0])
+
+
+def _assert_matches_reference(q, nu, mu, fam):
+    ref_kernel = _reference_kernel(q, nu, mu, fam)
+    kernel = _column_kernel(q, nu, mu, fam)
+    ref, got = _reference_norm(ref_kernel), dense_norm(q, nu, mu, fam)
+    if ref_kernel is None:
+        assert kernel is None and got == 0.0, (nu, mu, got)
+        return
+    assert kernel.shape == ref_kernel.shape, (nu, mu)
+    assert kernel.tobytes() == ref_kernel.tobytes(), (nu, mu)
+    if ref == 0.0:
+        assert got == 0.0, (nu, mu, got)
+    else:
+        assert abs(got - ref) <= 1e-13 * ref, (nu, mu, got, ref)
+
+
+def _shipped_coefficient(cfg_name, which, n_points):
+    cfg = experiment.read_config(os.path.join(CONFIG_DIR, cfg_name))
+    cs = experiment.coefficient_set(cfg)
+    coef = getattr(cs, which)(experiment.scan_time(cs),
+                              grid.grid_points(n_points))
+    return np.asarray(coef, dtype=complex)
+
+
+DENSE_CASES = {
+    **{f"{name}-{which}-{n_points}": functools.partial(
+        _shipped_coefficient, f"{name}.cfg", which, n_points)
+       for name in ("k2-gamma0", "k4-gamma0.3", "nondegenerate")
+       for which in ("beta", "b") for n_points in (128, 256)},
+    **{f"poisson-{n_points}": functools.partial(poisson_coefficient, n_points)
+       for n_points in (256, 512)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_dense_norm_matches_full_kernel_svd(case):
+    # the same kernel entries, byte for byte, and the same norm to 1e-13
+    # relative (exactly 0.0 where the reference is exactly 0.0)
+    q = DENSE_CASES[case]()
+    fam = build_cutoffs(q.size)
+    for nu in range(fam.nu_max + 1):
+        for mu in range(fam.nu_max + 1):
+            _assert_matches_reference(q, nu, mu, fam)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(commutator_cases())
+def test_property_dense_norm_matches_full_kernel_svd(case):
+    q, nu, mu, fam, _ = case
+    _assert_matches_reference(q, nu, mu, fam)
+
+
+def test_dense_norm_k4_near_diagonal_tie():
+    # (7, 6) and (7, 7) at N = 512 are the same norm mathematically, so
+    # verify_decay's near_argmax between them is decided by rounding
+    q = _shipped_coefficient("k4-gamma0.3.cfg", "beta", 512)
+    fam = build_cutoffs(512)
+    for mu in (6, 7):
+        _assert_matches_reference(q, 7, mu, fam)
+    a, b = dense_norm(q, 7, 6, fam), dense_norm(q, 7, 7, fam)
+    assert a > 0.0 and abs(a - b) <= 1e-15 * b, (a, b)

@@ -170,6 +170,23 @@ def test_sobolev_norm_vs_multiplier():
         assert 1.0 / 6.0 <= ratio <= 6.0
 
 
+@pytest.mark.parametrize("n_points", [16, 64, 256, 2048])
+@pytest.mark.parametrize("period", [grid.TWO_PI, np.pi])
+def test_sobolev_norm_matches_decompose_route(n_points, period):
+    # reference: the block norms of the stored band spectra, as before
+    # sobolev_norm took them straight from band_norms_sq
+    fam = build_cutoffs(n_points, period)
+    rng = np.random.default_rng(n_points)
+    for m in (-1.0, 0.0, 0.5, 2.0, 3.7):
+        w = grid.random_band_limited(n_points, period, rng=rng)
+        total = 0.0
+        for nu, norm in enumerate(decompose(w, fam).block_norms().tolist()):
+            total += 4.0 ** (m * nu) * norm ** 2
+        assert sobolev_norm(w, m, fam) == float(np.sqrt(total))
+    with pytest.raises(grid.GridMismatchError):
+        sobolev_norm(grid.random_band_limited(2 * n_points, rng=0), 1.0, fam)
+
+
 def test_l2_equivalence_band():
     # m = 0 proxy against the true L2 norm: K_0 <= 3
     fam = build_cutoffs(256)
