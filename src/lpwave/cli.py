@@ -42,7 +42,6 @@ def build_parser():
 
     p = sub.add_parser("solve", help="integrate the Cauchy problem")
     _add_common(p, force=True, seed=True)
-    p.add_argument("--save-every", type=int, default=None)
 
     p = sub.add_parser("decompose",
                        help="dyadic decomposition of a grid function")
@@ -116,9 +115,6 @@ def _dispatch(args) -> int:
         return code
 
     if args.command == "solve":
-        if args.save_every is not None:
-            cfg = dataclasses.replace(cfg,
-                                      save_every=args.save_every).validate()
         traj, _, _ = experiment.run_solve(cfg, out or "trajectory",
                                           force=args.force)
         print(f"saved {traj.n_saved} states to {out or 'trajectory'}")

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.fft
 from scipy.linalg import eigvalsh, get_blas_funcs
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 
@@ -50,10 +49,10 @@ def apply_commutator(coef, nu, mu, w: GridFunction, fam: CutoffFamily) -> GridFu
     if w.n_points != fam.n_points or w.period != fam.period:
         raise GridMismatchError("function grid differs from family grid")
     q = _coef_values(coef, fam)
-    what = scipy.fft.fft(w.values)
-    band = scipy.fft.ifft(fam.psi[mu] * what)
-    first = scipy.fft.ifft(fam.phi[nu] * scipy.fft.fft(q * band))
-    second = q * scipy.fft.ifft(fam.phi[nu] * fam.psi[mu] * what)
+    what = grid.fft(w.values)
+    band = grid.ifft(fam.psi[mu] * what)
+    first = grid.ifft(fam.phi[nu] * grid.fft(q * band))
+    second = q * grid.ifft(fam.phi[nu] * fam.psi[mu] * what)
     return GridFunction(first - second, w.period)
 
 
@@ -61,11 +60,9 @@ def apply_commutator_adjoint(coef, nu, mu, w: GridFunction,
                              fam: CutoffFamily) -> GridFunction:
     """Adjoint of :func:`apply_commutator` in the discrete L2 inner product."""
     q = np.conj(_coef_values(coef, fam))
-    what = scipy.fft.fft(w.values)
-    first = scipy.fft.ifft(
-        fam.psi[mu] * scipy.fft.fft(q * scipy.fft.ifft(fam.phi[nu] * what)))
-    second = scipy.fft.ifft(fam.psi[mu] * fam.phi[nu]
-                            * scipy.fft.fft(q * w.values))
+    what = grid.fft(w.values)
+    first = grid.ifft(fam.psi[mu] * grid.fft(q * grid.ifft(fam.phi[nu] * what)))
+    second = grid.ifft(fam.psi[mu] * fam.phi[nu] * grid.fft(q * w.values))
     return GridFunction(first - second, w.period)
 
 
@@ -77,7 +74,7 @@ def _column_kernel(coef, nu, mu, fam: CutoffFamily) -> Optional[np.ndarray]:
     dropped too, and None stands for a kernel with no non-zero entry.
     """
     q = _coef_values(coef, fam)
-    qhat = scipy.fft.fft(q) / fam.n_points
+    qhat = grid.fft(q) / fam.n_points
     phi, psi = fam.phi[nu], fam.psi[mu]
     cols = np.flatnonzero(psi)
     kernel = qhat[(np.arange(fam.n_points)[:, None] - cols) % fam.n_points] \

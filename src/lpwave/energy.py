@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.fft
 from scipy.integrate import quad
 
 from . import grid
@@ -69,10 +68,10 @@ def energy_table(traj: Trajectory, fam: CutoffFamily,
     eps = epsilon_array(cs.k, fam.nu_max)[:, None]
     for rows in grid.row_chunks(traj.n_saved, n * (fam.nu_max + 1)):
         a_rows = tensor_scan(cs.a, traj.times[rows], x)
-        uhat = scipy.fft.fft(np.asarray(traj.u[rows], dtype=complex)) / n
-        uthat = scipy.fft.fft(np.asarray(traj.ut[rows], dtype=complex)) / n
+        uhat = grid.fft(traj.u[rows]) / n
+        uthat = grid.fft(traj.ut[rows]) / n
         kinetic = band_norms_sq(fam, uthat)
-        ux = scipy.fft.ifft(ik_phi * uhat[:, None]) * n
+        ux = grid.ifft(ik_phi * uhat[:, None]) * n
         quad_form = dx_w * np.sum((a_rows[:, None] + eps) * np.abs(ux) ** 2,
                                   axis=-1)
         out[:, rows] = (kinetic + quad_form).T
@@ -380,7 +379,7 @@ def verify_energy_inequality(traj: Trajectory, fam: CutoffFamily,
     bands = fam.nu_max + 1
     sq = np.empty((traj.n_saved, bands))
     for rows, lu in operator_blocks(cs, traj):
-        coeffs, block = scipy.fft.fft(lu) / traj.n_points, sq[rows]
+        coeffs, block = grid.fft(lu) / traj.n_points, sq[rows]
         # (states, bands, N) temporaries: chunked as in energy_table
         for part in grid.row_chunks(len(block), traj.n_points * bands):
             block[part] = band_norms_sq(fam, coeffs[part])
@@ -418,7 +417,7 @@ def loss_ratio_curve(traj: Trajectory, fam: CutoffFamily, m,
     def norms(states, order):
         block_norms = np.empty((len(states), nus.size))
         for rows in grid.row_chunks(len(states), n * nus.size):
-            c = scipy.fft.fft(np.asarray(states[rows], dtype=complex)) / n
+            c = grid.fft(states[rows]) / n
             block_norms[rows] = np.sqrt(band_norms_sq(fam, c))
         # float_power (libm pow) and the band loop keep sobolev_norm's bits:
         # numpy's ** or one np.sum over 8 or more bands change the last bit

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.fft
 
 from . import grid
 from .coefficients import (SCAN_TIMES, CoefficientSet, builtin_family,
@@ -81,11 +80,11 @@ def _terms(a, b, c, ik, u):
 
     Plain arrays in and out, the FFTs along the last axis, so rows of u
     may be states at different times with matching coefficient rows;
-    ``ik`` is ``_ik(N, period)`` of the grid.  u is cast to complex, as
-    ``scipy.fft`` must see it (see :mod:`lpwave.grid`).
+    ``ik`` is ``_ik(N, period)`` of the grid.  u may be real:
+    :func:`lpwave.grid.fft` casts it to complex.
     """
-    ux = scipy.fft.ifft(ik * scipy.fft.fft(np.asarray(u, dtype=complex)))
-    div = scipy.fft.ifft(ik * scipy.fft.fft(a * ux))
+    ux = grid.ifft(ik * grid.fft(u))
+    div = grid.ifft(ik * grid.fft(a * ux))
     return div, b * ux, c * u
 
 

@@ -70,10 +70,13 @@ def test_step_not_dividing_T_is_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_save_every_not_dividing_steps_is_config_error(tmp_path, tiny_cfg):
+def test_save_every_not_dividing_steps_is_config_error(tmp_path, capsys):
     # tiny runs 250 steps
-    assert main(["solve", "--config", tiny_cfg, "--save-every", "3",
+    cfg = tmp_path / "save3.cfg"
+    cfg.write_text(TINY.replace("save_every = 5", "save_every = 3"))
+    assert main(["solve", "--config", str(cfg),
                  "--out", str(tmp_path / "t")]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_solve_writes_trajectory(tmp_path, tiny_cfg):
@@ -224,10 +227,14 @@ def test_pipeline_failed_checks_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["weights", "--force"],
-                                  ["commutator-scan", "--seed", "9"]],
-                         ids=["weights-force", "commutator-scan-seed"])
+                                  ["commutator-scan", "--seed", "9"],
+                                  ["solve", "--save-every", "25"]],
+                         ids=["weights-force", "commutator-scan-seed",
+                              "solve-save-every"])
 def test_unread_flags_are_unrecognised(tmp_path, tiny_cfg, capsys, argv):
-    # --force and --seed exist only where the command reads them
+    # --force and --seed exist only where the command reads them; solve has
+    # no --save-every, whose trajectories verify-energy with the same
+    # config would refuse: the config's save_every is the one setting
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--config", tiny_cfg, "--out", str(tmp_path / "o")]
              + argv[1:])

@@ -96,21 +96,39 @@ def test_csv_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("n", [2 ** p for p in range(3, 13)])
 def test_scipy_fft_matches_numpy_on_complex_input(n):
-    # the package transforms with scipy.fft; on complex input it must give
-    # numpy's bits, batched along either axis as well as one row at a time
+    # the package transforms with grid.fft/ifft, pocketfft called directly;
+    # on complex input they, and public scipy.fft, must give numpy's bits:
+    # one row, batches, strided slices, broadcast rows like the solver's
+    # coefficient tables and (states, bands, N) stacks like energy_table's
     rng = np.random.default_rng(n)
     z = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
-    for transform, reference in ((scipy.fft.fft, np.fft.fft),
-                                 (scipy.fft.ifft, np.fft.ifft)):
-        assert transform(z).tobytes() == reference(z).tobytes()
-        assert transform(z[0]).tobytes() == reference(z[0]).tobytes()
-        assert (transform(z.T, axis=0).tobytes()
+    cube = rng.standard_normal((3, 4, n)) + 1j * rng.standard_normal((3, 4, n))
+    wide = rng.standard_normal((6, 2 * n)) + 1j * rng.standard_normal((6, 2 * n))
+    inputs = (z, z[0], wide[::2, ::2], wide[1, 1::2],
+              np.broadcast_to(z[0], (5, n)), cube, cube[:, ::2])
+    for ours, public, reference in ((grid.fft, scipy.fft.fft, np.fft.fft),
+                                    (grid.ifft, scipy.fft.ifft, np.fft.ifft)):
+        for values in inputs:
+            expect = reference(values).tobytes()
+            assert ours(values).tobytes() == expect
+            assert public(values).tobytes() == expect
+        assert (public(z.T, axis=0).tobytes()
                 == reference(z.T, axis=0).tobytes())
 
 
+@pytest.mark.parametrize("n", [8, 128, 4096])
+def test_grid_fft_of_real_input_is_that_of_its_complex_cast(n):
+    # pocketfft's real-to-complex route would give other bits
+    x = np.random.default_rng(n).standard_normal((5, n))
+    for ours, reference in ((grid.fft, np.fft.fft), (grid.ifft, np.fft.ifft)):
+        expect = reference(x.astype(complex))
+        assert ours(x).tobytes() == expect.tobytes()
+        assert ours(x[2]).tobytes() == expect[2].tobytes()
+
+
 def test_derivative_values_of_real_input_matches_numpy():
-    # real input is cast to complex before scipy.fft, whose real-input
-    # route would give other bits than numpy's
+    # real input is cast to complex before the transform, whose
+    # real-input route would give other bits than numpy's
     values = np.random.default_rng(8).standard_normal(64)
     ik = 1j * grid.frequencies(64)
     expect = np.fft.ifft(ik * np.fft.fft(values))
