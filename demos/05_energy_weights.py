@@ -37,8 +37,8 @@ print("h/nu bounded, neighbor gaps level off near 2*log(2) = "
       f"{2*np.log(2):.4f}")
 
 eps10 = block_epsilon(2, 10)
-mid, _ = quad(lambda s: abs(cs.alpha_prime(s)) / (cs.alpha(s) + eps10),
-              0, 1, epsabs=1e-12, epsrel=1e-12)
+mid, _ = quad(lambda s: abs(cs.alpha_derivative(1, s))
+              / (cs.alpha(s) + eps10), 0, 1, epsabs=1e-12, epsrel=1e-12)
 print()
 print(f"middle term at nu=10: quadrature {mid:.12f}")
 print(f"closed form log(1025):          {np.log(1025.0):.12f}")

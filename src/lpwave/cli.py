@@ -115,8 +115,8 @@ def _dispatch(args) -> int:
         return code
 
     if args.command == "solve":
-        traj, _, _ = experiment.run_solve(cfg, out or "trajectory",
-                                          force=args.force)
+        traj = experiment.run_solve(cfg, out or "trajectory",
+                                    force=args.force)
         print(f"saved {traj.n_saved} states to {out or 'trajectory'}")
         return EXIT_OK
 
@@ -141,10 +141,10 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "verify-energy":
-        cs = experiment.coefficient_set(cfg)
-        traj = solver.load_trajectory(args.traj, cs)
-        _, _, _, report = experiment.run_verify_energy(
-            cfg, traj, cs, out or "verify")
+        traj = solver.load_trajectory(args.traj,
+                                      experiment.coefficient_set(cfg))
+        _, _, _, report = experiment.run_verify_energy(cfg, traj,
+                                                       out or "verify")
         print(f"max violation {report.max_violation:.3e} "
               f"(budget {report.budget:.1e})")
         return EXIT_OK if report.passed else EXIT_FAIL

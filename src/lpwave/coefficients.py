@@ -2,7 +2,9 @@
 
 The second-order coefficient factorizes as a(t,x) = alpha(t)*beta(t,x)
 with beta pinched between ellipticity bounds lambda0 <= beta <= Lambda0.
-Five machine checks cover the standing hypotheses:
+Each factor is given by one callable, its time derivative of any order
+(order 0 is the factor), so the degeneration check is exact.  Five
+machine checks cover the standing hypotheses:
 
   weak_hyperbolicity   a >= 0 everywhere
   finite_degeneration  some time derivative of a up to order k is nonzero
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,18 +37,19 @@ SCAN_TIMES = 512   # time samples of the (t, x) grid the checkers scan
 class CoefficientSet:
     """Coefficients of  d_t^2 u - d_x(a d_x u) + b d_x u + c u.
 
-    ``alpha`` maps a scalar t (or array of t) to values; ``beta``, ``b``
-    and ``c`` map (t, array x) to arrays, where t is a scalar or an (S, 1)
-    column of times giving one row per time (the solver, the hypothesis
-    checks and the sup scans pass columns).  ``alpha_derivative`` and
-    ``beta_time_derivative``, when supplied, give exact time derivatives
-    of any order and keep the degeneration check free of differencing
-    noise; without them the check falls back to finite differences.
+    The factors of a = alpha * beta are given by their time derivatives
+    alone: ``alpha_derivative(j, t)`` is d_t^j alpha at a scalar t or an
+    array of times, and ``beta_time_derivative(j, t, x)`` is d_t^j beta on
+    the array x.  Order 0 is the factor itself, which ``alpha(t)`` and
+    ``beta(t, x)`` return, so each factor has one source and the
+    degeneration check reads exact derivatives of every order.
+    ``beta_time_derivative``, ``b`` and ``c`` take t as a scalar or as an
+    (S, 1) column of times, giving one row per time (the solver, the
+    hypothesis checks and the sup scans pass columns).
     """
 
-    alpha: Callable
-    alpha_prime: Callable
-    beta: Callable
+    alpha_derivative: Callable       # (order j, t) -> d_t^j alpha
+    beta_time_derivative: Callable   # (order j, t, x) -> d_t^j beta
     b: Callable
     c: Callable
     k: int
@@ -55,9 +58,13 @@ class CoefficientSet:
     lambda0: float
     Lambda0: float
     T: float
-    alpha_derivative: Optional[Callable] = None   # (order j, t) -> value
-    beta_time_derivative: Optional[Callable] = None  # (order j, t, x) -> array
     name: str = "custom"
+
+    def alpha(self, t):
+        return self.alpha_derivative(0, t)
+
+    def beta(self, t, x):
+        return self.beta_time_derivative(0, t, x)
 
     def a(self, t, x):
         return self.alpha(t) * self.beta(t, x)
@@ -67,26 +74,30 @@ class CoefficientSet:
 
 
 def _monomial_alpha(k, shift=0.0):
-    # float_power is libm pow whatever the shape of t, so a column of times
-    # gives the bits of scalar calls; numpy's vectorised ** may not
-    def alpha(t):
-        return np.float_power(np.asarray(t, dtype=float) - shift, k)
-
-    def alpha_prime(t):
-        return k * np.float_power(np.asarray(t, dtype=float) - shift, k - 1)
-
+    """d_t^j (t - shift)^k.  float_power is libm pow whatever the shape of
+    t, so a column of times gives the bits of scalar calls; numpy's
+    vectorised ** may not."""
     def alpha_derivative(j, t):
         t = np.asarray(t, dtype=float)
         if j > k:
             return np.zeros_like(t)
         coef = math.factorial(k) // math.factorial(k - j)
-        return coef * (t - shift) ** (k - j)
+        return coef * np.float_power(t - shift, k - j)
 
-    return alpha, alpha_prime, alpha_derivative
+    return alpha_derivative
+
+
+def _constant_alpha(a0):
+    """d_t^j of alpha = a0."""
+    def alpha_derivative(j, t):
+        t = np.asarray(t, dtype=float)
+        return a0 * np.ones_like(t) if j == 0 else np.zeros_like(t)
+
+    return alpha_derivative
 
 
 def flat_alpha():
-    """alpha(t) = exp(-1/t) for t > 0, with every derivative 0 at t = 0.
+    """d_t^j of alpha(t) = exp(-1/t) for t > 0, every derivative 0 at t = 0.
 
     Derivatives are exp(-1/t) * P_j(1/t) with P_{j+1}(s) = s^2*(P_j - P_j')
     starting from P_0 = 1; that recursion is evaluated exactly on
@@ -104,7 +115,7 @@ def flat_alpha():
             polys.append(np.concatenate([[0.0, 0.0], diff]))  # s^2 * (P - P')
         return polys[j]
 
-    def value(j, t):
+    def alpha_derivative(j, t):
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         pos = t > 0.0
@@ -114,21 +125,14 @@ def flat_alpha():
             out[pos] = np.exp(-s) * np.polyval(p[::-1], s)
         return out
 
-    alpha = lambda t: value(0, t)
-    alpha_prime = lambda t: value(1, t)
-    return alpha, alpha_prime, value
+    return alpha_derivative
 
 
-def _sinusoidal_beta():
-    def beta(t, x):
+def _sinusoidal_beta(j, t, x):
+    """d_t^j of beta = 1 + sin(x) sin(t) / 2."""
+    if j == 0:
         return 1.0 + 0.5 * np.sin(np.asarray(x)) * np.sin(t)
-
-    def beta_time_derivative(j, t, x):
-        if j == 0:
-            return beta(t, x)
-        return 0.5 * np.sin(np.asarray(x)) * np.sin(t + 0.5 * j * np.pi)
-
-    return beta, beta_time_derivative
+    return 0.5 * np.sin(np.asarray(x)) * np.sin(t + 0.5 * j * np.pi)
 
 
 def builtin_family(name, k=2, gamma=0.0, C0=1.0, T=1.0) -> CoefficientSet:
@@ -148,60 +152,44 @@ def builtin_family(name, k=2, gamma=0.0, C0=1.0, T=1.0) -> CoefficientSet:
     if gamma < 0:
         raise ConfigurationError("Levi exponent gamma must be >= 0")
     if name == "monomial":
-        alpha, alpha_prime, alpha_derivative = _monomial_alpha(k)
+        alpha_derivative = _monomial_alpha(k)
     elif name == "interior_zero":
         if k % 2 != 0:
             raise ConfigurationError("interior_zero needs even k")
-        alpha, alpha_prime, alpha_derivative = _monomial_alpha(k, shift=T / 2.0)
+        alpha_derivative = _monomial_alpha(k, shift=T / 2.0)
     elif name == "nondegenerate":
-        alpha = lambda t: np.ones_like(np.asarray(t, dtype=float))
-        alpha_prime = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-
-        def alpha_derivative(j, t):
-            t = np.asarray(t, dtype=float)
-            return np.ones_like(t) if j == 0 else np.zeros_like(t)
+        alpha_derivative = _constant_alpha(1.0)
     elif name == "flat":
-        alpha, alpha_prime, alpha_derivative = flat_alpha()
+        alpha_derivative = flat_alpha()
     else:
         raise UnknownFamilyError(f"unknown family {name!r}; "
                                  f"built-ins are {BUILTIN_FAMILIES}")
 
-    beta, beta_dt = _sinusoidal_beta()
-
     def b(t, x):
-        a = alpha(t) * beta(t, x)
+        a = alpha_derivative(0, t) * _sinusoidal_beta(0, t, x)
         return C0 * np.power(a, gamma) if gamma > 0 else C0 * np.ones_like(a)
 
     def c(t, x):
         return np.cos(np.asarray(x)) * np.ones_like(np.asarray(t, dtype=float))
 
-    return CoefficientSet(alpha=alpha, alpha_prime=alpha_prime, beta=beta,
+    return CoefficientSet(alpha_derivative=alpha_derivative,
+                          beta_time_derivative=_sinusoidal_beta,
                           b=b, c=c, k=k, gamma=gamma, C0=C0,
-                          lambda0=0.5, Lambda0=1.5, T=T,
-                          alpha_derivative=alpha_derivative,
-                          beta_time_derivative=beta_dt, name=name)
+                          lambda0=0.5, Lambda0=1.5, T=T, name=name)
 
 
 def constant_coefficients(a0=1.0, T=1.0, k=1) -> CoefficientSet:
     """alpha = a0, beta = 1, b = c = 0: the textbook wave equation."""
-    ones = lambda t: a0 * np.ones_like(np.asarray(t, dtype=float))
-    zeros = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    const_beta = lambda t, x: np.ones_like(np.asarray(x, dtype=float))
     zero_field = lambda t, x: np.zeros_like(np.asarray(x, dtype=float))
-
-    def alpha_derivative(j, t):
-        t = np.asarray(t, dtype=float)
-        return a0 * np.ones_like(t) if j == 0 else np.zeros_like(t)
 
     def beta_dt(j, t, x):
         x = np.asarray(x, dtype=float)
         return np.ones_like(x) if j == 0 else np.zeros_like(x)
 
-    return CoefficientSet(alpha=ones, alpha_prime=zeros, beta=const_beta,
-                          b=zero_field, c=zero_field, k=k, gamma=0.0,
-                          C0=0.0, lambda0=0.5, Lambda0=2.0, T=T,
-                          alpha_derivative=alpha_derivative,
-                          beta_time_derivative=beta_dt, name="constant")
+    return CoefficientSet(alpha_derivative=_constant_alpha(a0),
+                          beta_time_derivative=beta_dt, b=zero_field,
+                          c=zero_field, k=k, gamma=0.0, C0=0.0, lambda0=0.5,
+                          Lambda0=2.0, T=T, name="constant")
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +216,7 @@ class ConditionReport:
             raise ValueError("a failing verdict must carry a witness")
 
     def to_dict(self) -> dict:
-        w = None
-        if self.witness is not None:
-            w = {"t": self.witness.t, "x": self.witness.x,
-                 "value": self.witness.value}
-        return {"condition_id": self.condition_id, "verdict": self.verdict,
-                "witness": w, "margin": self.margin, "note": self.note}
+        return asdict(self)
 
 
 def _scan_grids(cs, x):
@@ -264,64 +247,30 @@ def check_weak_hyperbolicity(cs: CoefficientSet, x=None) -> ConditionReport:
 
 
 def check_finite_degeneration(cs: CoefficientSet, x=None) -> ConditionReport:
-    """sum_{j<=k} |d_t^j a| bounded away from zero on [0,T] x grid.
+    """sum_{j<=k} |d_t^j a| > 0 on [0,T] x grid.
 
-    With analytic derivative providers the threshold is exact positivity;
-    the finite-difference fallback uses 10x its own error estimate as the
-    threshold and records that estimate in the note.
+    d_t^j a comes from the exact derivatives of both factors by the
+    Leibniz rule, so the threshold is exact positivity.
     """
     if cs.k > MAX_ORDER:
         raise ConfigurationError(
             f"degeneration order {cs.k} exceeds the maximum {MAX_ORDER}")
     t_grid, x_grid = _scan_grids(cs, x)
-    analytic = (cs.alpha_derivative is not None
-                and cs.beta_time_derivative is not None)
-    if analytic:
-        beta_dt = [tensor_scan(functools.partial(cs.beta_time_derivative, j),
-                               t_grid, x_grid) for j in range(cs.k + 1)]
-        total = np.zeros((t_grid.size, x_grid.size))
-        for j in range(cs.k + 1):
-            dja = np.zeros_like(total)
-            for i in range(j + 1):
-                av = np.asarray(cs.alpha_derivative(i, t_grid), dtype=float)
-                dja += math.comb(j, i) * av[:, None] * beta_dt[j - i]
-            total += np.abs(dja)
-        threshold = 0.0
-        note = "analytic derivatives"
-    else:
-        total, err = _fd_derivative_sum(cs, t_grid, x_grid)
-        threshold = 10.0 * err
-        note = f"finite differences, error estimate {err:.3e}"
+    alpha_dt = [np.asarray(cs.alpha_derivative(i, t_grid), dtype=float)
+                for i in range(cs.k + 1)]
+    beta_dt = [tensor_scan(functools.partial(cs.beta_time_derivative, j),
+                           t_grid, x_grid) for j in range(cs.k + 1)]
+    total = np.zeros((t_grid.size, x_grid.size))
+    for j in range(cs.k + 1):
+        dja = np.zeros_like(total)
+        for i in range(j + 1):
+            dja += math.comb(j, i) * alpha_dt[i][:, None] * beta_dt[j - i]
+        total += np.abs(dja)
     i, j = np.unravel_index(np.argmin(total), total.shape)
     smin = float(total[i, j])
-    verdict = smin > threshold if analytic else smin >= threshold
-    return ConditionReport("finite_degeneration", bool(verdict),
+    return ConditionReport("finite_degeneration", smin > 0.0,
                            Witness(float(t_grid[i]), float(x_grid[j]), smin),
-                           margin=smin - threshold, note=note)
-
-
-def _fd_derivative_sum(cs, t_grid, x_grid):
-    """Sum of |d_t^j a| via iterated second-order differences, two steps.
-
-    Runs the stencil at spacing h and h/2; the difference of the two
-    results (Richardson style) gives the error estimate.
-    """
-    def stack(h):
-        fine = np.arange(t_grid[0], t_grid[-1] + h / 2, h)
-        vals = tensor_scan(cs.a, fine, x_grid)
-        total = np.abs(vals)
-        d = vals
-        for _ in range(cs.k):
-            d = np.gradient(d, h, axis=0, edge_order=2)
-            total = total + np.abs(d)
-        idx = np.clip(np.round((t_grid - t_grid[0]) / h).astype(int),
-                      0, fine.size - 1)
-        return total[idx]
-
-    h = (t_grid[-1] - t_grid[0]) / (8 * t_grid.size)
-    coarse, fine = stack(h), stack(h / 2)
-    err = float(np.max(np.abs(coarse - fine)) / 3.0)
-    return fine, err
+                           margin=smin, note="analytic derivatives")
 
 
 def check_levi(cs: CoefficientSet, x=None) -> ConditionReport:

@@ -16,7 +16,7 @@ second, independent route.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -250,17 +250,7 @@ class DecayReport:
     note: str = ""
 
     def to_dict(self):
-        return {
-            "near_constant": self.near_constant,
-            "near_argmax": list(self.near_argmax),
-            "far_slope": self.far_slope,
-            "far_points": self.far_points,
-            "far_exact_zero": self.far_exact_zero,
-            "bounded_constants": {str(k): v
-                                  for k, v in self.bounded_constants.items()},
-            "fit_residual": self.fit_residual,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def verify_decay(s: CommutatorScan) -> DecayReport:

@@ -18,7 +18,8 @@ acceptance test; an interval that fails the test is integrated by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -92,7 +93,7 @@ def weight_integrand(cs: CoefficientSet, nu):
 
     def f(s):
         a = np.real(cs.alpha(s))
-        ap = np.real(cs.alpha_prime(s))
+        ap = np.real(cs.alpha_derivative(1, s))
         # float_power is libm pow, as Python's ** on floats
         return (eps * two_nu / np.sqrt(a + eps)
                 + np.abs(ap) / (a + eps)
@@ -226,10 +227,7 @@ class Constants:
     formulas: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {"C1": self.C1, "C2": self.C2, "C3": self.C3, "C4": self.C4,
-                "Ctilde": self.Ctilde, "C_schur": self.C_schur,
-                "sigma": self.sigma, "components": self.components,
-                "formulas": self.formulas}
+        return asdict(self)
 
 
 def _sup_scan(fn, cs, x, nt):
@@ -249,15 +247,8 @@ def calibrate_constants(cs: CoefficientSet, fam: CutoffFamily,
     """
     x = grid.grid_points(fam.n_points, fam.period)
     lam = min(cs.lambda0, 1.0)
-    if cs.beta_time_derivative is not None:
-        sup_beta_t = _sup_scan(lambda t, xx: cs.beta_time_derivative(1, t, xx),
-                               cs, x, nt)
-    else:
-        def beta_t(t, xx):   # central differences, one-sided at 0 and T
-            dt_fd = cs.T / (8 * nt)
-            hi, lo = np.minimum(t + dt_fd, cs.T), np.maximum(t - dt_fd, 0.0)
-            return (cs.beta(hi, xx) - cs.beta(lo, xx)) / (hi - lo)
-        sup_beta_t = _sup_scan(beta_t, cs, x, nt)
+    sup_beta_t = _sup_scan(functools.partial(cs.beta_time_derivative, 1),
+                           cs, x, nt)
     sup_c = _sup_scan(cs.c, cs, x, nt)
     sup_b = _sup_scan(cs.b, cs, x, nt)
     sup_alpha = float(np.max(np.real(cs.alpha(np.linspace(0.0, cs.T, nt)))))

@@ -227,7 +227,7 @@ def run_solve(cfg: ExperimentConfig, out_dir, force=False):
                                save_every=cfg.save_every, check=not force)
     os.makedirs(out_dir, exist_ok=True)
     solver.save_trajectory(traj, out_dir)
-    return traj, cs, f
+    return traj
 
 
 def run_decompose(cfg: ExperimentConfig, out_dir, source_csv=None):
@@ -279,8 +279,9 @@ def run_weights(cfg: ExperimentConfig, out_dir):
     return table
 
 
-def run_verify_energy(cfg: ExperimentConfig, traj, cs, out_dir):
-    """Scan, calibrate, build the ledger, and check the integrated bound.
+def run_verify_energy(cfg: ExperimentConfig, traj, out_dir):
+    """Scan, calibrate, build the ledger, and check the integrated bound
+    for the coefficients the trajectory was solved with.
 
     A trajectory saved on another grid than the config's (N, T/dt steps,
     save_every) is refused with a ConfigurationError naming each key.
@@ -294,6 +295,7 @@ def run_verify_energy(cfg: ExperimentConfig, traj, cs, out_dir):
     if differ:
         raise ConfigurationError("trajectory was saved on another grid: "
                                  + "; ".join(differ))
+    cs = traj.coeffs
     fam = dyadic.build_cutoffs(traj.n_points, traj.period,
                                nu_max=cfg.nu_max_override)
     s = commutator.scan(cs, scan_time(cs), fam)
@@ -331,16 +333,16 @@ def run_full_pipeline(cfg: ExperimentConfig, out_dir=None, force=False):
                 + ", ".join(r["condition_id"] for r in reports
                             if not r["verdict"]))
         stage("solve")
-        traj, cs, f = run_solve(cfg, os.path.join(out_dir, "trajectory"),
-                                force=force)
+        traj = run_solve(cfg, os.path.join(out_dir, "trajectory"),
+                         force=force)
         stage("verify-energy")
-        s, constants, ledger, ineq = run_verify_energy(cfg, traj, cs, out_dir)
+        s, constants, ledger, ineq = run_verify_energy(cfg, traj, out_dir)
         decay = commutator.verify_decay(s)
         commutator.decay_report_to_json(
             decay, os.path.join(out_dir, "lemma2_report.json"))
         stage("loss-estimate")
         sizes = sorted({max(64, cfg.N // 2), cfg.N})
-        loss = energy.estimate_loss(cs, cfg.m, cfg.delta_grid,
+        loss = energy.estimate_loss(traj.coeffs, cfg.m, cfg.delta_grid,
                                     grid_sizes=sizes, seed=cfg.seed)
         grid.write_json(os.path.join(out_dir, "loss.json"), loss.to_dict())
         stage("done")

@@ -6,13 +6,14 @@ coefficient products, and the divergence-form term evaluated as
 d_x(a * d_x u) so the structure the energy analysis integrates by parts
 against is preserved exactly.  ``apply_L``, the RK4 right-hand side, the
 manufactured forcing and ``operator_blocks`` all call it.  Time stepping is
-classical fourth-order Runge-Kutta on the first-order system (u, d_t u)
-with an explicit CFL bound tied to sup a.  The work that depends on time
-alone is taken out of the step loop: for a chunk of steps the stage times
-t, t + dt/2 and t + dt form one column, and a, b, c and the forcing are
-tabulated on it in one call each, so the loop itself only makes the four
-operator FFTs per stage.  Coefficient callables and forcings must
-therefore accept a column of times, (S, 1), as well as a scalar.
+classical fourth-order Runge-Kutta on the first-order system, one (2, N)
+state y = (u, d_t u), with an explicit CFL bound tied to sup a.  The work
+that depends on time alone is taken out of the step loop: for a chunk of
+steps the stage times t, t + dt/2 and t + dt form one column, and a, b, c
+and the forcing are tabulated on it in one call each, so the loop itself
+only makes the four operator FFTs per stage.  Coefficient callables and
+forcings must therefore accept a column of times, (S, 1), as well as a
+scalar.
 """
 
 from __future__ import annotations
@@ -202,15 +203,15 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
     times = np.empty(n_saved)
     us = np.empty((n_saved, n), dtype=complex)
     uts = np.empty_like(us)
-    u, v = u0.values.copy(), u1.values.copy()
-    times[0], us[0], uts[0] = 0.0, u, v
+    y = np.stack((u0.values, u1.values))     # the state (u, d_t u)
+    times[0], (us[0], uts[0]) = 0.0, y
     saved = 1
 
-    def rhs(row, u, v):
+    def rhs(row, y):
         # a, b, c and fs are the tables of the current chunk
-        div, bux, cu = _terms(a[row], b[row], c[row], ik, u)
+        div, bux, cu = _terms(a[row], b[row], c[row], ik, y[0])
         vdot = div - bux - cu
-        return v, (vdot if fs is None else vdot + fs[row])
+        return np.array((y[1], vdot if fs is None else vdot + fs[row]))
 
     for steps in grid.row_chunks(M, n):
         ts = _stage_times(steps.start, steps.stop, dt)
@@ -220,17 +221,17 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
         fs = None if f is None else np.broadcast_to(f(ts, x), shape)
         for step in range(steps.start, steps.stop):
             r = 3 * (step - steps.start)
-            k1u, k1v = rhs(r, u, v)
-            k2u, k2v = rhs(r + 1, u + half * k1u, v + half * k1v)
-            k3u, k3v = rhs(r + 1, u + half * k2u, v + half * k2v)
-            k4u, k4v = rhs(r + 2, u + dt * k3u, v + dt * k3v)
-            u = u + sixth * (k1u + 2 * k2u + 2 * k3u + k4u)
-            v = v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
-            if (step % 25 == 24 or step == M - 1) and not (
-                    np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            k1 = rhs(r, y)
+            k2 = rhs(r + 1, y + half * k1)
+            k3 = rhs(r + 1, y + half * k2)
+            k4 = rhs(r + 2, y + dt * k3)
+            y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            if (step % 25 == 24 or step == M - 1) and not np.all(
+                    np.isfinite(y)):
                 raise NumericalBlowupError((step + 1) * dt)
             if (step + 1) % save_every == 0:
-                times[saved], us[saved], uts[saved] = (step + 1) * dt, u, v
+                times[saved] = (step + 1) * dt
+                us[saved], uts[saved] = y
                 saved += 1
     return Trajectory(times, us, uts, dt * save_every, u0.period, cs, dt)
 

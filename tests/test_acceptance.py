@@ -157,7 +157,8 @@ def test_criterion_5_weight_bounds():
     tail = gaps[4:]              # nu = 6..12
     gap_spread = float(tail.max() / tail.min()) - 1.0
     eps = block_epsilon(2, 10)
-    mid, _ = quad(lambda s: abs(cs.alpha_prime(s)) / (cs.alpha(s) + eps),
+    mid, _ = quad(lambda s: abs(cs.alpha_derivative(1, s))
+                  / (cs.alpha(s) + eps),
                   0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=400)
     log_err = abs(mid - np.log(1025.0))
     ok = slope_spread < 3.0 and gap_spread < 0.10 and log_err < 1e-8
@@ -259,6 +260,17 @@ def test_criterion_8_condition_truth_table():
     _verdict("criterion 8: condition checker truth table", ok,
              f"order table {'ok' if order_ok else 'wrong'}, flat family "
              f"{'rejected for all k<=8' if flat_ok else 'not rejected'}")
+
+
+def test_criterion_8_negative_control_order_too_low():
+    # alpha = t^k checked at order k - 1: every time derivative of a up
+    # to that order vanishes at t = 0, so the check must fail there
+    wrong = [k for k in range(2, 9)
+             if check_finite_degeneration(
+                 builtin_family("monomial", k=k).with_params(k=k - 1)).verdict]
+    _verdict("criterion 8 negative control: order too low fails", not wrong,
+             f"accepted at k - 1 for k in {wrong}" if wrong
+             else "rejected for k = 2..8")
 
 
 def test_criterion_9_solver_sanity():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpwave.coefficients import (BUILTIN_FAMILIES, builtin_family,
+from lpwave.coefficients import (BUILTIN_FAMILIES, MAX_ORDER, builtin_family,
                                  check_ellipticity,
                                  check_finite_degeneration, check_levi,
                                  check_order_condition,
@@ -58,11 +58,12 @@ def test_weak_hyperbolicity_monomial():
 
 
 def test_weak_hyperbolicity_sign_change():
-    base = builtin_family("monomial", k=2)
-    cs = base.with_params(
-        alpha=lambda t: np.asarray(t, dtype=float) - 0.5,
-        alpha_prime=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        alpha_derivative=None, beta_time_derivative=None)
+    def alpha_derivative(j, t):   # alpha = t - 1/2
+        t = np.asarray(t, dtype=float)
+        return t - 0.5 if j == 0 else np.full_like(t, float(j == 1))
+
+    cs = builtin_family("monomial", k=2).with_params(
+        alpha_derivative=alpha_derivative)
     report = check_weak_hyperbolicity(cs)
     assert not report.verdict
     assert report.witness.t < 0.5
@@ -86,20 +87,48 @@ def test_finite_degeneration_monomial_analytic():
     assert report.witness.value >= 1.0   # 2 * lambda0
 
 
-def test_finite_degeneration_fd_fallback_agrees():
-    cs = builtin_family("monomial", k=2)
-    stripped = cs.with_params(alpha_derivative=None,
-                              beta_time_derivative=None)
-    analytic = check_finite_degeneration(cs)
-    fd = check_finite_degeneration(stripped)
-    assert fd.verdict
-    assert fd.note.startswith("finite differences")
-    # the two routes agree on the minimum within the FD error scale
-    assert abs(fd.witness.value - analytic.witness.value) < 0.05
+def _every_set():
+    """Each built-in family and constant_coefficients at every valid k."""
+    for k in range(1, MAX_ORDER + 1):
+        yield constant_coefficients(a0=1.5, k=k)
+        for name in BUILTIN_FAMILIES:
+            if name != "interior_zero" or k % 2 == 0:
+                yield builtin_family(name, k=k)
+
+
+def test_derivative_providers_match_central_differences():
+    # order j against the central difference of order j - 1, for j <= k + 1
+    # on [0, T] (alpha) and [0, T] x grid (beta); with h = 1e-5 the
+    # truncation (h^2/6 times order j + 2) and rounding stay below 3e-6
+    # of the sup
+    h = 1e-5
+    t = np.linspace(0.0, 1.0, 41)
+    x = np.arange(16) * (2.0 * np.pi / 16)
+    for cs in _every_set():
+        for fn, tt, rest in ((cs.alpha_derivative, t, ()),
+                             (cs.beta_time_derivative, t[:, None], (x,))):
+            for j in range(1, cs.k + 2):
+                exact = fn(j, tt, *rest)
+                diff = (fn(j - 1, tt + h, *rest)
+                        - fn(j - 1, tt - h, *rest)) / (2.0 * h)
+                scale = max(1.0, float(np.max(np.abs(exact))))
+                assert np.max(np.abs(diff - exact)) <= 1e-5 * scale, \
+                    (cs.name, cs.k, fn, j)
+
+
+def test_alpha_and_beta_are_order_zero_of_their_providers():
+    cs = builtin_family("monomial", k=3).with_params(
+        alpha_derivative=lambda j, t: np.full_like(
+            np.asarray(t, dtype=float), 2.0 if j == 0 else 0.0))
+    t, x = np.linspace(0.0, 1.0, 5)[:, None], np.arange(8) * (np.pi / 4)
+    assert np.all(cs.alpha(t) == 2.0)
+    assert cs.beta(t, x).tobytes() == \
+        cs.beta_time_derivative(0, t, x).tobytes()
+    assert cs.a(t, x).tobytes() == (2.0 * cs.beta(t, x)).tobytes()
 
 
 def test_flat_alpha_derivatives_vanish_at_zero():
-    _, _, deriv = flat_alpha()
+    deriv = flat_alpha()
     for j in range(9):
         assert deriv(j, np.array([0.0]))[0] == 0.0
     # sanity at an interior point: first derivative is exp(-1/t)/t^2
@@ -177,10 +206,10 @@ def test_ellipticity_sinusoidal():
 
 
 def test_ellipticity_violated():
+    # beta = sin(x), constant in time
     cs = builtin_family("monomial", k=2).with_params(
-        beta=lambda t, x: np.sin(np.asarray(x))
-        * np.ones_like(np.asarray(t, dtype=float)),
-        beta_time_derivative=None)
+        beta_time_derivative=lambda j, t, x: float(j == 0)
+        * np.sin(np.asarray(x)) * np.ones_like(np.asarray(t, dtype=float)))
     report = check_ellipticity(cs)
     assert not report.verdict
     assert report.witness.value <= 0.0

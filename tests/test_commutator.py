@@ -12,7 +12,7 @@ from scipy.linalg import svdvals
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from lpwave import experiment, grid
-from lpwave.coefficients import builtin_family
+from lpwave.coefficients import builtin_family, constant_coefficients
 from lpwave.commutator import (DECAY_FLOOR, DECAY_ORDERS, CommutatorScan,
                                DecayReport, _column_kernel, apply_commutator,
                                apply_commutator_adjoint, dense_norm,
@@ -133,9 +133,8 @@ def test_near_diagonal_scaling():
 
 
 def test_scan_zero_for_constant_beta():
-    cs = builtin_family("monomial", k=2)
-    cs = cs.with_params(beta=lambda t, x: np.ones_like(np.asarray(x, float)),
-                        beta_time_derivative=None)
+    cs = builtin_family("monomial", k=2).with_params(
+        beta_time_derivative=constant_coefficients().beta_time_derivative)
     fam = build_cutoffs(64)
     s = scan(cs, 0.5, fam)
     assert np.max(s.norms_beta) < 1e-12
