@@ -11,8 +11,8 @@ over, so its far entries vanish outright.
 import numpy as np
 
 from lpwave import grid
-from lpwave.commutator import (CommutatorScan, dense_norm, power_norm,
-                               scan, verify_decay)
+from lpwave.commutator import (NEAR_TIE_RTOL, CommutatorScan, dense_norm,
+                               power_norm, scan, verify_decay)
 from lpwave.coefficients import builtin_family
 from lpwave.dyadic import build_cutoffs
 
@@ -53,8 +53,9 @@ for nu in range(n):
 s = CommutatorScan(0.0, norms, np.zeros_like(norms), "dense-svd", 1e-8,
                    fam.nu_max, N, fam.period)
 report = verify_decay(s)
+ties = ", ".join(f"({nu},{mu})" for nu, mu in report.near_argmax)
 print(f"near constant sup 2^nu*norm = {report.near_constant:.4f} "
-      f"at (nu,mu)={report.near_argmax}")
+      f"at (nu,mu) in [{ties}] (ties within {NEAR_TIE_RTOL:g} relative)")
 print(f"far entries above 1e-14: {report.far_points}")
 print(f"fitted log2 slope vs max(nu,mu): {report.far_slope:.2f} "
       "(steeper than -4: faster than quartic decay)")

@@ -78,7 +78,7 @@ def build_parser():
 def _load_config(args):
     cfg = experiment.read_config(args.config)
     if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = dataclasses.replace(cfg, seed=args.seed).validate()
     return cfg
 
 

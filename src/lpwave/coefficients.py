@@ -270,7 +270,7 @@ def check_finite_degeneration(cs: CoefficientSet, x=None) -> ConditionReport:
     smin = float(total[i, j])
     return ConditionReport("finite_degeneration", smin > 0.0,
                            Witness(float(t_grid[i]), float(x_grid[j]), smin),
-                           margin=smin, note="analytic derivatives")
+                           margin=smin)
 
 
 def check_levi(cs: CoefficientSet, x=None) -> ConditionReport:

@@ -31,6 +31,7 @@ from .grid import GridFunction
 POWER_TOL = 1e-8        # svds tolerance of power_norm, recorded by scan
 DECAY_FLOOR = 1e-14     # far entries at or below this count as exact zeros
 DECAY_ORDERS = (2, 4)   # q of the fitted constants norm * 2^(q*max(nu, mu))
+NEAR_TIE_RTOL = 1e-12   # near entries this close to the maximum tie with it
 
 
 def _coef_values(coef, fam: CutoffFamily) -> np.ndarray:
@@ -241,7 +242,7 @@ class DecayReport:
     """Fitted decay behaviour of a scan's beta-commutator norms."""
 
     near_constant: float            # sup over |nu-mu| <= 2 of 2^nu * norm
-    near_argmax: tuple
+    near_argmax: list               # (nu, mu) of every entry tied with it
     far_slope: Optional[float]      # log2(norm) per unit max(nu, mu)
     far_points: int
     far_exact_zero: bool
@@ -256,10 +257,11 @@ class DecayReport:
 def verify_decay(s: CommutatorScan) -> DecayReport:
     """Check the two decay regimes of the beta-commutator table.
 
-    Near diagonal (|nu-mu| <= 2): reports sup 2^nu * norm.  Far regime
-    (|nu-mu| >= 3): least-squares slope of log2(norm) against max(nu, mu)
-    over entries above DECAY_FLOOR, plus the fitted constants norm *
-    2^(order * max(nu,mu)) for each order in DECAY_ORDERS.
+    Near diagonal (|nu-mu| <= 2): reports sup 2^nu * norm and, row-major,
+    every (nu, mu) tied with it to NEAR_TIE_RTOL (none if it is 0).
+    Far regime (|nu-mu| >= 3): least-squares slope of log2(norm) against
+    max(nu, mu) over entries above DECAY_FLOOR, plus the fitted constants
+    norm * 2^(order * max(nu,mu)) for each order in DECAY_ORDERS.
     """
     v = s.norms_beta
     n = s.nu_max + 1
@@ -269,9 +271,9 @@ def verify_decay(s: CommutatorScan) -> DecayReport:
     top = np.maximum(nu, mu)
     # ldexp scales by exact powers of two, as 2.0 ** k * v does
     scaled = np.where(near, np.ldexp(v, nu), 0.0)
-    flat = int(np.argmax(scaled))             # first maximum in row-major order
-    near_best = float(scaled.flat[flat])
-    near_arg = divmod(flat, n) if near_best > 0.0 else (0, 0)
+    near_best = float(np.max(scaled))
+    tied = (scaled > 0.0) & (near_best - scaled <= NEAR_TIE_RTOL * near_best)
+    near_arg = [(int(i), int(j)) for i, j in np.argwhere(tied)]
     consts = {order: float(np.max(np.ldexp(v[far], order * top[far]),
                                   initial=0.0))
               for order in DECAY_ORDERS}

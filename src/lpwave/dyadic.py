@@ -136,11 +136,30 @@ class DyadicBlocks:
         return float(self.block_norms()[nu])
 
 
-def band_norms_sq(fam: CutoffFamily, coeffs) -> np.ndarray:
-    """period * sum |phi_nu c|^2: by Plancherel, the squared L2 norm of each
-    band of the Fourier coefficients c on the last axis of ``coeffs``."""
-    return fam.period * np.sum(np.abs(fam.phi * coeffs[..., None, :]) ** 2,
-                               axis=-1)
+def band_norms_sq(fam: CutoffFamily, values) -> np.ndarray:
+    """(rows, bands) squared L2 norms of the bands of each row of grid
+    ``values``: period * sum |phi_nu c|^2 with c = fft(row) / N, by
+    Plancherel.  Rows go a ``grid.row_chunks`` chunk at a time."""
+    n, bands = fam.n_points, fam.nu_max + 1
+    out = np.empty((len(values), bands))
+    for rows in grid.row_chunks(len(values), n * bands):
+        coeffs = grid.fft(values[rows]) / n
+        out[rows] = fam.period * np.sum(
+            np.abs(fam.phi * coeffs[:, None, :]) ** 2, axis=-1)
+    return out
+
+
+def sobolev_norms(fam: CutoffFamily, values, orders) -> np.ndarray:
+    """(rows, orders) dyadic H^s proxies sqrt(sum_nu 4**(s*nu) |w_nu|^2)
+    of the rows of ``values``, as in :func:`band_norms_sq`.
+
+    float_power is libm pow, as Python's **.  Bands are summed in order,
+    nu = 0 first: np.sum pairs them from 8 bands on (another last bit).
+    """
+    nus = np.arange(fam.nu_max + 1)
+    weights = np.float_power(4.0, np.multiply.outer(orders, nus))
+    sq = np.float_power(np.sqrt(band_norms_sq(fam, values)), 2)
+    return np.sqrt(np.cumsum(weights * sq[:, None, :], axis=-1)[..., -1])
 
 
 def _check_grid(w: GridFunction, fam: CutoffFamily):
@@ -168,15 +187,12 @@ def reconstruct(blocks: DyadicBlocks) -> GridFunction:
 def sobolev_norm(w: GridFunction, m, fam: CutoffFamily) -> float:
     """Dyadic proxy for the H^m norm: sqrt(sum_nu 4**(m*nu) * |w_nu|^2).
 
-    Equivalent to the multiplier norm within a fixed factor; see
+    One row and order of :func:`sobolev_norms`.  Equivalent to the
+    multiplier norm within a fixed factor; see
     :func:`sobolev_norm_multiplier` for the direct route.
     """
     _check_grid(w, fam)
-    norms = np.sqrt(band_norms_sq(fam, grid.coefficients(w)))
-    total = 0.0
-    for nu, norm in enumerate(norms.tolist()):
-        total += 4.0 ** (m * nu) * norm ** 2
-    return float(np.sqrt(total))
+    return float(sobolev_norms(fam, w.values[None], [m])[0, 0])
 
 
 def sobolev_norm_multiplier(w: GridFunction, m) -> float:

@@ -28,7 +28,7 @@ from scipy.integrate import quad
 from . import grid
 from .coefficients import SCAN_TIMES, CoefficientSet, tensor_scan
 from .commutator import CommutatorScan, _damped_kernel
-from .dyadic import CutoffFamily, band_norms_sq, build_cutoffs, sobolev_norm
+from .dyadic import CutoffFamily, band_norms_sq, build_cutoffs, sobolev_norms
 from .grid import TWO_PI
 from .solver import Trajectory, cfl_limit, operator_blocks, solve_cauchy
 
@@ -56,10 +56,10 @@ def energy_table(traj: Trajectory, fam: CutoffFamily,
                  cs: CoefficientSet) -> np.ndarray:
     """Matrix E[nu, i] of band energies over saved times.
 
-    Per chunk of saved states: one FFT of u and one of d_t u, and the
-    bands of every state in one (states, bands, N) inverse FFT.  Chunks
-    are ``grid.row_chunks`` of N * (nu_max + 1) values, so temporaries
-    stay small; ``a`` is sampled once per chunk, on its column of times.
+    The kinetic part is ``band_norms_sq`` of d_t u.  The band gradients
+    take, per ``grid.row_chunks`` chunk of N * (nu_max + 1) values, one
+    FFT of u and one (states, bands, N) inverse FFT; ``a`` is sampled
+    once per chunk, on its column of times.
     """
     n = traj.n_points
     x = grid.grid_points(n, traj.period)
@@ -67,15 +67,14 @@ def energy_table(traj: Trajectory, fam: CutoffFamily,
     dx_w = traj.period / n
     out = np.empty((fam.nu_max + 1, traj.n_saved))
     eps = epsilon_array(cs.k, fam.nu_max)[:, None]
+    kinetic = band_norms_sq(fam, traj.ut)
     for rows in grid.row_chunks(traj.n_saved, n * (fam.nu_max + 1)):
         a_rows = tensor_scan(cs.a, traj.times[rows], x)
         uhat = grid.fft(traj.u[rows]) / n
-        uthat = grid.fft(traj.ut[rows]) / n
-        kinetic = band_norms_sq(fam, uthat)
         ux = grid.ifft(ik_phi * uhat[:, None]) * n
         quad_form = dx_w * np.sum((a_rows[:, None] + eps) * np.abs(ux) ** 2,
                                   axis=-1)
-        out[:, rows] = (kinetic + quad_form).T
+        out[:, rows] = (kinetic[rows] + quad_form).T
     return out
 
 
@@ -263,8 +262,7 @@ def calibrate_constants(cs: CoefficientSet, fam: CutoffFamily,
     Ctilde = max(C1, C2_alpha, C3, C2_beta + C4)
 
     # Schur sums need the weight column at the scan time with this Ctilde.
-    h_col = np.array([decay_weight(nu, scan.t, cs, scale=Ctilde)
-                      for nu in range(scan.nu_max + 1)])
+    h_col = weight_table(scan.nu_max, [0.0, scan.t], cs, scale=Ctilde)[:, 1]
     eps = epsilon_array(cs.k, scan.nu_max)
     # second-order kernel: alpha-free norms with the (alpha+1)^(1/2) factor
     ka = _damped_kernel(h_col, scan.norms_beta,
@@ -367,13 +365,9 @@ def verify_energy_inequality(traj: Trajectory, fam: CutoffFamily,
     """
     d = traj.dt
     weights = _weights(ledger.h, traj.times, ledger.constants.sigma)
-    bands = fam.nu_max + 1
-    sq = np.empty((traj.n_saved, bands))
+    sq = np.empty((traj.n_saved, fam.nu_max + 1))
     for rows, lu in operator_blocks(cs, traj):
-        coeffs, block = grid.fft(lu) / traj.n_points, sq[rows]
-        # (states, bands, N) temporaries: chunked as in energy_table
-        for part in grid.row_chunks(len(block), traj.n_points * bands):
-            block[part] = band_norms_sq(fam, coeffs[part])
+        sq[rows] = band_norms_sq(fam, lu)
     rhs = np.sum(weights * sq.T, axis=0)
     cumulative = np.concatenate([[0.0],
                                  np.cumsum((rhs[1:] + rhs[:-1]) / 2.0 * d)])
@@ -394,33 +388,17 @@ def loss_ratio_curve(traj: Trajectory, fam: CutoffFamily, m,
                      deltas) -> np.ndarray:
     """Ratio sup_t [|u|_{m+1-d} + |d_t u|_{m-d}] / data norms, per delta.
 
-    Norms are the dyadic proxies of :func:`dyadic.sobolev_norm`, formed
-    for all deltas at once from one squared block-norm matrix per field,
-    built a ``grid.row_chunks`` chunk of states at a time.
+    Norms are the dyadic proxies of :func:`dyadic.sobolev_norms`; the
+    data norms |u(0)|_{m+1} + |d_t u(0)|_m are the last order of each
+    field's call, read at the first saved state.
     """
     deltas = np.asarray(deltas, dtype=float)
-    denom = (sobolev_norm(traj.u_at(0), m + 1.0, fam)
-             + sobolev_norm(traj.ut_at(0), m, fam))
+    u = sobolev_norms(fam, traj.u, np.append(m + 1.0 - deltas, m + 1.0))
+    ut = sobolev_norms(fam, traj.ut, np.append(m - deltas, m))
+    denom = u[0, -1] + ut[0, -1]
     if denom == 0.0:
         return np.zeros_like(deltas)
-    n, nus = traj.n_points, np.arange(fam.nu_max + 1)
-
-    def norms(states, order):
-        block_norms = np.empty((len(states), nus.size))
-        for rows in grid.row_chunks(len(states), n * nus.size):
-            c = grid.fft(states[rows]) / n
-            block_norms[rows] = np.sqrt(band_norms_sq(fam, c))
-        # float_power (libm pow) and the band loop keep sobolev_norm's bits:
-        # numpy's ** or one np.sum over 8 or more bands change the last bit
-        sq = np.float_power(block_norms, 2)
-        weights = np.float_power(4.0, np.multiply.outer(order, nus))
-        total = np.zeros((len(states), deltas.size))
-        for nu in nus:
-            total += weights[:, nu] * sq[:, nu, None]
-        return np.sqrt(total)
-
-    lhs = norms(traj.u, m + 1.0 - deltas) + norms(traj.ut, m - deltas)
-    return np.max(lhs / denom, axis=0)
+    return np.max((u[:, :-1] + ut[:, :-1]) / denom, axis=0)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ import numpy as np
 from . import commutator, dyadic, energy, grid, solver
 from .coefficients import builtin_family, run_all_checks, tensor_scan
 from .errors import ConditionError, ConfigurationError, classify
-from .grid import GridFunction
 
 
 class ConfigError(ConfigurationError):
@@ -48,7 +47,7 @@ class ExperimentConfig:
     delta_grid: tuple = _DEFAULT_DELTAS
     seed: int = 0
     output_dir: str = "out"
-    data: str = "manufactured"   # manufactured | random | zero
+    data: str = "manufactured"   # manufactured | random
     save_every: int = 1
 
     def validate(self):
@@ -69,10 +68,15 @@ class ExperimentConfig:
             raise ConfigError(f"T/dt = {ratio!r} is not a whole number")
         if self.steps % self.save_every != 0:
             raise ConfigError("T/dt must be a multiple of save_every")
-        if self.data not in ("manufactured", "random", "zero"):
+        if self.data not in ("manufactured", "random"):
             raise ConfigError(f"unknown data kind {self.data!r}")
-        if any(d <= 0 for d in self.delta_grid):
-            raise ConfigError("delta grid entries must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        deltas = self.delta_grid
+        if not deltas or deltas[0] <= 0 or any(
+                a >= b for a, b in zip(deltas, deltas[1:])):
+            raise ConfigError("delta grid must be non-empty, positive and "
+                              "strictly increasing")
         return self
 
     @property
@@ -159,13 +163,10 @@ def initial_data(cfg: ExperimentConfig, cs):
         exact = solver.cosine_mode()
         u0, u1 = exact.initial_data(cfg.N)
         return u0, u1, solver.manufactured_rhs(cs, exact)
-    if cfg.data == "random":
-        rng = np.random.default_rng(cfg.seed)
-        u0 = grid.random_band_limited(cfg.N, rng=rng, decay=1.0)
-        u1 = grid.random_band_limited(cfg.N, rng=rng, decay=0.5)
-        return u0, u1, None
-    zero = GridFunction(np.zeros(cfg.N, dtype=complex))
-    return zero, zero, None
+    rng = np.random.default_rng(cfg.seed)
+    u0 = grid.random_band_limited(cfg.N, rng=rng, decay=1.0)
+    u1 = grid.random_band_limited(cfg.N, rng=rng, decay=0.5)
+    return u0, u1, None
 
 
 def scan_time(cs):

@@ -79,6 +79,22 @@ def test_save_every_not_dividing_steps_is_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["seed = -1", "delta_grid = 3.0,0.1,0.5",
+                                  "delta_grid ="])
+def test_bad_seed_or_delta_grid_is_config_error(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY.replace("delta_grid = 0.2,0.5,1.0", line))
+    assert main(["pipeline", "--config", str(cfg),
+                 "--out", str(tmp_path / "p")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_is_config_error(tmp_path, tiny_cfg, capsys):
+    assert main(["solve", "--config", tiny_cfg, "--seed", "-1",
+                 "--out", str(tmp_path / "t")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_solve_writes_trajectory(tmp_path, tiny_cfg):
     out = tmp_path / "traj"
     assert main(["solve", "--config", tiny_cfg, "--out", str(out)]) == 0

@@ -13,10 +13,11 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from lpwave import experiment, grid
 from lpwave.coefficients import builtin_family, constant_coefficients
-from lpwave.commutator import (DECAY_FLOOR, DECAY_ORDERS, CommutatorScan,
-                               DecayReport, _column_kernel, apply_commutator,
-                               apply_commutator_adjoint, dense_norm,
-                               power_norm, scan, schur_kernel, verify_decay)
+from lpwave.commutator import (DECAY_FLOOR, DECAY_ORDERS, NEAR_TIE_RTOL,
+                               CommutatorScan, DecayReport, _column_kernel,
+                               apply_commutator, apply_commutator_adjoint,
+                               dense_norm, power_norm, scan, schur_kernel,
+                               verify_decay)
 from lpwave.dyadic import build_cutoffs
 from lpwave.errors import PowerIterationError
 from lpwave.grid import GridFunction
@@ -278,17 +279,18 @@ def test_arpack_no_convergence_is_power_iteration_error(monkeypatch):
 def _decay_report_loop(s):
     """Reference: the per-entry loop over (nu, mu, order)."""
     n = s.nu_max + 1
-    near_best, near_arg = 0.0, (0, 0)
+    near = [(nu, mu, 2.0 ** nu * s.norms_beta[nu, mu]) for nu in range(n)
+            for mu in range(n) if abs(nu - mu) <= 2]
+    near_best = float(max(scaled for _, _, scaled in near))
+    near_arg = [(nu, mu) for nu, mu, scaled in near
+                if near_best - scaled <= NEAR_TIE_RTOL * near_best] \
+        if near_best > 0.0 else []
     far_pts = []
     consts = {order: 0.0 for order in DECAY_ORDERS}
     for nu in range(n):
         for mu in range(n):
             v = s.norms_beta[nu, mu]
-            if abs(nu - mu) <= 2:
-                scaled = 2.0 ** nu * v
-                if scaled > near_best:
-                    near_best, near_arg = float(scaled), (nu, mu)
-            else:
+            if abs(nu - mu) > 2:
                 top = max(nu, mu)
                 for order in DECAY_ORDERS:
                     consts[order] = max(consts[order], v * 2.0 ** (order * top))
@@ -359,6 +361,23 @@ def test_verify_decay_matches_per_entry_loop(case):
         assert got == want, (field.name, got, want)
     assert json.dumps(fast.to_dict(), indent=1, sort_keys=True) \
         == json.dumps(ref.to_dict(), indent=1, sort_keys=True)
+
+
+def test_near_argmax_lists_ties_whatever_the_rounding():
+    # (5, 4) and (5, 5) tie; nudging one by a few ulp either way must not
+    # pick between them, and an entry 1e-9 below the maximum is no tie
+    table = np.full((6, 6), 1e-3)
+    table[5, 4] = table[5, 5] = 0.7 * 2.0 ** -5
+    table[4, 4] = 0.7 * 2.0 ** -4 * (1.0 - 1e-9)
+    assert 1e-9 > 100 * NEAR_TIE_RTOL
+    for ulps in (-3, -1, 0, 1, 3):
+        nudged = table.copy()
+        for _ in range(abs(ulps)):
+            nudged[5, 4] = np.nextafter(nudged[5, 4], np.sign(ulps) * np.inf)
+        report = verify_decay(_table_scan(nudged))
+        assert report.near_argmax == [(5, 4), (5, 5)], ulps
+        assert report == _decay_report_loop(_table_scan(nudged))
+    assert verify_decay(_table_scan(np.zeros((4, 4)))).near_argmax == []
 
 
 # --- property tests: random trigonometric-polynomial coefficients ----------

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpwave import dyadic, grid
-from lpwave.dyadic import (band_cutoff, bernstein_ratio, build_cutoffs,
-                           decompose, low_cutoff, reconstruct, sobolev_norm,
-                           sobolev_norm_multiplier)
+from lpwave.dyadic import (band_cutoff, band_norms_sq, bernstein_ratio,
+                           build_cutoffs, decompose, low_cutoff, reconstruct,
+                           sobolev_norm, sobolev_norm_multiplier,
+                           sobolev_norms)
 from lpwave.errors import ConfigurationError, ZeroBlockError
 from lpwave.grid import GridFunction
 
@@ -185,6 +188,43 @@ def test_sobolev_norm_matches_decompose_route(n_points, period):
         assert sobolev_norm(w, m, fam) == float(np.sqrt(total))
     with pytest.raises(grid.GridMismatchError):
         sobolev_norm(grid.random_band_limited(2 * n_points, rng=0), 1.0, fam)
+
+
+# rows per chunk of band_norms_sq: 25 at N = 64, 2 at 512 (8 bands, where
+# a pairwise band sum would show) and 1 at 2048
+@pytest.mark.parametrize("n_points, n_rows", [(64, 30), (512, 5), (2048, 3)])
+def test_stacked_calls_match_per_row_and_per_order(n_points, n_rows):
+    fam = build_cutoffs(n_points)
+    rng = np.random.default_rng(n_points + 1)
+    rows = np.stack([grid.random_band_limited(n_points, rng=rng,
+                                              decay=0.5).values
+                     for _ in range(n_rows)])
+    orders = np.array([-1.0, 0.0, 0.5, 2.0, 3.7])
+    sq = band_norms_sq(fam, rows)
+    norms = sobolev_norms(fam, rows, orders)
+    assert sq.shape == (n_rows, fam.nu_max + 1)
+    assert norms.shape == (n_rows, orders.size)
+    for i, row in enumerate(rows):
+        coeffs = np.fft.fft(row) / n_points
+        want = fam.period * np.sum(np.abs(fam.phi * coeffs) ** 2, axis=1)
+        assert band_norms_sq(fam, row[None])[0].tobytes() == want.tobytes()
+        assert sq[i].tobytes() == want.tobytes()
+        for j, m in enumerate(orders.tolist()):
+            one = sobolev_norms(fam, row[None], [m])
+            assert one.tobytes() == norms[i:i + 1, j:j + 1].tobytes()
+            assert sobolev_norm(GridFunction(row), m, fam) == norms[i, j]
+            total = 0.0     # bands summed in order, as the proxy promises
+            for nu, band_sq in enumerate(want.tolist()):
+                total += 4.0 ** (m * nu) * math.sqrt(band_sq) ** 2
+            assert norms[i, j] == math.sqrt(total)
+
+
+def test_sobolev_norm_refuses_other_grids():
+    fam = build_cutoffs(64)
+    for w in (grid.random_band_limited(128, rng=0),
+              grid.random_band_limited(64, np.pi, rng=0)):
+        with pytest.raises(grid.GridMismatchError):
+            sobolev_norm(w, 1.0, fam)
 
 
 def test_l2_equivalence_band():

@@ -65,6 +65,16 @@ def test_validation_ranges():
         parse_config("data = exotic\n")
     with pytest.raises(ConfigError):
         parse_config("k = 0\n")
+    with pytest.raises(ConfigError):
+        parse_config("seed = -1\n")        # default_rng refuses it later
+    with pytest.raises(ConfigError):
+        parse_config("delta_grid = 3.0,0.1,0.5\n")   # delta* is the smallest
+    with pytest.raises(ConfigError):
+        parse_config("delta_grid = 0.1,0.5,0.5\n")
+    with pytest.raises(ConfigError):
+        parse_config("delta_grid =\n")
+    with pytest.raises(ConfigError):
+        parse_config("data = zero\n")       # manufactured | random
 
 
 def test_config_roundtrip(tmp_path):
