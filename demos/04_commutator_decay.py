@@ -51,7 +51,7 @@ for nu in range(n):
     for mu in range(n):
         norms[nu, mu] = dense_norm(broad, nu, mu, fam)
 s = CommutatorScan(0.0, norms, np.zeros_like(norms), "dense-svd", 1e-8,
-                   fam.nu_max, N, fam.period)
+                   fam.nu_max, N)
 report = verify_decay(s)
 ties = ", ".join(f"({nu},{mu})" for nu, mu in report.near_argmax)
 print(f"near constant sup 2^nu*norm = {report.near_constant:.4f} "

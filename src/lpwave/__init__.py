@@ -1,7 +1,7 @@
 """Numerical laboratory for band-energy analysis of degenerate wave equations.
 
-The package builds a dyadic frequency decomposition on the periodic 1-D
-grid, solves Cauchy problems for wave operators whose leading coefficient
+The package builds a dyadic frequency decomposition on a uniform grid of
+the torus [0, 2*pi), solves Cauchy problems for wave operators whose leading coefficient
 may vanish to finite order, and verifies at desk scale the inequalities
 that make the energy argument close: band-wise Bernstein brackets,
 commutator norm decay, Schur sums of the cross-band kernels, decay-weight

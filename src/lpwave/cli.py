@@ -115,36 +115,33 @@ def _dispatch(args) -> int:
         return code
 
     if args.command == "solve":
-        traj = experiment.run_solve(cfg, out or "trajectory",
-                                    force=args.force)
-        print(f"saved {traj.n_saved} states to {out or 'trajectory'}")
+        traj = experiment.run_solve(cfg, out, force=args.force)
+        print(f"saved {traj.n_saved} states to {out}")
         return EXIT_OK
 
     if args.command == "decompose":
-        summary = experiment.run_decompose(cfg, out or "decompose",
-                                           source_csv=args.source)
+        summary = experiment.run_decompose(cfg, out, source_csv=args.source)
         print(f"nu_max {summary['nu_max']}, reconstruction error "
               f"{summary['reconstruction_error']:.3e}")
         return EXIT_OK
 
     if args.command == "commutator-scan":
-        _, report = experiment.run_commutator_scan(
-            cfg, out or "scan", t=args.t, nu_max=args.nu_max)
+        _, report = experiment.run_commutator_scan(cfg, out, t=args.t,
+                                                   nu_max=args.nu_max)
         slope = report.far_slope
         print(f"near constant {report.near_constant:.6f}, far slope "
               f"{'exact zero' if slope is None else f'{slope:.3f}'}")
         return EXIT_OK
 
     if args.command == "weights":
-        experiment.run_weights(cfg, out or "weights")
+        experiment.run_weights(cfg, out)
         print("weights.csv written")
         return EXIT_OK
 
     if args.command == "verify-energy":
         traj = solver.load_trajectory(args.traj,
                                       experiment.coefficient_set(cfg))
-        _, _, _, report = experiment.run_verify_energy(cfg, traj,
-                                                       out or "verify")
+        _, _, _, report = experiment.run_verify_energy(cfg, traj, out)
         print(f"max violation {report.max_violation:.3e} "
               f"(budget {report.budget:.1e})")
         return EXIT_OK if report.passed else EXIT_FAIL

@@ -36,7 +36,7 @@ NEAR_TIE_RTOL = 1e-12   # near entries this close to the maximum tie with it
 
 def _coef_values(coef, fam: CutoffFamily) -> np.ndarray:
     if isinstance(coef, GridFunction):
-        if coef.n_points != fam.n_points or coef.period != fam.period:
+        if coef.n_points != fam.n_points:
             raise GridMismatchError("coefficient grid differs from family grid")
         return coef.values
     vals = np.asarray(coef, dtype=complex)
@@ -47,14 +47,14 @@ def _coef_values(coef, fam: CutoffFamily) -> np.ndarray:
 
 def apply_commutator(coef, nu, mu, w: GridFunction, fam: CutoffFamily) -> GridFunction:
     """Apply [phi_nu(D), coef] psi_mu(D) to w."""
-    if w.n_points != fam.n_points or w.period != fam.period:
+    if w.n_points != fam.n_points:
         raise GridMismatchError("function grid differs from family grid")
     q = _coef_values(coef, fam)
     what = grid.fft(w.values)
     band = grid.ifft(fam.psi[mu] * what)
     first = grid.ifft(fam.phi[nu] * grid.fft(q * band))
     second = q * grid.ifft(fam.phi[nu] * fam.psi[mu] * what)
-    return GridFunction(first - second, w.period)
+    return GridFunction(first - second)
 
 
 def apply_commutator_adjoint(coef, nu, mu, w: GridFunction,
@@ -64,7 +64,7 @@ def apply_commutator_adjoint(coef, nu, mu, w: GridFunction,
     what = grid.fft(w.values)
     first = grid.ifft(fam.psi[mu] * grid.fft(q * grid.ifft(fam.phi[nu] * what)))
     second = grid.ifft(fam.psi[mu] * fam.phi[nu] * grid.fft(q * w.values))
-    return GridFunction(first - second, w.period)
+    return GridFunction(first - second)
 
 
 def _column_kernel(coef, nu, mu, fam: CutoffFamily) -> Optional[np.ndarray]:
@@ -122,8 +122,7 @@ def power_norm(coef, nu, mu, fam: CutoffFamily, tol=POWER_TOL) -> float:
     n = fam.n_points
 
     def applied(op):
-        return lambda v: op(q, nu, mu, GridFunction(np.ravel(v), fam.period),
-                            fam).values
+        return lambda v: op(q, nu, mu, GridFunction(np.ravel(v)), fam).values
 
     T = LinearOperator((n, n), matvec=applied(apply_commutator),
                        rmatvec=applied(apply_commutator_adjoint), dtype=complex)
@@ -154,7 +153,6 @@ class CommutatorScan:
     tolerance: float
     nu_max: int
     n_points: int
-    period: float
 
 
 def scan(cs, t, fam: CutoffFamily, method="dense-svd") -> CommutatorScan:
@@ -162,7 +160,7 @@ def scan(cs, t, fam: CutoffFamily, method="dense-svd") -> CommutatorScan:
     norm = {"dense-svd": dense_norm, "power-iteration": power_norm}.get(method)
     if norm is None:
         raise ValueError(f"unknown method {method!r}")
-    x = grid.grid_points(fam.n_points, fam.period)
+    x = grid.grid_points(fam.n_points)
     beta_vals = np.asarray(cs.beta(t, x), dtype=complex)
     b_vals = np.asarray(cs.b(t, x), dtype=complex)
     n = fam.nu_max + 1
@@ -173,7 +171,7 @@ def scan(cs, t, fam: CutoffFamily, method="dense-svd") -> CommutatorScan:
             norms_beta[nu, mu] = norm(beta_vals, nu, mu, fam)
             norms_b[nu, mu] = norm(b_vals, nu, mu, fam)
     return CommutatorScan(float(t), norms_beta, norms_b, method, POWER_TOL,
-                          fam.nu_max, fam.n_points, fam.period)
+                          fam.nu_max, fam.n_points)
 
 
 def scan_to_csv(s: CommutatorScan, path):

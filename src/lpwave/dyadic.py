@@ -7,6 +7,8 @@ phi0(2*xi) rescaled by 2**-nu, so the bands telescope to an exact
 partition of unity on |xi| <= 2**nu_max and every support statement holds
 with exact zeros, not small numbers.  Block nu of a grid function is the
 inverse transform of its coefficients multiplied by band nu's cutoff.
+Frequencies are those of the 2*pi torus, xi_m = m, so band norms are
+2*pi times coefficient sums by Plancherel.
 """
 
 from __future__ import annotations
@@ -59,23 +61,21 @@ class CutoffFamily:
     """
 
     n_points: int
-    period: float
     nu_max: int
     phi: np.ndarray   # shape (nu_max+1, n_points)
     psi: np.ndarray   # shape (nu_max+1, n_points)
 
     @property
     def xi(self) -> np.ndarray:
-        return grid.frequencies(self.n_points, self.period)
+        return grid.frequencies(self.n_points)
 
 
-def max_band_index(n_points, period=TWO_PI) -> int:
-    """Highest band whose support fits under the Nyquist frequency."""
-    nyquist = (TWO_PI / period) * (n_points // 2)
-    return int(np.floor(np.log2(nyquist))) - 1
+def max_band_index(n_points) -> int:
+    """Highest band whose support fits under the Nyquist frequency N/2."""
+    return int(np.floor(np.log2(n_points // 2))) - 1
 
 
-def build_cutoffs(n_points, period=TWO_PI, nu_max=None) -> CutoffFamily:
+def build_cutoffs(n_points, nu_max=None) -> CutoffFamily:
     """Tabulate the cutoff family for a grid.
 
     ``nu_max`` defaults to the largest band the grid can host; passing a
@@ -84,7 +84,7 @@ def build_cutoffs(n_points, period=TWO_PI, nu_max=None) -> CutoffFamily:
     """
     if n_points < 8 or not grid._is_pow2(n_points):
         raise ConfigurationError("grid size must be a power of two >= 8")
-    cap = max_band_index(n_points, period)
+    cap = max_band_index(n_points)
     if nu_max is None:
         nu_max = cap
     if nu_max > cap:
@@ -93,13 +93,13 @@ def build_cutoffs(n_points, period=TWO_PI, nu_max=None) -> CutoffFamily:
     if nu_max < 2:
         raise ConfigurationError(
             f"grid too small: would give nu_max={nu_max} < 2")
-    xi = grid.frequencies(n_points, period)
+    xi = grid.frequencies(n_points)
     rows = np.stack([band_cutoff(nu, xi) for nu in range(nu_max + 2)])
     phi = rows[: nu_max + 1]
     psi = rows[: nu_max + 1].copy()
     psi[1:] += rows[: nu_max]          # phi_{mu-1}
     psi[: nu_max + 1] += rows[1:]      # phi_{mu+1}
-    return CutoffFamily(n_points, period, nu_max, phi, psi)
+    return CutoffFamily(n_points, nu_max, phi, psi)
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,6 @@ class DyadicBlocks:
 
     spectra: np.ndarray   # shape (nu_max+1, n_points), FFT order
     n_points: int
-    period: float
     source_hash: str
 
     @property
@@ -126,11 +125,11 @@ class DyadicBlocks:
         return self.spectra[nu]
 
     def block(self, nu) -> GridFunction:
-        return grid.from_coefficients(self.spectra[nu], self.period)
+        return grid.from_coefficients(self.spectra[nu])
 
     def block_norms(self) -> np.ndarray:
         # Plancherel on the stored spectra; exact for band data
-        return np.sqrt(self.period * np.sum(np.abs(self.spectra) ** 2, axis=1))
+        return np.sqrt(TWO_PI * np.sum(np.abs(self.spectra) ** 2, axis=1))
 
     def block_norm(self, nu) -> float:
         return float(self.block_norms()[nu])
@@ -138,13 +137,13 @@ class DyadicBlocks:
 
 def band_norms_sq(fam: CutoffFamily, values) -> np.ndarray:
     """(rows, bands) squared L2 norms of the bands of each row of grid
-    ``values``: period * sum |phi_nu c|^2 with c = fft(row) / N, by
+    ``values``: 2*pi * sum |phi_nu c|^2 with c = fft(row) / N, by
     Plancherel.  Rows go a ``grid.row_chunks`` chunk at a time."""
     n, bands = fam.n_points, fam.nu_max + 1
     out = np.empty((len(values), bands))
     for rows in grid.row_chunks(len(values), n * bands):
         coeffs = grid.fft(values[rows]) / n
-        out[rows] = fam.period * np.sum(
+        out[rows] = TWO_PI * np.sum(
             np.abs(fam.phi * coeffs[:, None, :]) ** 2, axis=-1)
     return out
 
@@ -163,14 +162,14 @@ def sobolev_norms(fam: CutoffFamily, values, orders) -> np.ndarray:
 
 
 def _check_grid(w: GridFunction, fam: CutoffFamily):
-    if w.n_points != fam.n_points or w.period != fam.period:
+    if w.n_points != fam.n_points:
         raise grid.GridMismatchError("function and cutoff family grids differ")
 
 
 def decompose(w: GridFunction, fam: CutoffFamily) -> DyadicBlocks:
     _check_grid(w, fam)
     coeffs = grid.coefficients(w)
-    return DyadicBlocks(fam.phi * coeffs[None, :], w.n_points, w.period,
+    return DyadicBlocks(fam.phi * coeffs[None, :], w.n_points,
                         grid.content_hash(w))
 
 
@@ -181,7 +180,7 @@ def reconstruct(blocks: DyadicBlocks) -> GridFunction:
     total = np.zeros(blocks.n_points, dtype=complex)
     for nu in range(len(blocks)):
         total = total + blocks.block(nu).values
-    return GridFunction(total, blocks.period)
+    return GridFunction(total)
 
 
 def sobolev_norm(w: GridFunction, m, fam: CutoffFamily) -> float:
@@ -197,10 +196,10 @@ def sobolev_norm(w: GridFunction, m, fam: CutoffFamily) -> float:
 
 def sobolev_norm_multiplier(w: GridFunction, m) -> float:
     """H^m norm via the Fourier multiplier (1+|xi|^2)^(m/2)."""
-    xi = grid.frequencies(w.n_points, w.period)
+    xi = grid.frequencies(w.n_points)
     coeffs = grid.coefficients(w)
-    return float(np.sqrt(w.period * np.sum((1.0 + xi ** 2) ** m
-                                           * np.abs(coeffs) ** 2)))
+    return float(np.sqrt(TWO_PI * np.sum((1.0 + xi ** 2) ** m
+                                         * np.abs(coeffs) ** 2)))
 
 
 def bernstein_ratio(blocks: DyadicBlocks, nu) -> float:
@@ -210,11 +209,11 @@ def bernstein_ratio(blocks: DyadicBlocks, nu) -> float:
     asserts the bracket.  Raises ZeroBlockError on a vanishing block.
     """
     spec = blocks.spectrum(nu)
-    base = np.sqrt(blocks.period * np.sum(np.abs(spec) ** 2))
+    base = np.sqrt(TWO_PI * np.sum(np.abs(spec) ** 2))
     if not base > 0.0:
         raise ZeroBlockError(f"block {nu} is zero; ratio undefined")
-    xi = grid.frequencies(blocks.n_points, blocks.period)
-    grad = np.sqrt(blocks.period * np.sum(np.abs(xi * spec) ** 2))
+    xi = grid.frequencies(blocks.n_points)
+    grad = np.sqrt(TWO_PI * np.sum(np.abs(xi * spec) ** 2))
     return float(grad / base)
 
 

@@ -62,9 +62,9 @@ def energy_table(traj: Trajectory, fam: CutoffFamily,
     once per chunk, on its column of times.
     """
     n = traj.n_points
-    x = grid.grid_points(n, traj.period)
-    ik_phi = 1j * grid.frequencies(n, traj.period) * fam.phi
-    dx_w = traj.period / n
+    x = grid.grid_points(n)
+    ik_phi = 1j * grid.frequencies(n) * fam.phi
+    dx_w = TWO_PI / n
     out = np.empty((fam.nu_max + 1, traj.n_saved))
     eps = epsilon_array(cs.k, fam.nu_max)[:, None]
     kinetic = band_norms_sq(fam, traj.ut)
@@ -244,7 +244,7 @@ def calibrate_constants(cs: CoefficientSet, fam: CutoffFamily,
     sigma is set to it, leaving a factor-2 margin over the sigma > C/2
     requirement.
     """
-    x = grid.grid_points(fam.n_points, fam.period)
+    x = grid.grid_points(fam.n_points)
     lam = min(cs.lambda0, 1.0)
     sup_beta_t = _sup_scan(functools.partial(cs.beta_time_derivative, 1),
                            cs, x, nt)
@@ -420,24 +420,24 @@ class LossReport:
                 "found": self.found, "note": self.note}
 
 
-def _rough_data(n_points, period, m, seed, xi_cap):
+def _rough_data(n_points, m, seed, xi_cap):
     """Data filling the band with |coef| ~ |xi|^-(m+3/2): marginally H^(m+1).
 
     Coefficients for each frequency are drawn once from a per-frequency
     stream, so refining the grid extends the same function.
     """
-    xi = grid.frequencies(n_points, period)
+    xi = grid.frequencies(n_points)
     c0 = np.zeros(n_points, dtype=complex)
     c1 = np.zeros(n_points, dtype=complex)
     for j in range(n_points):
-        q = int(round(xi[j] * period / (2.0 * np.pi)))
+        q = int(xi[j])
         if q == 0 or abs(xi[j]) > xi_cap:
             continue
         sub = np.random.default_rng([seed, q & 0xFFFF, q > 0])
         ph0, ph1 = sub.uniform(0, 2 * np.pi, 2)
         c0[j] = np.exp(1j * ph0) * np.abs(xi[j]) ** (-(m + 1.5))
         c1[j] = np.exp(1j * ph1) * np.abs(xi[j]) ** (-(m + 0.5))
-    return (grid.from_coefficients(c0, period), grid.from_coefficients(c1, period))
+    return grid.from_coefficients(c0), grid.from_coefficients(c1)
 
 
 def estimate_loss(cs: CoefficientSet, m, deltas, grid_sizes=(128, 256, 512),
@@ -453,10 +453,10 @@ def estimate_loss(cs: CoefficientSet, m, deltas, grid_sizes=(128, 256, 512),
     deltas = np.asarray(deltas, dtype=float)
     ratios_by_n = {}
     for n_pts in grid_sizes:
-        fam = build_cutoffs(n_pts, TWO_PI)
+        fam = build_cutoffs(n_pts)
         xi_cap = 2.0 ** fam.nu_max
-        u0, u1 = _rough_data(n_pts, TWO_PI, m, seed, xi_cap)
-        limit = 0.999 * cfl_limit(cs, n_pts, TWO_PI, LOSS_C_CFL)
+        u0, u1 = _rough_data(n_pts, m, seed, xi_cap)
+        limit = 0.999 * cfl_limit(cs, n_pts, LOSS_C_CFL)
         steps = int(np.ceil(cs.T / limit))
         save_every = max(1, steps // 128)
         # round up to a multiple of save_every, so the final time is saved
@@ -464,19 +464,19 @@ def estimate_loss(cs: CoefficientSet, m, deltas, grid_sizes=(128, 256, 512),
         traj = solve_cauchy(cs, u0, u1, f=None, M=steps, check=False,
                             save_every=save_every)
         ratios_by_n[n_pts] = loss_ratio_curve(traj, fam, m, deltas)
-    found = None
-    for j, d in enumerate(deltas):
-        vals = np.array([ratios_by_n[n][j] for n in grid_sizes])
-        if np.all(vals > 0) and vals.max() / vals.min() <= LOSS_STABILITY:
-            found = j
-            break
-    if found is None:
+    ratios = np.array([ratios_by_n[n] for n in grid_sizes])   # (sizes, deltas)
+    positive = np.all(ratios > 0, axis=0)
+    # max / min only where every ratio is > 0; the rest stay unstable
+    spread = np.divide(ratios.max(axis=0), ratios.min(axis=0),
+                       out=np.full(deltas.shape, np.inf), where=positive)
+    stable = np.flatnonzero(spread <= LOSS_STABILITY)
+    if not stable.size:
         return LossReport(None, None, deltas, ratios_by_n, LOSS_STABILITY,
                           False,
                           note="no delta in the grid was refinement-stable")
-    worst = max(ratios_by_n[n][found] for n in grid_sizes)
-    return LossReport(float(deltas[found]), float(worst), deltas, ratios_by_n,
-                      LOSS_STABILITY, True)
+    found = stable[0]
+    return LossReport(float(deltas[found]), float(ratios[:, found].max()),
+                      deltas, ratios_by_n, LOSS_STABILITY, True)
 
 
 # ---------------------------------------------------------------------------

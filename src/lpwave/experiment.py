@@ -72,6 +72,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown data kind {self.data!r}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        if not self.output_dir:
+            raise ConfigError("output_dir must not be empty")
         deltas = self.delta_grid
         if not deltas or deltas[0] <= 0 or any(
                 a >= b for a, b in zip(deltas, deltas[1:])):
@@ -297,8 +299,7 @@ def run_verify_energy(cfg: ExperimentConfig, traj, out_dir):
         raise ConfigurationError("trajectory was saved on another grid: "
                                  + "; ".join(differ))
     cs = traj.coeffs
-    fam = dyadic.build_cutoffs(traj.n_points, traj.period,
-                               nu_max=cfg.nu_max_override)
+    fam = dyadic.build_cutoffs(traj.n_points, nu_max=cfg.nu_max_override)
     s = commutator.scan(cs, scan_time(cs), fam)
     constants = energy.calibrate_constants(cs, fam, s)
     ledger = energy.build_ledger(traj, fam, cs, constants)

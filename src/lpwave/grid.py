@@ -1,14 +1,14 @@
 """Periodic grid functions and basic spectral operations.
 
-Everything in this package lives on a uniform 1-D periodic grid with N a
-power of two.  A :class:`GridFunction` stores complex samples at
-x_j = j*period/N.  Fourier coefficients use the convention
+Everything in this package lives on the torus [0, 2*pi), sampled on a
+uniform grid with N a power of two.  A :class:`GridFunction` stores
+complex samples at x_j = 2*pi*j/N.  Fourier coefficients use the convention
 
-    w(x) = sum_m  c_m * exp(i*xi_m*x),     xi_m = (2*pi/period)*m,
+    w(x) = sum_m  c_m * exp(i*xi_m*x),     xi_m = m,
 
 so ``coefficients(w) == fft(w.values)/N`` and the discrete L2 norm
 ``sqrt(dx * sum |w_j|^2)`` satisfies Plancherel exactly:
-``norm(w)^2 == period * sum |c_m|^2``.
+``norm(w)^2 == 2*pi * sum |c_m|^2``.
 
 Every transform in the package goes through :func:`fft` and :func:`ifft`
 here, along the last axis.  They call scipy's pocketfft binding directly,
@@ -43,10 +43,9 @@ def _is_pow2(n: int) -> bool:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples of a periodic function on a uniform grid."""
+    """Complex samples of a 2*pi-periodic function on a uniform grid."""
 
     values: np.ndarray
-    period: float = TWO_PI
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=complex)
@@ -56,8 +55,6 @@ class GridFunction:
         n = vals.shape[0]
         if n < 8 or not _is_pow2(n):
             raise ValueError(f"grid size must be a power of two >= 8, got {n}")
-        if not self.period > 0:
-            raise ValueError("period must be positive")
 
     @property
     def n_points(self) -> int:
@@ -65,22 +62,22 @@ class GridFunction:
 
     @property
     def dx(self) -> float:
-        return self.period / self.n_points
+        return TWO_PI / self.n_points
 
     @property
     def x(self) -> np.ndarray:
-        return grid_points(self.n_points, self.period)
+        return grid_points(self.n_points)
 
     def __add__(self, other):
         same_grid(self, other)
-        return GridFunction(self.values + other.values, self.period)
+        return GridFunction(self.values + other.values)
 
     def __sub__(self, other):
         same_grid(self, other)
-        return GridFunction(self.values - other.values, self.period)
+        return GridFunction(self.values - other.values)
 
     def __mul__(self, scalar):
-        return GridFunction(self.values * scalar, self.period)
+        return GridFunction(self.values * scalar)
 
     __rmul__ = __mul__
 
@@ -105,13 +102,13 @@ def row_chunks(n_rows, row_width):
         yield slice(start, min(start + size, n_rows))
 
 
-def grid_points(n_points, period=TWO_PI):
-    return np.arange(n_points) * (period / n_points)
+def grid_points(n_points):
+    return np.arange(n_points) * (TWO_PI / n_points)
 
 
-def frequencies(n_points, period=TWO_PI):
-    """Angular frequencies xi_m in FFT order (integers when period=2*pi)."""
-    return np.fft.fftfreq(n_points, d=1.0 / n_points) * (TWO_PI / period)
+def frequencies(n_points):
+    """Angular frequencies xi_m = m in FFT order, as floats."""
+    return np.fft.fftfreq(n_points, d=1.0 / n_points)
 
 
 def coefficients(w: GridFunction) -> np.ndarray:
@@ -119,22 +116,20 @@ def coefficients(w: GridFunction) -> np.ndarray:
     return fft(w.values) / w.n_points
 
 
-def from_coefficients(coeffs, period=TWO_PI) -> GridFunction:
+def from_coefficients(coeffs) -> GridFunction:
     coeffs = np.asarray(coeffs)
-    return GridFunction(ifft(coeffs * coeffs.shape[0]), period)
+    return GridFunction(ifft(coeffs * coeffs.shape[0]))
 
 
-def from_callable(fn, n_points, period=TWO_PI) -> GridFunction:
+def from_callable(fn, n_points) -> GridFunction:
     """Sample ``fn(x)`` on the grid; fn must accept an array."""
-    x = grid_points(n_points, period)
-    return GridFunction(np.asarray(fn(x), dtype=complex), period)
+    return GridFunction(np.asarray(fn(grid_points(n_points)), dtype=complex))
 
 
 def same_grid(f: GridFunction, g: GridFunction):
-    if f.n_points != g.n_points or f.period != g.period:
+    if f.n_points != g.n_points:
         raise GridMismatchError(
-            f"grids differ: ({f.n_points}, {f.period}) vs ({g.n_points}, {g.period})"
-        )
+            f"grids differ: N = {f.n_points} vs {g.n_points}")
 
 
 def norm(w: GridFunction) -> float:
@@ -150,17 +145,16 @@ def inner(f: GridFunction, g: GridFunction) -> complex:
 
 def derivative(w: GridFunction, order: int = 1) -> GridFunction:
     """Spectral derivative: multiply coefficients by (i*xi)^order."""
-    return GridFunction(derivative_values(w.values, w.period, order), w.period)
+    return GridFunction(derivative_values(w.values, order))
 
 
-def derivative_values(values, period=TWO_PI, order=1):
+def derivative_values(values, order=1):
     """Array version of :func:`derivative` for hot loops."""
-    n = values.shape[0]
-    xi = frequencies(n, period)
+    xi = frequencies(values.shape[0])
     return ifft((1j * xi) ** order * fft(values))
 
 
-def random_band_limited(n_points, period=TWO_PI, xi_max=None, rng=None,
+def random_band_limited(n_points, xi_max=None, rng=None,
                         decay=0.0) -> GridFunction:
     """Random function with Fourier support in |xi| <= xi_max.
 
@@ -172,20 +166,21 @@ def random_band_limited(n_points, period=TWO_PI, xi_max=None, rng=None,
         rng = np.random.default_rng()
     elif isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    xi = frequencies(n_points, period)
+    xi = frequencies(n_points)
     if xi_max is None:
-        nyquist = (TWO_PI / period) * (n_points // 2)
-        xi_max = 2.0 ** (int(np.floor(np.log2(nyquist))) - 1)
+        xi_max = 2.0 ** (int(np.floor(np.log2(n_points // 2))) - 1)
     coeffs = (rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points))
     coeffs *= (1.0 + np.abs(xi)) ** (-decay)
     coeffs[np.abs(xi) > xi_max] = 0.0
-    return from_coefficients(coeffs, period)
+    return from_coefficients(coeffs)
 
 
 def content_hash(w: GridFunction) -> str:
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(w.values).tobytes())
-    h.update(repr(float(w.period)).encode())
+    # the period follows the values, as in hashes already on disk, so the
+    # source_hash in decompose.json keeps its value
+    h.update(repr(TWO_PI).encode())
     return h.hexdigest()[:16]
 
 
@@ -243,8 +238,8 @@ def to_csv(w: GridFunction, path):
                   w.values.imag.tolist()))
 
 
-def from_csv(path, period=TWO_PI) -> GridFunction:
+def from_csv(path) -> GridFunction:
     re, im = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(2, 3),
                         unpack=True)
-    return GridFunction(re + 1j * im, period)
+    return GridFunction(re + 1j * im)
 

@@ -1,19 +1,19 @@
 """Pseudospectral time-domain solver for the degenerate wave operator.
 
-One array-level kernel, ``_terms``, holds the spatial operator: spectral
-x-derivatives through a 1j*xi multiplier built once per grid, pointwise
-coefficient products, and the divergence-form term evaluated as
-d_x(a * d_x u) so the structure the energy analysis integrates by parts
-against is preserved exactly.  ``apply_L``, the RK4 right-hand side, the
-manufactured forcing and ``operator_blocks`` all call it.  Time stepping is
-classical fourth-order Runge-Kutta on the first-order system, one (2, N)
-state y = (u, d_t u), with an explicit CFL bound tied to sup a.  The work
-that depends on time alone is taken out of the step loop: for a chunk of
-steps the stage times t, t + dt/2 and t + dt form one column, and a, b, c
-and the forcing are tabulated on it in one call each, so the loop itself
-only makes the four operator FFTs per stage.  Coefficient callables and
-forcings must therefore accept a column of times, (S, 1), as well as a
-scalar.
+One array-level kernel, ``_terms``, holds the spatial operator on the 2*pi
+torus: spectral x-derivatives through a 1j*xi multiplier built once per
+grid size, pointwise coefficient products, and the divergence-form term
+evaluated as d_x(a * d_x u) so the structure the energy analysis
+integrates by parts against is preserved exactly.  ``apply_L``, the RK4
+right-hand side, the manufactured forcing and ``operator_blocks`` all call
+it.  Time stepping is classical fourth-order Runge-Kutta on the
+first-order system, one (2, N) state y = (u, d_t u), with an explicit CFL
+bound tied to sup a.  The work that depends on time alone is taken out of
+the step loop: for a chunk of steps the stage times t, t + dt/2 and t + dt
+form one column, and a, b, c and the forcing are tabulated on it in one
+call each, so the loop itself only makes the four operator FFTs per stage.
+Coefficient callables and forcings must therefore accept a column of
+times, (S, 1), as well as a scalar.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class Trajectory:
     u: np.ndarray              # (n_saved, N) complex
     ut: np.ndarray             # (n_saved, N) complex
     dt: float                  # spacing of `times`
-    period: float
     coeffs: CoefficientSet
     solver_dt: float           # integrator step (dt = save_every * solver_dt)
 
@@ -57,16 +56,16 @@ class Trajectory:
         return self.u.shape[1]
 
     def u_at(self, i) -> GridFunction:
-        return GridFunction(self.u[i], self.period)
+        return GridFunction(self.u[i])
 
     def ut_at(self, i) -> GridFunction:
-        return GridFunction(self.ut[i], self.period)
+        return GridFunction(self.ut[i])
 
 
 @functools.lru_cache(maxsize=32)
-def _ik(n_points, period):
+def _ik(n_points):
     """The spectral d_x multiplier 1j*xi of one grid, shared read-only."""
-    ik = 1j * grid.frequencies(n_points, period)
+    ik = 1j * grid.frequencies(n_points)
     ik.flags.writeable = False
     return ik
 
@@ -81,7 +80,7 @@ def _terms(a, b, c, ik, u):
 
     Plain arrays in and out, the FFTs along the last axis, so rows of u
     may be states at different times with matching coefficient rows;
-    ``ik`` is ``_ik(N, period)`` of the grid.  u may be real:
+    ``ik`` is ``_ik(N)`` of the grid.  u may be real:
     :func:`lpwave.grid.fft` casts it to complex.
     """
     ux = grid.ifft(ik * grid.fft(u))
@@ -97,8 +96,8 @@ def apply_L(cs: CoefficientSet, u: GridFunction, ut2: GridFunction,
     """
     same_grid(u, ut2)
     div, bux, cu = _terms(*_coefficients(cs, t, u.x),
-                          _ik(u.n_points, u.period), u.values)
-    return GridFunction(ut2.values - div + bux + cu, u.period)
+                          _ik(u.n_points), u.values)
+    return GridFunction(ut2.values - div + bux + cu)
 
 
 @dataclass(frozen=True)
@@ -109,10 +108,9 @@ class SpaceTimeFunction:
     ut: Callable
     utt: Callable
 
-    def initial_data(self, n_points, period=TWO_PI):
-        x = grid.grid_points(n_points, period)
-        return (GridFunction(self.u(0.0, x), period),
-                GridFunction(self.ut(0.0, x), period))
+    def initial_data(self, n_points):
+        x = grid.grid_points(n_points)
+        return GridFunction(self.u(0.0, x)), GridFunction(self.ut(0.0, x))
 
 
 def cosine_mode(freq=1) -> SpaceTimeFunction:
@@ -133,29 +131,26 @@ def manufactured_rhs(cs: CoefficientSet, exact: SpaceTimeFunction) -> Callable:
     scalar or an (S, 1) column of times, giving one row per time.
     """
     def f(t, x):
-        n = x.shape[0]
         u = np.asarray(exact.u(t, x), dtype=complex)
-        div, bux, cu = _terms(*_coefficients(cs, t, x),
-                              _ik(n, float(x[1] - x[0]) * n), u)
+        div, bux, cu = _terms(*_coefficients(cs, t, x), _ik(x.shape[0]), u)
         return np.asarray(exact.utt(t, x), dtype=complex) - div + bux + cu
 
     return f
 
 
 @functools.lru_cache(maxsize=32)
-def sup_a(cs: CoefficientSet, n_points, period=TWO_PI) -> float:
+def sup_a(cs: CoefficientSet, n_points) -> float:
     """max(0, sup a) over [0, T] x grid; memoised, because estimate_loss
     and solve_cauchy both ask for it on every grid."""
-    x = grid.grid_points(n_points, period)
+    x = grid.grid_points(n_points)
     t = np.linspace(0.0, cs.T, SCAN_TIMES)
     return max(0.0, float(np.max(tensor_scan(cs.a, t, x))))
 
 
-def cfl_limit(cs: CoefficientSet, n_points, period=TWO_PI,
-              c_cfl=C_CFL) -> float:
+def cfl_limit(cs: CoefficientSet, n_points, c_cfl=C_CFL) -> float:
     """Largest stable step: c_cfl * dx / sqrt(sup a + 1)."""
-    dx = period / n_points
-    return c_cfl * dx / np.sqrt(sup_a(cs, n_points, period) + 1.0)
+    dx = TWO_PI / n_points
+    return c_cfl * dx / np.sqrt(sup_a(cs, n_points) + 1.0)
 
 
 def _stage_times(start, stop, dt) -> np.ndarray:
@@ -193,11 +188,11 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
             ids = ", ".join(r.condition_id for r in failures)
             raise ConditionError(f"coefficient checks failed: {ids}")
     dt = cs.T / M
-    limit = cfl_limit(cs, u0.n_points, u0.period)
+    limit = cfl_limit(cs, u0.n_points)
     if dt > limit * (1.0 + 1e-12):
         raise CFLError(f"dt = {dt:.3e} exceeds stability bound {limit:.3e}")
 
-    n, x, ik = u0.n_points, u0.x, _ik(u0.n_points, u0.period)
+    n, x, ik = u0.n_points, u0.x, _ik(u0.n_points)
     half, sixth = dt / 2, dt / 6
     n_saved = M // save_every + 1
     times = np.empty(n_saved)
@@ -233,7 +228,7 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
                 times[saved] = (step + 1) * dt
                 us[saved], uts[saved] = y
                 saved += 1
-    return Trajectory(times, us, uts, dt * save_every, u0.period, cs, dt)
+    return Trajectory(times, us, uts, dt * save_every, cs, dt)
 
 
 def second_time_derivative(traj: Trajectory, rows: slice) -> np.ndarray:
@@ -262,8 +257,8 @@ def operator_blocks(cs: CoefficientSet, traj: Trajectory):
     (rows, values) blocks of ``grid.row_chunks``: one coefficient call on
     the column of a block's times and one batched operator per block, so
     temporaries stay small for long trajectories."""
-    x = grid.grid_points(traj.n_points, traj.period)
-    ik = _ik(traj.n_points, traj.period)
+    x = grid.grid_points(traj.n_points)
+    ik = _ik(traj.n_points)
     for rows in grid.row_chunks(traj.n_saved, traj.n_points):
         div, bux, cu = _terms(*_coefficients(cs, traj.times[rows, None], x),
                               ik, traj.u[rows])
@@ -275,10 +270,10 @@ def residual_norm(traj: Trajectory, i, f: Optional[Callable] = None) -> float:
     i = range(traj.n_saved)[i]
     t, u = float(traj.times[i]), traj.u_at(i)
     ut2 = second_time_derivative(traj, slice(i, i + 1))[0]
-    vals = apply_L(traj.coeffs, u, GridFunction(ut2, traj.period), t).values
+    vals = apply_L(traj.coeffs, u, GridFunction(ut2), t).values
     if f is not None:
         vals = vals - f(t, u.x)
-    return grid.norm(GridFunction(vals, traj.period))
+    return grid.norm(GridFunction(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +293,7 @@ def save_trajectory(traj: Trajectory, out_dir):
         "dt": traj.dt,
         "solver_dt": traj.solver_dt,
         "M": traj.n_saved - 1,
-        "period": traj.period,
+        "period": TWO_PI,
         "coefficients": _coefficients_record(traj.coeffs),
         "saved_indices": list(range(traj.n_saved)),
         "times": [float(t) for t in traj.times],
@@ -306,7 +301,7 @@ def save_trajectory(traj: Trajectory, out_dir):
     grid.write_json(os.path.join(out_dir, "trajectory.json"), manifest)
     # the index and x columns are the same in every file: format them once
     index = list(map(str, range(traj.n_points)))
-    x = list(map(str, grid.grid_points(traj.n_points, traj.period).tolist()))
+    x = list(map(str, grid.grid_points(traj.n_points).tolist()))
     for i in range(traj.n_saved):
         grid.write_csv(os.path.join(out_dir, f"state_{i:06d}.csv"),
                        ["index", "x", "re_u", "im_u", "re_ut", "im_ut"],
@@ -319,10 +314,15 @@ def load_trajectory(out_dir, cs: Optional[CoefficientSet] = None) -> Trajectory:
     """Load a saved trajectory; rebuilds built-in families from the manifest.
 
     A ``cs`` that differs from the manifest's coefficient record is refused
-    with a ConfigurationError naming each differing key.
+    with a ConfigurationError naming each differing key, and so is a
+    manifest whose period is not 2*pi, the only domain the package has.
     """
     with open(os.path.join(out_dir, "trajectory.json")) as fh:
         manifest = json.load(fh)
+    if manifest["period"] != TWO_PI:
+        raise ConfigurationError(
+            f"trajectory was saved with period {manifest['period']!r}, "
+            f"not 2*pi")
     p = manifest["coefficients"]
     if cs is None:
         cs = builtin_family(p["family"], k=p["k"], gamma=p["gamma"],
@@ -344,5 +344,5 @@ def load_trajectory(out_dir, cs: Optional[CoefficientSet] = None) -> Trajectory:
             skiprows=1, usecols=(2, 3, 4, 5), unpack=True)
         us[i] = re_u + 1j * im_u
         uts[i] = re_ut + 1j * im_ut
-    return Trajectory(times, us, uts, manifest["dt"], manifest["period"],
-                      cs, manifest["solver_dt"])
+    return Trajectory(times, us, uts, manifest["dt"], cs,
+                      manifest["solver_dt"])

@@ -171,6 +171,36 @@ def test_verify_energy_refuses_other_grid(tmp_path, tiny_cfg, capsys):
                  str(traj_dir), "--out", str(tmp_path / "same")]) == 0
 
 
+def test_verify_energy_refuses_other_period(tmp_path, tiny_cfg, capsys):
+    # the grid is the 2*pi torus: a manifest recorded at another period
+    # is outside input, not a trajectory of this package
+    traj_dir = tmp_path / "traj"
+    assert main(["solve", "--config", tiny_cfg, "--out", str(traj_dir)]) == 0
+    path = traj_dir / "trajectory.json"
+    manifest = json.loads(path.read_text())
+    manifest["period"] = 3.141592653589793
+    path.write_text(json.dumps(manifest))
+    assert main(["verify-energy", "--config", tiny_cfg, "--traj",
+                 str(traj_dir), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "period 3.14159" in err, err
+
+
+@pytest.mark.parametrize("command", ["solve", "pipeline"])
+def test_empty_output_dir_is_config_error(tmp_path, capsys, monkeypatch,
+                                          command):
+    # no --out and an empty output_dir: nothing may land in the cwd
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(TINY + "output_dir =\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: output_dir must not be empty" in err, err
+    assert not list(work.iterdir())
+
+
 def test_commutator_scan_nu_max_zero_is_config_error(tmp_path, tiny_cfg):
     assert main(["commutator-scan", "--config", tiny_cfg, "--nu-max", "0",
                  "--out", str(tmp_path / "scan")]) == 2

@@ -181,7 +181,7 @@ def test_verify_decay_broad_spectrum_slope():
         for mu in range(n):
             norms[nu, mu] = dense_norm(coef, nu, mu, fam)
     s = CommutatorScan(0.0, norms, np.zeros_like(norms), "dense-svd", 1e-8,
-                       fam.nu_max, 512, fam.period)
+                       fam.nu_max, 512)
     report = verify_decay(s)
     assert not report.far_exact_zero
     assert report.far_points >= 10
@@ -192,7 +192,7 @@ def test_schur_kernel_zero_for_constant_beta():
     cs = builtin_family("monomial", k=2)
     n = 7
     s = CommutatorScan(0.5, np.zeros((n, n)), np.zeros((n, n)), "dense-svd",
-                       1e-8, n - 1, 256, 2 * np.pi)
+                       1e-8, n - 1, 256)
     k = schur_kernel(s, np.zeros(n), 0.5, cs)
     assert k.row_sum == 0.0 and k.col_sum == 0.0
 
@@ -204,7 +204,7 @@ def test_schur_kernel_diagonal_toy():
     C = 0.7
     norms = np.diag([C * 2.0 ** -nu for nu in range(n)])
     s = CommutatorScan(0.0, norms, np.zeros((n, n)), "dense-svd", 1e-8,
-                       n - 1, 256, 2 * np.pi)
+                       n - 1, 256)
     k = schur_kernel(s, np.zeros(n), 0.0, cs)   # alpha(0) = 1 for this family
     assert abs(k.row_sum - C) < 1e-12
     assert abs(k.col_sum - C) < 1e-12
@@ -215,7 +215,7 @@ def test_schur_kernel_diagonal_toy():
         for mu in range(max(0, nu - 2), min(n, nu + 3)):
             norms_band[nu, mu] = C * 2.0 ** -nu
     s2 = CommutatorScan(0.0, norms_band, np.zeros((n, n)), "dense-svd", 1e-8,
-                        n - 1, 256, 2 * np.pi)
+                        n - 1, 256)
     k2 = schur_kernel(s2, h, 0.0, cs)
     assert k2.row_sum <= 5.0 * C * np.exp(0.3)
     assert k2.col_sum <= 5.0 * C * np.exp(0.3)
@@ -248,7 +248,7 @@ def test_b_kernel_uses_epsilon_column():
     n = 4
     norms_b = np.full((n, n), 0.1)
     s = CommutatorScan(0.5, np.zeros((n, n)), norms_b, "dense-svd", 1e-8,
-                       n - 1, 64, 2 * np.pi)
+                       n - 1, 64)
     eps = np.array([1.0, 0.5, 0.25, 0.125])
     k = schur_kernel(s, np.zeros(n), 0.5, cs, which="b", epsilons=eps)
     expect_row = 0.1 * np.sum(1.0 / eps)
@@ -315,7 +315,7 @@ def _decay_report_loop(s):
 def _table_scan(norms):
     n = norms.shape[0]
     return CommutatorScan(0.0, norms, np.zeros_like(norms), "dense-svd", 1e-8,
-                          n - 1, 256, 2 * np.pi)
+                          n - 1, 256)
 
 
 def _shipped_scan(cfg_name, n_points):

@@ -24,13 +24,13 @@ VALUES = np.array([0.0, -0.0 + 1j, 0.1 - 2.5j, 1e-20, 3.0, -1.5e300j, 2.0, 0.5])
 
 
 def _grid(tmp_path):
-    grid.to_csv(GridFunction(VALUES, 8.0), tmp_path / "grid.csv")
+    grid.to_csv(GridFunction(VALUES), tmp_path / "grid.csv")
     return tmp_path / "grid.csv"
 
 
 def _state(tmp_path):
     traj = solver.Trajectory(np.array([0.0]), VALUES[None, :],
-                             -VALUES[None, ::-1], 0.5, 8.0,
+                             -VALUES[None, ::-1], 0.5,
                              builtin_family("monomial"), 0.5)
     solver.save_trajectory(traj, tmp_path / "traj")
     return tmp_path / "traj" / "state_000000.csv"
@@ -39,7 +39,7 @@ def _state(tmp_path):
 def _cutoffs(tmp_path):
     phi = np.array([[1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5],
                     [0.0, 0.5, 1.0, 0.25, 0.0, 0.25, 1.0, 0.5]])
-    fam = dyadic.CutoffFamily(8, 2 * np.pi, 1, phi, phi)
+    fam = dyadic.CutoffFamily(8, 1, phi, phi)
     dyadic.cutoffs_to_csv(fam, tmp_path / "cutoffs.csv")
     return tmp_path / "cutoffs.csv"
 
@@ -47,8 +47,7 @@ def _cutoffs(tmp_path):
 def _scan(tmp_path):
     s = commutator.CommutatorScan(
         0.5, np.array([[0.0, 1e-17], [0.25, -0.0]]),
-        np.array([[2.0, 0.0], [3.5, 1.0 / 3.0]]), "dense-svd", 1e-8, 1, 8,
-        2 * np.pi)
+        np.array([[2.0, 0.0], [3.5, 1.0 / 3.0]]), "dense-svd", 1e-8, 1, 8)
     commutator.scan_to_csv(s, tmp_path / "scan.csv")
     return tmp_path / "scan.csv"
 
@@ -86,24 +85,24 @@ CASES = {
     "grid": (_grid, [
         "index,x,re,im",
         "0,0.0,0.0,0.0",
-        "1,1.0,0.0,1.0",
-        "2,2.0,0.1,-2.5",
-        "3,3.0,1e-20,0.0",
-        "4,4.0,3.0,0.0",
-        "5,5.0,-0.0,-1.5e+300",
-        "6,6.0,2.0,0.0",
-        "7,7.0,0.5,0.0",
+        "1,0.7853981633974483,0.0,1.0",
+        "2,1.5707963267948966,0.1,-2.5",
+        "3,2.356194490192345,1e-20,0.0",
+        "4,3.141592653589793,3.0,0.0",
+        "5,3.9269908169872414,-0.0,-1.5e+300",
+        "6,4.71238898038469,2.0,0.0",
+        "7,5.497787143782138,0.5,0.0",
     ]),
     "state": (_state, [
         "index,x,re_u,im_u,re_ut,im_ut",
         "0,0.0,0.0,0.0,-0.5,-0.0",
-        "1,1.0,0.0,1.0,-2.0,-0.0",
-        "2,2.0,0.1,-2.5,0.0,1.5e+300",
-        "3,3.0,1e-20,0.0,-3.0,-0.0",
-        "4,4.0,3.0,0.0,-1e-20,-0.0",
-        "5,5.0,-0.0,-1.5e+300,-0.1,2.5",
-        "6,6.0,2.0,0.0,-0.0,-1.0",
-        "7,7.0,0.5,0.0,-0.0,-0.0",
+        "1,0.7853981633974483,0.0,1.0,-2.0,-0.0",
+        "2,1.5707963267948966,0.1,-2.5,0.0,1.5e+300",
+        "3,2.356194490192345,1e-20,0.0,-3.0,-0.0",
+        "4,3.141592653589793,3.0,0.0,-1e-20,-0.0",
+        "5,3.9269908169872414,-0.0,-1.5e+300,-0.1,2.5",
+        "6,4.71238898038469,2.0,0.0,-0.0,-1.0",
+        "7,5.497787143782138,0.5,0.0,-0.0,-0.0",
     ]),
     "cutoffs": (_cutoffs, [
         "nu,xi,phi",

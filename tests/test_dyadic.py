@@ -23,7 +23,7 @@ def naive_block(w, fam, nu):
     vals = np.zeros(n, dtype=complex)
     for m in range(n):
         vals += fam.phi[nu, m] * coeffs[m] * np.exp(2j * np.pi * m * j / n)
-    return GridFunction(vals, w.period)
+    return GridFunction(vals)
 
 
 def test_profile_plateaus_and_monotonicity():
@@ -42,8 +42,6 @@ def test_nu_max_formula():
     assert build_cutoffs(256).nu_max == 6
     assert build_cutoffs(128).nu_max == 5
     assert build_cutoffs(1024).nu_max == 8
-    # halving the period doubles the frequencies, shifting nu_max by one
-    assert build_cutoffs(256, period=np.pi).nu_max == 7
 
 
 def test_small_grid_rejected():
@@ -174,14 +172,13 @@ def test_sobolev_norm_vs_multiplier():
 
 
 @pytest.mark.parametrize("n_points", [16, 64, 256, 2048])
-@pytest.mark.parametrize("period", [grid.TWO_PI, np.pi])
-def test_sobolev_norm_matches_decompose_route(n_points, period):
+def test_sobolev_norm_matches_decompose_route(n_points):
     # reference: the block norms of the stored band spectra, as before
     # sobolev_norm took them straight from band_norms_sq
-    fam = build_cutoffs(n_points, period)
+    fam = build_cutoffs(n_points)
     rng = np.random.default_rng(n_points)
     for m in (-1.0, 0.0, 0.5, 2.0, 3.7):
-        w = grid.random_band_limited(n_points, period, rng=rng)
+        w = grid.random_band_limited(n_points, rng=rng)
         total = 0.0
         for nu, norm in enumerate(decompose(w, fam).block_norms().tolist()):
             total += 4.0 ** (m * nu) * norm ** 2
@@ -206,7 +203,7 @@ def test_stacked_calls_match_per_row_and_per_order(n_points, n_rows):
     assert norms.shape == (n_rows, orders.size)
     for i, row in enumerate(rows):
         coeffs = np.fft.fft(row) / n_points
-        want = fam.period * np.sum(np.abs(fam.phi * coeffs) ** 2, axis=1)
+        want = grid.TWO_PI * np.sum(np.abs(fam.phi * coeffs) ** 2, axis=1)
         assert band_norms_sq(fam, row[None])[0].tobytes() == want.tobytes()
         assert sq[i].tobytes() == want.tobytes()
         for j, m in enumerate(orders.tolist()):
@@ -221,10 +218,8 @@ def test_stacked_calls_match_per_row_and_per_order(n_points, n_rows):
 
 def test_sobolev_norm_refuses_other_grids():
     fam = build_cutoffs(64)
-    for w in (grid.random_band_limited(128, rng=0),
-              grid.random_band_limited(64, np.pi, rng=0)):
-        with pytest.raises(grid.GridMismatchError):
-            sobolev_norm(w, 1.0, fam)
+    with pytest.raises(grid.GridMismatchError):
+        sobolev_norm(grid.random_band_limited(128, rng=0), 1.0, fam)
 
 
 def test_l2_equivalence_band():
@@ -287,19 +282,17 @@ def test_cutoff_csv_export(tmp_path):
     assert len(lines) == 1 + (fam.nu_max + 1) * 64
 
 
-# Property tests of the exactness claims, on every grid size 16..1024 and
-# two periods.  Plateaus and supports are exact zeros and ones; sums of
+# Property tests of the exactness claims, on every grid size 16..1024.
+# Plateaus and supports are exact zeros and ones; sums of
 # cutoffs telescope to one up to rounding.
 
-GRIDS = st.tuples(st.sampled_from([2 ** p for p in range(4, 11)]),
-                  st.sampled_from([grid.TWO_PI, np.pi]))
+GRIDS = st.sampled_from([2 ** p for p in range(4, 11)])
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(GRIDS)
-def test_property_partition_of_unity(case):
-    n, period = case
-    fam = build_cutoffs(n, period)
+def test_property_partition_of_unity(n):
+    fam = build_cutoffs(n)
     covered = np.abs(fam.xi) <= 2.0 ** fam.nu_max
     assert np.any(covered)
     total = fam.phi.sum(axis=0)
@@ -308,8 +301,8 @@ def test_property_partition_of_unity(case):
 
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(GRIDS)
-def test_property_psi_is_one_on_band_support(case):
-    fam = build_cutoffs(*case)
+def test_property_psi_is_one_on_band_support(n):
+    fam = build_cutoffs(n)
     for mu in range(fam.nu_max + 1):
         on = fam.phi[mu] > 0.0
         assert np.all(fam.psi[mu][on] == 1.0), mu
@@ -317,9 +310,9 @@ def test_property_psi_is_one_on_band_support(case):
 
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(GRIDS)
-def test_property_band_support_is_exact(case):
+def test_property_band_support_is_exact(n):
     # the annulus of the Bernstein bracket, 2^(nu-1) <= |xi| <= 2^(nu+1)
-    fam = build_cutoffs(*case)
+    fam = build_cutoffs(n)
     xi = np.abs(fam.xi)
     for nu in range(1, fam.nu_max + 1):
         outside = (xi < 2.0 ** (nu - 1)) | (xi > 2.0 ** (nu + 1))
@@ -328,11 +321,9 @@ def test_property_band_support_is_exact(case):
 
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(GRIDS, st.integers(0, 2 ** 32 - 1))
-def test_property_reconstruction_of_band_limited(case, seed):
-    n, period = case
-    fam = build_cutoffs(n, period)
-    w = grid.random_band_limited(n, period, xi_max=2.0 ** fam.nu_max,
-                                 rng=seed)
+def test_property_reconstruction_of_band_limited(n, seed):
+    fam = build_cutoffs(n)
+    w = grid.random_band_limited(n, xi_max=2.0 ** fam.nu_max, rng=seed)
     back = reconstruct(decompose(w, fam))
     assert np.max(np.abs(back.values - w.values)) \
         <= 1e-14 * np.max(np.abs(w.values))

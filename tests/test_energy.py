@@ -28,7 +28,7 @@ def frozen_trajectory(u: GridFunction, ut: GridFunction, cs, times=(0.0,)):
     us = np.tile(u.values, (times.size, 1))
     uts = np.tile(ut.values, (times.size, 1))
     dt = times[1] - times[0] if times.size > 1 else 1.0
-    return Trajectory(times, us, uts, float(dt), u.period, cs, float(dt))
+    return Trajectory(times, us, uts, float(dt), cs, float(dt))
 
 
 def zero_field(t, x):
@@ -39,21 +39,21 @@ def naive_band_energy(traj, i, nu, fam, cs):
     """Direct quadrature of the defining inner products via an O(N^2) DFT."""
     n = traj.n_points
     j = np.arange(n)
-    x = grid.grid_points(n, traj.period)
+    x = grid.grid_points(n)
     t = float(traj.times[i])
 
     def coeffs(vals):
         return np.array([np.sum(vals * np.exp(-2j * np.pi * m * j / n)) / n
                          for m in range(n)])
 
-    xi = grid.frequencies(n, traj.period)
+    xi = grid.frequencies(n)
     cu = coeffs(traj.u[i])
     cut = coeffs(traj.ut[i])
     ut_nu = sum(fam.phi[nu, m] * cut[m] * np.exp(2j * np.pi * m * j / n)
                 for m in range(n))
     ux_nu = sum(fam.phi[nu, m] * 1j * xi[m] * cu[m]
                 * np.exp(2j * np.pi * m * j / n) for m in range(n))
-    dx = traj.period / n
+    dx = grid.TWO_PI / n
     eps = block_epsilon(cs.k, nu)
     a_vals = np.real(cs.a(t, x))
     return (dx * np.sum(np.abs(ut_nu) ** 2)
@@ -135,9 +135,9 @@ def test_energy_table_matches_per_band_loop():
         uthat = np.fft.fft(traj.ut[i]) / 128
         for nu in range(fam.nu_max + 1):
             band = fam.phi[nu]
-            kinetic = traj.period * np.sum(np.abs(band * uthat) ** 2)
+            kinetic = grid.TWO_PI * np.sum(np.abs(band * uthat) ** 2)
             ux_nu = np.fft.ifft(1j * xi * band * uhat) * 128
-            expect[nu, i] = kinetic + traj.period / 128 * np.sum(
+            expect[nu, i] = kinetic + grid.TWO_PI / 128 * np.sum(
                 (a_vals + eps[nu]) * np.abs(ux_nu) ** 2)
     assert energy_table(traj, fam, cs).tobytes() == expect.tobytes()
 
@@ -442,10 +442,10 @@ def test_inequality_matches_per_state_loop(forced, zeroed):
             ut2 = (3 * ut[i] - 4 * ut[i - 1] + ut[i - 2]) / (2 * d)
         else:
             ut2 = (ut[i + 1] - ut[i - 1]) / (2 * d)
-        lu = apply_L(cs, traj.u_at(i), GridFunction(ut2, traj.period),
+        lu = apply_L(cs, traj.u_at(i), GridFunction(ut2),
                      float(traj.times[i])).values
         lu_hat = np.fft.fft(lu) / traj.n_points
-        band_norms_sq = traj.period * np.sum(
+        band_norms_sq = grid.TWO_PI * np.sum(
             np.abs(fam.phi * lu_hat[None, :]) ** 2, axis=1)
         rhs[i] = np.sum(weights[:, i] * band_norms_sq)
     cumulative = np.concatenate(

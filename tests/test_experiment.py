@@ -75,6 +75,8 @@ def test_validation_ranges():
         parse_config("delta_grid =\n")
     with pytest.raises(ConfigError):
         parse_config("data = zero\n")       # manufactured | random
+    with pytest.raises(ConfigError):
+        parse_config("output_dir =\n")      # would write into the cwd
 
 
 def test_config_roundtrip(tmp_path):

@@ -7,7 +7,7 @@ from lpwave.errors import GridMismatchError
 from lpwave.grid import GridFunction
 
 
-def naive_dft(values, period):
+def naive_dft(values):
     """O(N^2) Fourier coefficients, independent of numpy's FFT path."""
     n = values.shape[0]
     j = np.arange(n)
@@ -22,8 +22,6 @@ def test_grid_size_validation():
         GridFunction(np.zeros(7, dtype=complex))
     with pytest.raises(ValueError):
         GridFunction(np.zeros(12, dtype=complex))
-    with pytest.raises(ValueError):
-        GridFunction(np.zeros(8, dtype=complex), period=-1.0)
     GridFunction(np.zeros(8, dtype=complex))  # smallest legal grid
 
 
@@ -31,7 +29,7 @@ def test_fft_roundtrip_identity():
     rng = np.random.default_rng(1)
     for n in (8, 64, 256):
         w = GridFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        back = grid.from_coefficients(grid.coefficients(w), w.period)
+        back = grid.from_coefficients(grid.coefficients(w))
         err = grid.norm(back - w) / grid.norm(w)
         assert err < 1e-13
 
@@ -39,8 +37,8 @@ def test_fft_roundtrip_identity():
 def test_plancherel_against_naive_dft():
     rng = np.random.default_rng(2)
     w = grid.random_band_limited(64, rng=rng)
-    coeffs = naive_dft(w.values, w.period)
-    freq_norm = np.sqrt(w.period * np.sum(np.abs(coeffs) ** 2))
+    coeffs = naive_dft(w.values)
+    freq_norm = np.sqrt(grid.TWO_PI * np.sum(np.abs(coeffs) ** 2))
     assert abs(freq_norm - grid.norm(w)) / grid.norm(w) < 1e-12
     # and the fast coefficients agree with the naive ones
     assert np.max(np.abs(coeffs - grid.coefficients(w))) < 1e-12
@@ -72,9 +70,8 @@ def test_grid_mismatch_raises():
     g = GridFunction(np.zeros(32, dtype=complex))
     with pytest.raises(GridMismatchError):
         grid.inner(f, g)
-    h = GridFunction(np.zeros(16, dtype=complex), period=1.0)
     with pytest.raises(GridMismatchError):
-        grid.same_grid(f, h)
+        grid.same_grid(f, g)
 
 
 def test_random_band_limited_respects_band():

@@ -274,35 +274,34 @@ def test_save_load_roundtrip(tmp_path):
 # right-hand side, and a forcing that wraps GridFunctions and applies the
 # operator again, evaluated at every one of the four stages.
 
-def _old_dx(values, period):
-    return grid.derivative_values(values, period, order=1)
+def _old_dx(values):
+    return grid.derivative_values(values, order=1)
 
 
 def _old_apply_L(cs, u, ut2, t):
     x = u.x
     a = cs.a(t, x)
-    ux = _old_dx(u.values, u.period)
-    div = _old_dx(a * ux, u.period)
+    ux = _old_dx(u.values)
+    div = _old_dx(a * ux)
     vals = ut2.values - div + cs.b(t, x) * ux + cs.c(t, x) * u.values
-    return GridFunction(vals, u.period)
+    return GridFunction(vals)
 
 
 def _old_manufactured_rhs(cs, exact):
     def f(t, x):
-        period = float(x[1] - x[0]) * x.shape[0]
-        uf = GridFunction(np.asarray(exact.u(t, x), dtype=complex), period)
-        utt = GridFunction(np.asarray(exact.utt(t, x), dtype=complex), period)
+        uf = GridFunction(np.asarray(exact.u(t, x), dtype=complex))
+        utt = GridFunction(np.asarray(exact.utt(t, x), dtype=complex))
         return _old_apply_L(cs, uf, utt, t).values
     return f
 
 
 def _old_solve(cs, u0, u1, f, M, save_every):
-    dt, period, x = cs.T / M, u0.period, u0.x
+    dt, x = cs.T / M, u0.x
 
     def rhs(t, u, v):
         a = cs.a(t, x)
-        ux = _old_dx(u, period)
-        vdot = _old_dx(a * ux, period) - cs.b(t, x) * ux - cs.c(t, x) * u
+        ux = _old_dx(u)
+        vdot = _old_dx(a * ux) - cs.b(t, x) * ux - cs.c(t, x) * u
         if f is not None:
             vdot = vdot + f(t, x)
         return v, vdot
