@@ -6,11 +6,14 @@ For a spatial coefficient q the operator studied here is
 
 small when q is smooth and nu is large.  In frequency space its kernel is
 K[xi, eta] = qhat(xi - eta) * (phi_nu(xi) - phi_nu(eta)) * psi_mu(eta).
-The dense norm is the top singular value of the column-restricted kernel
-(only the columns where psi_mu is non-zero are built), from the smaller
-Gram matrix; ARPACK via
-``scipy.sparse.linalg.svds`` on the FFT-applied operator provides the
-second, independent route.
+The cutoffs have exact zeros, so K has two blocks that can be non-zero:
+A on the rows where phi_nu != 0 (over the psi_mu columns), and B on the
+other rows and the psi_mu columns where phi_nu != 0.  The dense norm is
+the top singular value of K from the smaller Gram matrix, formed from A
+stacked on the R factor of B's QR (K^H K = A^H A + R^H R) when that has
+fewer rows than the row-trimmed kernel, and from that kernel otherwise;
+ARPACK via ``scipy.sparse.linalg.svds`` on the FFT-applied operator
+provides the second, independent route.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import qr
 from scipy.linalg import eigvalsh, get_blas_funcs
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 
@@ -45,65 +49,130 @@ def _coef_values(coef, fam: CutoffFamily) -> np.ndarray:
     return vals
 
 
+def _commutator_values(q, phi, psi, phi_psi, w):
+    """[phi(D), q] psi(D) w on plain arrays; phi_psi is phi * psi."""
+    what = grid.fft(w)
+    band = grid.ifft(psi * what)
+    first = grid.ifft(phi * grid.fft(q * band))
+    second = q * grid.ifft(phi_psi * what)
+    return first - second
+
+
+def _adjoint_values(q_conj, phi, psi, phi_psi, w):
+    """The adjoint of :func:`_commutator_values`; q_conj is conj(q)."""
+    what = grid.fft(w)
+    first = grid.ifft(psi * grid.fft(q_conj * grid.ifft(phi * what)))
+    second = grid.ifft(phi_psi * grid.fft(q_conj * w))
+    return first - second
+
+
 def apply_commutator(coef, nu, mu, w: GridFunction, fam: CutoffFamily) -> GridFunction:
     """Apply [phi_nu(D), coef] psi_mu(D) to w."""
     if w.n_points != fam.n_points:
         raise GridMismatchError("function grid differs from family grid")
-    q = _coef_values(coef, fam)
-    what = grid.fft(w.values)
-    band = grid.ifft(fam.psi[mu] * what)
-    first = grid.ifft(fam.phi[nu] * grid.fft(q * band))
-    second = q * grid.ifft(fam.phi[nu] * fam.psi[mu] * what)
-    return GridFunction(first - second)
+    phi, psi = fam.phi[nu], fam.psi[mu]
+    return GridFunction(_commutator_values(_coef_values(coef, fam), phi, psi,
+                                           phi * psi, w.values))
 
 
 def apply_commutator_adjoint(coef, nu, mu, w: GridFunction,
                              fam: CutoffFamily) -> GridFunction:
     """Adjoint of :func:`apply_commutator` in the discrete L2 inner product."""
-    q = np.conj(_coef_values(coef, fam))
-    what = grid.fft(w.values)
-    first = grid.ifft(fam.psi[mu] * grid.fft(q * grid.ifft(fam.phi[nu] * what)))
-    second = grid.ifft(fam.psi[mu] * fam.phi[nu] * grid.fft(q * w.values))
-    return GridFunction(first - second)
+    phi, psi = fam.phi[nu], fam.psi[mu]
+    return GridFunction(_adjoint_values(np.conj(_coef_values(coef, fam)), phi,
+                                        psi, phi * psi, w.values))
 
 
-def _column_kernel(coef, nu, mu, fam: CutoffFamily) -> Optional[np.ndarray]:
-    """The frequency kernel on the columns where psi_mu is non-zero.
+def _kernel_block(qhat, phi, psi, rows, cols) -> np.ndarray:
+    """K[rows, cols] = qhat(xi - eta) * (phi(xi) - phi(eta)) * psi(eta)."""
+    return qhat[(rows[:, None] - cols) % qhat.size] \
+        * (phi[rows][:, None] - phi[cols]) * psi[cols]
 
-    K[xi, eta] = qhat(xi - eta) * (phi_nu(xi) - phi_nu(eta)) * psi_mu(eta)
-    in FFT ordering, every other column being zero; all-zero rows are
-    dropped too, and None stands for a kernel with no non-zero entry.
+
+@dataclass(frozen=True)
+class _KernelBlocks:
+    """The two blocks of the frequency kernel that can be non-zero.
+
+    Rows ``s1`` are where phi_nu != 0 and ``s0`` the others; ``cols`` are
+    the columns where psi_mu != 0, and the mask ``c1`` on them marks those
+    where phi_nu != 0 too.  ``a`` = K[s1, cols] and ``b`` = K[s0, cols[c1]];
+    every other entry is exactly zero, phi_nu vanishing at both ends.
     """
+
+    qhat: np.ndarray
+    s1: np.ndarray
+    s0: np.ndarray
+    cols: np.ndarray
+    c1: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+
+def _kernel_blocks(coef, nu, mu, fam: CutoffFamily) -> _KernelBlocks:
     q = _coef_values(coef, fam)
     qhat = grid.fft(q) / fam.n_points
     phi, psi = fam.phi[nu], fam.psi[mu]
+    inside = phi != 0
+    s1, s0 = np.flatnonzero(inside), np.flatnonzero(~inside)
     cols = np.flatnonzero(psi)
-    kernel = qhat[(np.arange(fam.n_points)[:, None] - cols) % fam.n_points] \
-        * (phi[:, None] - phi[cols]) * psi[cols]
-    rows = np.flatnonzero(np.any(kernel != 0, axis=1))
-    return kernel[rows] if rows.size else None
+    c1 = inside[cols]
+    return _KernelBlocks(qhat, s1, s0, cols, c1,
+                         _kernel_block(qhat, phi, psi, s1, cols),
+                         _kernel_block(qhat, phi, psi, s0, cols[c1]))
+
+
+def _gram_input(coef, nu, mu, fam: CutoffFamily) -> Optional[np.ndarray]:
+    """A matrix M with M^H M = K^H K, None when K has no non-zero entry.
+
+    K^H K = A^H A + B^H B = A^H A + R^H R for the R factor of B = QR, so
+    when |s1| + |c1| is below the short side of the row-trimmed kernel,
+    M is A stacked on R (placed in the c1 columns).  Otherwise M is that
+    kernel itself: the rows of K[:, cols] that are not all zero, in order,
+    assembled from the blocks byte for byte as the formula gives them.
+    """
+    k = _kernel_blocks(coef, nu, mu, fam)
+    live_a, live_b = np.any(k.a != 0, axis=1), np.any(k.b != 0, axis=1)
+    n_a, n_b = np.count_nonzero(live_a), np.count_nonzero(live_b)
+    if not n_a + n_b:
+        return None
+    n1 = k.s1.size
+    if n1 + np.count_nonzero(k.c1) < min(n_a + n_b, k.cols.size):
+        r = qr(k.b, mode="r")
+        stacked = np.zeros((n1 + r.shape[0], k.cols.size), dtype=complex)
+        stacked[:n1] = k.a
+        stacked[n1:, k.c1] = r
+        return stacked
+    kernel = np.empty((n_a + n_b, k.cols.size), dtype=complex)
+    kernel[:n_a] = k.a[live_a]
+    lower = kernel[n_a:]
+    lower[:, k.c1] = k.b[live_b]
+    # the zero entries are formed, not filled in: their signs are the
+    # formula's, so this is the full formula's trimmed kernel, bit for bit
+    lower[:, ~k.c1] = _kernel_block(k.qhat, fam.phi[nu], fam.psi[mu],
+                                    k.s0[live_b], k.cols[~k.c1])
+    return kernel[np.argsort(np.concatenate([k.s1[live_a], k.s0[live_b]]))]
 
 
 def dense_norm(coef, nu, mu, fam: CutoffFamily) -> float:
-    """Operator norm as the top singular value of the column-restricted
-    kernel, from the smaller Gram matrix.
+    """Operator norm as the top singular value of the frequency kernel,
+    from the smaller Gram matrix of :func:`_gram_input`.
 
     The physical-space operator is unitarily similar to the kernel, so its
     largest singular value is the exact discrete L2 operator norm.  It is
-    the square root of the largest eigenvalue of K^H K, or of K K^H when K
+    the square root of the largest eigenvalue of M^H M, or of M M^H when M
     has fewer rows than columns, found directly by LAPACK; the relative
     error of that square root is O(machine epsilon) at every scale.
     """
-    kernel = _column_kernel(coef, nu, mu, fam)
-    if kernel is None:
+    m_in = _gram_input(coef, nu, mu, fam)
+    if m_in is None:
         return 0.0
-    # herk on the Fortran-order view K^T (no copy) fills the upper triangle
-    # of conj(K^H K), or of conj(K K^H) with trans=2: the Gram matrix's
-    # eigenvalues without a conjugated copy of K, released before eigvalsh
-    rows, cols = kernel.shape
-    herk = get_blas_funcs("herk", (kernel,))
-    gram = herk(1.0, kernel.T, trans=0 if rows >= cols else 2)
-    del kernel
+    # herk on the Fortran-order view M^T (no copy) fills the upper triangle
+    # of conj(M^H M), or of conj(M M^H) with trans=2: the Gram matrix's
+    # eigenvalues without a conjugated copy of M, released before eigvalsh
+    rows, cols = m_in.shape
+    herk = get_blas_funcs("herk", (m_in,))
+    gram = herk(1.0, m_in.T, trans=0 if rows >= cols else 2)
+    del m_in
     m = gram.shape[0]
     top = eigvalsh(gram, lower=False, overwrite_a=True,
                    subset_by_index=[m - 1, m - 1])[0]
@@ -119,13 +188,16 @@ def power_norm(coef, nu, mu, fam: CutoffFamily, tol=POWER_TOL) -> float:
     vector is fixed, so reruns are bit-identical.
     """
     q = _coef_values(coef, fam)
+    q_conj = np.conj(q)
+    phi, psi = fam.phi[nu], fam.psi[mu]
+    phi_psi = phi * psi
     n = fam.n_points
 
-    def applied(op):
-        return lambda v: op(q, nu, mu, GridFunction(np.ravel(v)), fam).values
-
-    T = LinearOperator((n, n), matvec=applied(apply_commutator),
-                       rmatvec=applied(apply_commutator_adjoint), dtype=complex)
+    T = LinearOperator(
+        (n, n), dtype=complex,
+        matvec=lambda v: _commutator_values(q, phi, psi, phi_psi, np.ravel(v)),
+        rmatvec=lambda v: _adjoint_values(q_conj, phi, psi, phi_psi,
+                                          np.ravel(v)))
     v0 = np.random.default_rng(0).standard_normal(n)
     if not np.any(T.rmatvec(T.matvec(v0))):
         return 0.0    # a generic start vector in the null space: T = 0

@@ -237,7 +237,7 @@ def run_decompose(cfg: ExperimentConfig, out_dir, source_csv=None):
     """Decompose a grid function (from CSV or seeded random) into bands."""
     fam = cutoff_family(cfg)
     if source_csv:
-        w = grid.from_csv(source_csv)
+        w = grid.from_csv(source_csv, cfg.N)
     else:
         w = grid.random_band_limited(cfg.N, rng=cfg.seed)
     blocks = dyadic.decompose(w, fam)

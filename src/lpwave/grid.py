@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft._pocketfft import pypocketfft
 
-from .errors import GridMismatchError
+from .errors import ConfigurationError, GridMismatchError
 
 TWO_PI = 2.0 * np.pi
 CHUNK_VALUES = 8192  # values per chunk of rows: see row_chunks
@@ -238,8 +238,22 @@ def to_csv(w: GridFunction, path):
                   w.values.imag.tolist()))
 
 
-def from_csv(path) -> GridFunction:
-    re, im = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(2, 3),
-                        unpack=True)
+def from_csv(path, n_points) -> GridFunction:
+    """Read a :func:`to_csv` file of a function on the n_points grid.
+
+    ``to_csv`` writes the index and x columns round-trip, so they must be
+    0 ... N-1 and ``grid_points(N)`` exactly.  A file of another length, or
+    sampled anywhere else, is refused with a ConfigurationError.
+    """
+    index, x, re, im = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                                  unpack=True)
+    if index.size != n_points:
+        raise ConfigurationError(
+            f"{path} holds {index.size} samples, the grid has N = {n_points}")
+    if not (np.array_equal(index, np.arange(n_points))
+            and np.array_equal(x, grid_points(n_points))):
+        raise ConfigurationError(
+            f"{path} is not sampled at x_j = 2*pi*j/{n_points}, "
+            f"j = 0 ... {n_points - 1}")
     return GridFunction(re + 1j * im)
 

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from lpwave import grid
 from lpwave.cli import main
 
 TINY = """
@@ -295,3 +297,41 @@ def test_decompose_seed_changes_the_random_function(tmp_path, tiny_cfg):
     files = sorted(p.name for p in (tmp_path / "1").iterdir())
     assert any((tmp_path / "1" / name).read_bytes()
                != (tmp_path / "2" / name).read_bytes() for name in files)
+
+
+def test_decompose_in_reproduces_its_own_source(tmp_path, tiny_cfg):
+    # a source.csv read back through --in gives the same files, byte for byte
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["decompose", "--config", tiny_cfg, "--out", str(first)]) == 0
+    assert main(["decompose", "--config", tiny_cfg, "--in",
+                 str(first / "source.csv"), "--out", str(second)]) == 0
+    files = sorted(p.name for p in first.iterdir())
+    assert files == sorted(p.name for p in second.iterdir())
+    for name in files:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def _grid_csv(path, index, x):
+    values = np.sin(x)
+    grid.write_csv(path, ["index", "x", "re", "im"],
+                   zip(index.tolist(), x.tolist(), values.tolist(),
+                       np.zeros_like(values).tolist()))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["short", "x-off-grid", "index-shuffled"])
+def test_decompose_in_refuses_a_csv_off_the_config_grid(tmp_path, tiny_cfg,
+                                                        capsys, case):
+    # the tiny config has N = 64; each file is refused as input that does
+    # not fit the config (exit 2), not as a failed check (exit 1)
+    j = np.arange(64)
+    index, x = {
+        "short": (np.arange(32), grid.grid_points(32)),
+        "x-off-grid": (j, j.astype(float)),
+        "index-shuffled": (np.roll(j, 1), grid.grid_points(64)),
+    }[case]
+    path = _grid_csv(tmp_path / "in.csv", index, x)
+    assert main(["decompose", "--config", tiny_cfg, "--in", path,
+                 "--out", str(tmp_path / "dec")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "dec").exists()

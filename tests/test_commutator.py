@@ -9,15 +9,15 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import svdvals
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 
-from lpwave import experiment, grid
+from lpwave import commutator, experiment, grid
 from lpwave.coefficients import builtin_family, constant_coefficients
 from lpwave.commutator import (DECAY_FLOOR, DECAY_ORDERS, NEAR_TIE_RTOL,
-                               CommutatorScan, DecayReport, _column_kernel,
-                               apply_commutator, apply_commutator_adjoint,
-                               dense_norm, power_norm, scan, schur_kernel,
-                               verify_decay)
+                               POWER_TOL, CommutatorScan, DecayReport,
+                               _gram_input, _kernel_blocks, apply_commutator,
+                               apply_commutator_adjoint, dense_norm,
+                               power_norm, scan, schur_kernel, verify_decay)
 from lpwave.dyadic import build_cutoffs
 from lpwave.errors import PowerIterationError
 from lpwave.grid import GridFunction
@@ -437,14 +437,18 @@ def test_property_power_norm_matches_dense(case):
 # --- dense norm against the full-kernel SVD it replaced ----------------------
 
 
-def _reference_kernel(q, nu, mu, fam):
-    """Reference: the full N x N kernel with its all-zero rows and columns
-    trimmed, None when no entry is non-zero."""
+def _reference_full_kernel(q, nu, mu, fam):
+    """Reference: the full N x N kernel, every entry by the formula."""
     qhat = scipy.fft.fft(np.asarray(q, dtype=complex)) / fam.n_points
     idx = np.arange(fam.n_points)
     shift = (idx[:, None] - idx[None, :]) % fam.n_points
-    kernel = qhat[shift] * (fam.phi[nu][:, None] - fam.phi[nu][None, :]) \
+    return qhat[shift] * (fam.phi[nu][:, None] - fam.phi[nu][None, :]) \
         * fam.psi[mu][None, :]
+
+
+def _reference_kernel(kernel):
+    """Reference: the full kernel with its all-zero rows and columns
+    trimmed, None when no entry is non-zero."""
     rows = np.flatnonzero(np.any(kernel != 0, axis=1))
     cols = np.flatnonzero(np.any(kernel != 0, axis=0))
     if rows.size == 0 or cols.size == 0:
@@ -458,14 +462,31 @@ def _reference_norm(kernel):
 
 
 def _assert_matches_reference(q, nu, mu, fam):
-    ref_kernel = _reference_kernel(q, nu, mu, fam)
-    kernel = _column_kernel(q, nu, mu, fam)
+    full = _reference_full_kernel(q, nu, mu, fam)
+    ref_kernel = _reference_kernel(full)
+    blocks = _kernel_blocks(q, nu, mu, fam)
+    s1, s0, cols, c1 = blocks.s1, blocks.s0, blocks.cols, blocks.c1
+    # A and B are the reference's entries byte for byte, and every entry
+    # outside them is exactly zero
+    assert blocks.a.tobytes() == full[np.ix_(s1, cols)].tobytes(), (nu, mu)
+    assert blocks.b.tobytes() == full[np.ix_(s0, cols[c1])].tobytes(), \
+        (nu, mu)
+    assert not np.any(full[np.ix_(s0, cols[~c1])]), (nu, mu)
+    assert not np.any(np.delete(full, cols, axis=1)), (nu, mu)
+    matrix = _gram_input(q, nu, mu, fam)
     ref, got = _reference_norm(ref_kernel), dense_norm(q, nu, mu, fam)
     if ref_kernel is None:
-        assert kernel is None and got == 0.0, (nu, mu, got)
+        assert matrix is None and got == 0.0, (nu, mu, got)
         return
-    assert kernel.shape == ref_kernel.shape, (nu, mu)
-    assert kernel.tobytes() == ref_kernel.tobytes(), (nu, mu)
+    short = s1.size + np.count_nonzero(c1)
+    if short < min(ref_kernel.shape):
+        # the QR route: A stacked on the R factor of B
+        assert matrix.shape == (s1.size + min(s0.size, np.count_nonzero(c1)),
+                                cols.size), (nu, mu)
+    else:
+        # the uncompressed route: the trimmed kernel itself, byte for byte
+        assert matrix.shape == ref_kernel.shape, (nu, mu)
+        assert matrix.tobytes() == ref_kernel.tobytes(), (nu, mu)
     if ref == 0.0:
         assert got == 0.0, (nu, mu, got)
     else:
@@ -517,3 +538,79 @@ def test_dense_norm_k4_near_diagonal_tie():
         _assert_matches_reference(q, 7, mu, fam)
     a, b = dense_norm(q, 7, 6, fam), dense_norm(q, 7, 7, fam)
     assert a > 0.0 and abs(a - b) <= 1e-15 * b, (a, b)
+
+
+def test_dense_norm_hands_lapack_the_compressed_blocks(monkeypatch):
+    # (4, 6) at N = 512: a rank of at most |s1| + |c1| = 76 against a
+    # 478-column psi_6 support, so herk and eigvalsh see 76 rows
+    q = _shipped_coefficient("k4-gamma0.3.cfg", "beta", 512)
+    fam = build_cutoffs(512)
+    blocks = _kernel_blocks(q, 4, 6, fam)
+    short = blocks.s1.size + np.count_nonzero(blocks.c1)
+    seen = []
+    get_blas_funcs, eigvalsh = commutator.get_blas_funcs, commutator.eigvalsh
+
+    def recording_blas(names, arrays):
+        seen.append(("herk", arrays[0].shape))
+        return get_blas_funcs(names, arrays)
+
+    def recording_eigvalsh(a, **kwargs):
+        seen.append(("eigvalsh", a.shape))
+        return eigvalsh(a, **kwargs)
+
+    monkeypatch.setattr(commutator, "get_blas_funcs", recording_blas)
+    monkeypatch.setattr(commutator, "eigvalsh", recording_eigvalsh)
+    got = dense_norm(q, 4, 6, fam)
+    assert short == 76 and blocks.cols.size == 478
+    assert seen == [("herk", (short, 478)), ("eigvalsh", (short, short))]
+    ref = _reference_norm(_reference_kernel(_reference_full_kernel(q, 4, 6,
+                                                                   fam)))
+    assert abs(got - ref) <= 1e-13 * ref
+
+
+def test_reference_check_fails_with_r_zeroed(monkeypatch):
+    # negative control: B's contribution R^H R is what closes the gap
+    # between A^H A and K^H K on a coefficient with full Fourier support
+    def zero_r(b, mode):
+        return np.zeros((min(b.shape), b.shape[1]), dtype=complex)
+
+    monkeypatch.setattr(commutator, "qr", zero_r)
+    q = DENSE_CASES["k4-gamma0.3-b-128"]()
+    fam = build_cutoffs(q.size)
+    failed = []
+    for nu in range(fam.nu_max + 1):
+        for mu in range(fam.nu_max + 1):
+            try:
+                _assert_matches_reference(q, nu, mu, fam)
+            except AssertionError:
+                failed.append((nu, mu))
+    assert failed
+
+
+def _power_norm_through_wrappers(coef, nu, mu, fam, tol=POWER_TOL):
+    """Reference: power_norm's svds call on the public GridFunction API."""
+    n = fam.n_points
+
+    def applied(op):
+        return lambda v: op(coef, nu, mu, GridFunction(np.ravel(v)),
+                            fam).values
+
+    T = LinearOperator((n, n), matvec=applied(apply_commutator),
+                       rmatvec=applied(apply_commutator_adjoint),
+                       dtype=complex)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    if not np.any(T.rmatvec(T.matvec(v0))):
+        return 0.0
+    return float(svds(T, k=1, tol=tol, v0=v0,
+                      return_singular_vectors=False)[0])
+
+
+@pytest.mark.parametrize("case", ["k4-gamma0.3-beta-128", "k4-gamma0.3-b-128",
+                                  "k2-gamma0-b-128", "poisson-256"])
+def test_power_norm_matches_public_wrappers_bit_for_bit(case):
+    q = DENSE_CASES[case]()
+    fam = build_cutoffs(q.size)
+    for nu in range(fam.nu_max + 1):
+        for mu in range(max(0, nu - 2), min(fam.nu_max, nu + 2) + 1):
+            assert power_norm(q, nu, mu, fam) \
+                == _power_norm_through_wrappers(q, nu, mu, fam), (nu, mu)

@@ -87,7 +87,7 @@ def test_csv_roundtrip(tmp_path):
     w = grid.random_band_limited(32, rng=7)
     path = tmp_path / "w.csv"
     grid.to_csv(w, path)
-    back = grid.from_csv(path)
+    back = grid.from_csv(path, 32)
     assert np.array_equal(back.values, w.values)  # repr round-trips floats
 
 
