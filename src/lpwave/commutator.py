@@ -78,6 +78,8 @@ def apply_commutator(coef, nu, mu, w: GridFunction, fam: CutoffFamily) -> GridFu
 def apply_commutator_adjoint(coef, nu, mu, w: GridFunction,
                              fam: CutoffFamily) -> GridFunction:
     """Adjoint of :func:`apply_commutator` in the discrete L2 inner product."""
+    if w.n_points != fam.n_points:
+        raise GridMismatchError("function grid differs from family grid")
     phi, psi = fam.phi[nu], fam.psi[mu]
     return GridFunction(_adjoint_values(np.conj(_coef_values(coef, fam)), phi,
                                         psi, phi * psi, w.values))

@@ -26,6 +26,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +102,112 @@ def row_chunks(n_rows, row_width):
     size = max(1, CHUNK_VALUES // row_width)
     for start in range(0, n_rows, size):
         yield slice(start, min(start + size, n_rows))
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the platform
+    has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def for_each_chunk(n_rows, row_width, work, outputs=()):
+    """Call ``work(rows)`` on every :func:`row_chunks` slice, the chunks
+    split into contiguous parts run side by side, one per usable CPU.
+
+    There are min(usable CPUs, number of chunks) parts.  This process runs
+    the first part and a forked child each of the others; with one part,
+    or where there is no ``os.fork``, everything runs here.  ``work`` may
+    fill rows of the arrays in ``outputs`` (C-contiguous, one row per
+    index on axis 0): a child sends the rows of its part back as raw
+    bytes over a pipe, read straight into this process's arrays.
+
+    An exception in any part is raised here, of its own type where that
+    can be rebuilt from a message, with the part's range of rows (saved
+    states, in the trajectory's save and load) named first.
+    A child ends only through ``os._exit``.  The pipes are all closed
+    before any child is waited for, so a child blocked writing to a pipe
+    cannot hang a failed caller, and every child is reaped on every path.
+    """
+    chunks = list(row_chunks(n_rows, row_width))
+    n_parts = min(usable_cpus(), len(chunks)) if hasattr(os, "fork") else 1
+    bounds = [len(chunks) * i // n_parts for i in range(n_parts + 1)]
+    parts = [chunks[a:b] for a, b in zip(bounds, bounds[1:])]
+    pipes, pids = [], []
+    try:
+        for part in parts[1:]:
+            read_fd, write_fd = os.pipe()
+            pipes.append(os.fdopen(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(work, part, outputs, write_fd, pipes)
+            finally:
+                os.close(write_fd)   # the child never gets here
+            pids.append(pid)
+        _run_part(work, parts[0])
+        for pipe, part in zip(pipes, parts[1:]):
+            _receive(pipe, part, outputs)
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _span(part) -> slice:
+    return slice(part[0].start, part[-1].stop)
+
+
+def _run_part(work, part):
+    try:
+        for rows in part:
+            work(rows)
+    except Exception as exc:
+        rows = _span(part)
+        message = f"states {rows.start} ... {rows.stop - 1}: {exc}"
+        try:
+            named = type(exc)(message)
+        except Exception:
+            named = RuntimeError(message)
+        raise named from exc
+
+
+def _run_child(work, part, outputs, write_fd, pipes):
+    """A forked child's whole life: run its part, then send b"K" and the
+    rows of ``outputs`` it filled, or b"E" and its pickled exception."""
+    code = 1
+    try:
+        for pipe in pipes:      # the parent's read ends, this child's own too
+            pipe.close()
+        with os.fdopen(write_fd, "wb") as out:
+            try:
+                _run_part(work, part)
+            except Exception as exc:
+                out.write(b"E" + pickle.dumps(exc))
+            else:
+                out.write(b"K")
+                for a in outputs:
+                    out.write(memoryview(a[_span(part)]).cast("B"))
+                code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(pipe, part, outputs):
+    """Read one child's rows into ``outputs``, or raise its exception."""
+    rows = _span(part)
+    status = pipe.read(1)
+    if status == b"E":
+        raise pickle.loads(pipe.read())  # written by the child forked above
+    if status == b"K" and all(
+            pipe.readinto(view) == view.nbytes
+            for view in (memoryview(a[rows]).cast("B") for a in outputs)):
+        return
+    raise ChildProcessError(
+        f"states {rows.start} ... {rows.stop - 1}: the child process ended "
+        f"before sending its result")
 
 
 def grid_points(n_points):

@@ -277,7 +277,10 @@ def residual_norm(traj: Trajectory, i, f: Optional[Callable] = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# persistence: one CSV per saved state plus a JSON manifest
+# persistence: one CSV per saved state plus a JSON manifest.  The states
+# are written and parsed a grid.row_chunks chunk at a time, the chunks split
+# across the usable CPUs by grid.for_each_chunk; every file is formatted on
+# its own, so its bytes do not depend on that split.
 
 
 def _coefficients_record(cs: CoefficientSet) -> dict:
@@ -302,12 +305,17 @@ def save_trajectory(traj: Trajectory, out_dir):
     # the index and x columns are the same in every file: format them once
     index = list(map(str, range(traj.n_points)))
     x = list(map(str, grid.grid_points(traj.n_points).tolist()))
-    for i in range(traj.n_saved):
-        grid.write_csv(os.path.join(out_dir, f"state_{i:06d}.csv"),
-                       ["index", "x", "re_u", "im_u", "re_ut", "im_ut"],
-                       zip(index, x, traj.u[i].real.tolist(),
-                           traj.u[i].imag.tolist(), traj.ut[i].real.tolist(),
-                           traj.ut[i].imag.tolist()))
+
+    def write(rows):
+        for i in range(rows.start, rows.stop):
+            grid.write_csv(_state_path(out_dir, i),
+                           ["index", "x", "re_u", "im_u", "re_ut", "im_ut"],
+                           zip(index, x, traj.u[i].real.tolist(),
+                               traj.u[i].imag.tolist(),
+                               traj.ut[i].real.tolist(),
+                               traj.ut[i].imag.tolist()))
+
+    grid.for_each_chunk(traj.n_saved, traj.n_points, write)
 
 
 def load_trajectory(out_dir, cs: Optional[CoefficientSet] = None) -> Trajectory:
@@ -315,7 +323,8 @@ def load_trajectory(out_dir, cs: Optional[CoefficientSet] = None) -> Trajectory:
 
     A ``cs`` that differs from the manifest's coefficient record is refused
     with a ConfigurationError naming each differing key, and so is a
-    manifest whose period is not 2*pi, the only domain the package has.
+    manifest whose period is not 2*pi, the only domain the package has,
+    and a state file that is not a header and N rows of six numbers.
     """
     with open(os.path.join(out_dir, "trajectory.json")) as fh:
         manifest = json.load(fh)
@@ -338,11 +347,48 @@ def load_trajectory(out_dir, cs: Optional[CoefficientSet] = None) -> Trajectory:
     n = manifest["N"]
     us = np.empty((times.size, n), dtype=complex)
     uts = np.empty_like(us)
-    for i in range(times.size):
-        re_u, im_u, re_ut, im_ut = np.loadtxt(
-            os.path.join(out_dir, f"state_{i:06d}.csv"), delimiter=",",
-            skiprows=1, usecols=(2, 3, 4, 5), unpack=True)
-        us[i] = re_u + 1j * im_u
-        uts[i] = re_ut + 1j * im_ut
+
+    def read(rows):
+        cells = _read_states([_state_path(out_dir, i)
+                              for i in range(rows.start, rows.stop)], n)
+        us[rows] = cells[..., 2] + 1j * cells[..., 3]
+        uts[rows] = cells[..., 4] + 1j * cells[..., 5]
+
+    grid.for_each_chunk(times.size, n, read, (us, uts))
     return Trajectory(times, us, uts, manifest["dt"], cs,
                       manifest["solver_dt"])
+
+
+def _state_path(out_dir, i):
+    return os.path.join(out_dir, f"state_{i:06d}.csv")
+
+
+def _read_states(paths, n) -> np.ndarray:
+    """The (len(paths), n, 6) cells of state files, parsed in one call.
+
+    A file that is not a header line and n rows of six numbers is refused
+    with a ConfigurationError naming it: the rows of all the files are
+    parsed together, so a short file must not shift the rows after it.
+    """
+    lines = []
+    for path in paths:
+        with open(path) as fh:
+            file_lines = fh.readlines()
+        if len(file_lines) != n + 1:
+            raise ConfigurationError(
+                f"{path} holds {len(file_lines) - 1} rows, a state on the "
+                f"N = {n} grid has {n}")
+        lines += file_lines[1:]
+    try:
+        cells = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        problem = str(exc)
+    else:
+        if cells.shape == (len(lines), 6):
+            return cells.reshape(len(paths), n, 6)
+        problem = "parsed as {} rows of {} numbers".format(*cells.shape)
+    if len(paths) > 1:          # parse one file at a time to name the bad one
+        for path in paths:
+            _read_states([path], n)
+    raise ConfigurationError(
+        f"{paths[0]} is not {n} rows of 6 numbers: {problem}")

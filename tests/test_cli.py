@@ -188,6 +188,30 @@ def test_verify_energy_refuses_other_period(tmp_path, tiny_cfg, capsys):
     assert "configuration error" in err and "period 3.14159" in err, err
 
 
+@pytest.mark.parametrize("damage", ["short", "wide", "non-numeric"])
+def test_verify_energy_refuses_a_malformed_state_file(tmp_path, tiny_cfg,
+                                                      capsys, damage):
+    # the states are parsed many files per call: a file with the wrong
+    # shape must be refused by name, not shift the rows after it
+    traj_dir = tmp_path / "traj"
+    assert main(["solve", "--config", tiny_cfg, "--out", str(traj_dir)]) == 0
+    path = traj_dir / "state_000030.csv"
+    lines = path.read_bytes().split(b"\r\n")[:-1]
+    cells = lines[7].split(b",")
+    if damage == "short":
+        lines = lines[:40]
+    elif damage == "wide":
+        lines[7] = b",".join(cells + [b"0.0"])
+    else:
+        lines[7] = b",".join(cells[:2] + [b"abc"] + cells[3:])
+    path.write_bytes(b"".join(line + b"\r\n" for line in lines))
+    assert main(["verify-energy", "--config", tiny_cfg, "--traj",
+                 str(traj_dir), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "state_000030.csv" in err, err
+
+
 @pytest.mark.parametrize("command", ["solve", "pipeline"])
 def test_empty_output_dir_is_config_error(tmp_path, capsys, monkeypatch,
                                           command):

@@ -19,7 +19,7 @@ from lpwave.commutator import (DECAY_FLOOR, DECAY_ORDERS, NEAR_TIE_RTOL,
                                apply_commutator_adjoint, dense_norm,
                                power_norm, scan, schur_kernel, verify_decay)
 from lpwave.dyadic import build_cutoffs
-from lpwave.errors import PowerIterationError
+from lpwave.errors import GridMismatchError, PowerIterationError
 from lpwave.grid import GridFunction
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -114,6 +114,16 @@ def test_adjoint_consistency():
     lhs = grid.inner(apply_commutator(coef, 2, 3, v, fam), w)
     rhs = grid.inner(v, apply_commutator_adjoint(coef, 2, 3, w, fam))
     assert abs(lhs - rhs) < 1e-12 * abs(lhs + 1e-30)
+
+
+@pytest.mark.parametrize("apply", [apply_commutator,
+                                   apply_commutator_adjoint])
+def test_commutator_refuses_a_function_on_another_grid(apply):
+    fam = build_cutoffs(64)
+    coef = np.ones(64)
+    w = grid.random_band_limited(128, rng=0)
+    with pytest.raises(GridMismatchError):
+        apply(coef, 2, 3, w, fam)
 
 
 def test_dense_vs_power_agreement():

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from lpwave import experiment
+from lpwave import experiment, grid
 from lpwave.experiment import (ConfigError, parse_config, read_config,
                                write_config)
 
@@ -181,17 +181,27 @@ def test_pipeline_halts_on_failed_conditions(tmp_path):
     assert (out / "conditions.json").exists()   # partial output retained
 
 
-def test_sweep_serial_and_parallel(tmp_path):
+def test_sweep_serial_and_parallel(tmp_path, monkeypatch):
+    # save_every = 1 gives 251 states, two row chunks: with two CPUs the
+    # daemonic pool workers fork their own trajectory writers, and the
+    # files must hash as those of the one-CPU serial run
+    files = {}
     for name, jobs in (("serial", 1), ("parallel", 2)):
+        monkeypatch.setattr(grid, "usable_cpus", lambda jobs=jobs: jobs)
         cfg_dir = tmp_path / f"cfgs_{name}"
         os.makedirs(cfg_dir)
         paths = []
         for i, seed in enumerate((0, 1)):
-            cfg = dataclasses.replace(parse_config(TINY), seed=seed)
+            cfg = dataclasses.replace(parse_config(TINY), seed=seed,
+                                      save_every=1)
             p = cfg_dir / f"c{i}.cfg"
             write_config(cfg, p)
             paths.append(str(p))
         results = experiment.run_sweep(paths, tmp_path / f"out_{name}",
                                        jobs=jobs)
         assert results == {"c0": 0, "c1": 0}
-        assert (tmp_path / f"out_{name}" / "c1" / "manifest.json").exists()
+        files[name] = [
+            json.loads((tmp_path / f"out_{name}" / c / "manifest.json")
+                       .read_text())["files"] for c in ("c0", "c1")]
+    assert len(files["serial"][0]) > 251
+    assert files["parallel"] == files["serial"]

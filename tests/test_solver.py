@@ -1,3 +1,7 @@
+import contextlib
+import os
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +10,8 @@ from hypothesis import strategies as st
 from lpwave import grid
 from lpwave.coefficients import (BUILTIN_FAMILIES, builtin_family,
                                  constant_coefficients)
-from lpwave.errors import (CFLError, ConditionError, GridMismatchError,
-                           NumericalBlowupError)
+from lpwave.errors import (CFLError, ConditionError, ConfigurationError,
+                           GridMismatchError, NumericalBlowupError)
 from lpwave.grid import CHUNK_VALUES, GridFunction
 from lpwave.solver import (SpaceTimeFunction, apply_L, cfl_limit,
                            cosine_mode, load_trajectory, manufactured_rhs,
@@ -466,3 +470,109 @@ def test_load_matches_csv_module_parse(tmp_path):
                        for r in rows])
         assert back.u[i].tobytes() == u.tobytes()
         assert back.ut[i].tobytes() == ut.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the split save and load: for_each_chunk over a trajectory of three chunks
+
+
+def _three_chunk_trajectory():
+    """A random-k2 solve at N = 64 with 301 saved states: three row chunks."""
+    cs = builtin_family("monomial", k=2)
+    rng = np.random.default_rng(11)
+    u0 = grid.random_band_limited(64, rng=rng, decay=1.0)
+    u1 = grid.random_band_limited(64, rng=rng, decay=0.5)
+    traj = solve_cauchy(cs, u0, u1, M=300, check=False)
+    assert len(list(grid.row_chunks(traj.n_saved, 64))) == 3
+    return traj
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _wall_clock_guard(seconds):
+    """Raise TimeoutError in the test if the block runs longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _dir_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def test_split_save_and_load_do_not_depend_on_the_cpu_count(tmp_path,
+                                                            monkeypatch):
+    traj = _three_chunk_trajectory()
+    written = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(grid, "usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        save_trajectory(traj, out)
+        written[cpus] = _dir_bytes(out)
+        assert len(written[cpus]) == 302
+        back = load_trajectory(out)
+        assert back.u.tobytes() == traj.u.tobytes()
+        assert back.ut.tobytes() == traj.ut.tobytes()
+        _assert_no_child_left()
+    assert written[2] == written[1] and written[3] == written[1]
+    monkeypatch.delattr(os, "fork")     # as on Windows: one part, here
+    save_trajectory(traj, tmp_path / "no-fork")
+    assert _dir_bytes(tmp_path / "no-fork") == written[1]
+    back = load_trajectory(tmp_path / "no-fork")
+    assert back.u.tobytes() == traj.u.tobytes()
+
+
+def test_split_save_raises_what_a_child_raised(tmp_path, monkeypatch):
+    traj = _three_chunk_trajectory()
+    write_csv = grid.write_csv
+
+    def failing_write_csv(path, header, rows):
+        if str(path).endswith("state_000200.csv"):   # in the child's part
+            raise OSError("disk full")
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(grid, "write_csv", failing_write_csv)
+    monkeypatch.setattr(grid, "usable_cpus", lambda: 2)
+    with pytest.raises(OSError, match=r"states 128 \.\.\. 300: disk full"):
+        save_trajectory(traj, tmp_path / "run")
+    _assert_no_child_left()
+
+
+def test_split_load_fails_promptly_in_its_own_part(tmp_path, monkeypatch):
+    # the child's part (states 128 ... 300) is larger than a pipe buffer, so
+    # a caller that waited for it before closing its pipe would hang
+    traj = _three_chunk_trajectory()
+    save_trajectory(traj, tmp_path / "run")
+    path = tmp_path / "run" / "state_000050.csv"
+    path.write_bytes(b"".join(path.read_bytes().splitlines(True)[:40]))
+    monkeypatch.setattr(grid, "usable_cpus", lambda: 2)
+    with _wall_clock_guard(20.0):
+        with pytest.raises(ConfigurationError, match="state_000050.csv"):
+            load_trajectory(tmp_path / "run")
+    _assert_no_child_left()
+
+
+def test_for_each_chunk_raises_when_a_child_dies(monkeypatch):
+    parent = os.getpid()
+    out = np.zeros((3, CHUNK_VALUES))   # one row per chunk
+
+    def work(rows):
+        if os.getpid() != parent:
+            os._exit(3)
+        out[rows] = 1.0
+
+    monkeypatch.setattr(grid, "usable_cpus", lambda: 3)
+    with pytest.raises(ChildProcessError, match=r"states 1 \.\.\. 1:"):
+        grid.for_each_chunk(3, CHUNK_VALUES, work, (out,))
+    _assert_no_child_left()
