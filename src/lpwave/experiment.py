@@ -372,8 +372,7 @@ def run_full_pipeline(cfg: ExperimentConfig, out_dir=None, force=False):
 
 def _sweep_worker(args):
     """One sweep member; returns (name, exit code) and never raises."""
-    path, out_root, force = args
-    name = os.path.splitext(os.path.basename(path))[0]
+    path, name, out_root, force = args
     try:
         cfg = read_config(path)
         result = run_full_pipeline(cfg, os.path.join(out_root, name),
@@ -386,9 +385,14 @@ def _sweep_worker(args):
 
 
 def run_sweep(config_paths, out_root, jobs=1, force=False):
-    """Independent pipeline runs fanned out across worker processes."""
+    """Independent pipeline runs fanned out across worker processes, each
+    named, and writing under ``out_root``, by its config's file name."""
+    names = [os.path.splitext(os.path.basename(p))[0] for p in config_paths]
+    same = sorted({name for name in names if names.count(name) > 1})
+    if same:
+        raise ConfigError(f"sweep members share a name: {', '.join(same)}")
     os.makedirs(out_root, exist_ok=True)
-    args = [(p, out_root, force) for p in config_paths]
+    args = [(p, name, out_root, force) for p, name in zip(config_paths, names)]
     if jobs <= 1:
         results = [_sweep_worker(a) for a in args]
     else:

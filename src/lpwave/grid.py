@@ -23,11 +23,12 @@ real-to-complex route, whose bits differ from the complex transform's.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
+import mmap
 import os
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,52 +113,39 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def for_each_chunk(n_rows, row_width, work, outputs=()):
+def for_each_chunk(n_rows, row_width, work):
     """Call ``work(rows)`` on every :func:`row_chunks` slice, the chunks
-    split into contiguous parts run side by side, one per usable CPU.
+    split into min(usable CPUs, chunks) contiguous parts run side by side.
 
-    There are min(usable CPUs, number of chunks) parts.  This process runs
-    the first part and a forked child each of the others; with one part,
-    or where there is no ``os.fork``, everything runs here.  ``work`` may
-    fill rows of the arrays in ``outputs`` (C-contiguous, one row per
-    index on axis 0): a child sends the rows of its part back as raw
-    bytes over a pipe, read straight into this process's arrays.
-
-    An exception in any part is raised here, of its own type where that
-    can be rebuilt from a message, with the part's range of rows (saved
-    states, in the trajectory's save and load) named first.
-    A child ends only through ``os._exit``.  The pipes are all closed
-    before any child is waited for, so a child blocked writing to a pipe
-    cannot hang a failed caller, and every child is reaped on every path.
+    This process runs the first part and a forked child each of the
+    others, or, with one part or no ``os.fork``, everything.  A child
+    reports only its exit status, so the rows it fills must be in
+    :func:`shared_empty` arrays.  Every child is waited for, on every path,
+    then the part of each that failed is run again here, so ``work`` must
+    be idempotent.  An error is raised with its own type and its part's
+    range of rows (saved states, in the trajectory's save and load) first.
     """
     chunks = list(row_chunks(n_rows, row_width))
     n_parts = min(usable_cpus(), len(chunks)) if hasattr(os, "fork") else 1
     bounds = [len(chunks) * i // n_parts for i in range(n_parts + 1)]
     parts = [chunks[a:b] for a, b in zip(bounds, bounds[1:])]
-    pipes, pids = [], []
+    children = []
     try:
         for part in parts[1:]:
-            read_fd, write_fd = os.pipe()
-            pipes.append(os.fdopen(read_fd, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _run_child(work, part, outputs, write_fd, pipes)
-            finally:
-                os.close(write_fd)   # the child never gets here
-            pids.append(pid)
+            pid = os.fork()
+            if pid == 0:        # a child ends only through os._exit
+                code = 1
+                try:
+                    _run_part(work, part)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append((pid, part))
         _run_part(work, parts[0])
-        for pipe, part in zip(pipes, parts[1:]):
-            _receive(pipe, part, outputs)
     finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
-def _span(part) -> slice:
-    return slice(part[0].start, part[-1].stop)
+        failed = [part for pid, part in children if os.waitpid(pid, 0)[1]]
+    for part in failed:
+        _run_part(work, part)
 
 
 def _run_part(work, part):
@@ -165,8 +153,7 @@ def _run_part(work, part):
         for rows in part:
             work(rows)
     except Exception as exc:
-        rows = _span(part)
-        message = f"states {rows.start} ... {rows.stop - 1}: {exc}"
+        message = f"states {part[0].start} ... {part[-1].stop - 1}: {exc}"
         try:
             named = type(exc)(message)
         except Exception:
@@ -174,40 +161,11 @@ def _run_part(work, part):
         raise named from exc
 
 
-def _run_child(work, part, outputs, write_fd, pipes):
-    """A forked child's whole life: run its part, then send b"K" and the
-    rows of ``outputs`` it filled, or b"E" and its pickled exception."""
-    code = 1
-    try:
-        for pipe in pipes:      # the parent's read ends, this child's own too
-            pipe.close()
-        with os.fdopen(write_fd, "wb") as out:
-            try:
-                _run_part(work, part)
-            except Exception as exc:
-                out.write(b"E" + pickle.dumps(exc))
-            else:
-                out.write(b"K")
-                for a in outputs:
-                    out.write(memoryview(a[_span(part)]).cast("B"))
-                code = 0
-    finally:
-        os._exit(code)
-
-
-def _receive(pipe, part, outputs):
-    """Read one child's rows into ``outputs``, or raise its exception."""
-    rows = _span(part)
-    status = pipe.read(1)
-    if status == b"E":
-        raise pickle.loads(pipe.read())  # written by the child forked above
-    if status == b"K" and all(
-            pipe.readinto(view) == view.nbytes
-            for view in (memoryview(a[rows]).cast("B") for a in outputs)):
-        return
-    raise ChildProcessError(
-        f"states {rows.start} ... {rows.stop - 1}: the child process ended "
-        f"before sending its result")
+def shared_empty(shape, dtype) -> np.ndarray:
+    """An array in anonymous shared memory, for :func:`for_each_chunk`."""
+    count = int(np.prod(shape))
+    buffer = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+    return np.frombuffer(buffer, dtype, count).reshape(shape)
 
 
 def grid_points(n_points):
@@ -340,28 +298,70 @@ def write_json(path, obj):
         json.dump(obj, fh, indent=1, sort_keys=True)
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_cells(n_points):
+    return (tuple(map(str, range(n_points))),
+            tuple(map(str, grid_points(n_points).tolist())))
+
+
+def write_grid_csv(path, names, columns):
+    """The grid CSV layout: index and x cells (formatted once per N), then
+    the real ``columns`` of N values, headed by ``names``."""
+    index, x = _grid_cells(len(columns[0]))
+    write_csv(path, ["index", "x", *names],
+              zip(index, x, *(column.tolist() for column in columns)))
+
+
+def read_grid_csvs(paths, n_points, names):
+    """The (files, n_points, names) values of :func:`write_grid_csv` files,
+    parsed in one ``np.loadtxt`` call.  A file is refused, with a
+    ConfigurationError naming it, unless it has the header index, x,
+    ``names`` and n_points rows of numbers, index and x exactly 0 ... N-1
+    and ``grid_points(N)``.  Each file's rows are counted first, so a short
+    one cannot shift the rows after it.
+    """
+    header = ",".join(["index", "x", *names])
+    lines = []
+    for path in paths:
+        with open(path) as fh:
+            file_lines = fh.readlines()
+        if file_lines[:1] != [header + "\n"]:
+            raise ConfigurationError(
+                f"{path} does not start with the header {header!r}")
+        if len(file_lines) != n_points + 1:
+            raise ConfigurationError(
+                f"{path} holds {len(file_lines) - 1} rows, the grid has "
+                f"N = {n_points}")
+        lines += file_lines[1:]
+    width = len(names) + 2
+    try:
+        cells = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        problem = str(exc)
+    else:
+        if cells.shape == (len(lines), width):
+            cells = cells.reshape(len(paths), n_points, width)
+            off_grid = np.any((cells[..., 0] != np.arange(n_points))
+                              | (cells[..., 1] != grid_points(n_points)), 1)
+            if not off_grid.any():
+                return cells[..., 2:]
+            raise ConfigurationError(
+                f"{paths[np.argmax(off_grid)]} is not sampled at "
+                f"x_j = 2*pi*j/{n_points}, j = 0 ... {n_points - 1}")
+        problem = "parsed as {} rows of {} numbers".format(*cells.shape)
+    if len(paths) > 1:          # parse one file at a time to name the bad one
+        for path in paths:
+            read_grid_csvs([path], n_points, names)
+    raise ConfigurationError(
+        f"{paths[0]} is not {n_points} rows of {width} numbers: {problem}")
+
+
 def to_csv(w: GridFunction, path):
-    write_csv(path, ["index", "x", "re", "im"],
-              zip(range(w.n_points), w.x.tolist(), w.values.real.tolist(),
-                  w.values.imag.tolist()))
+    write_grid_csv(path, ["re", "im"], [w.values.real, w.values.imag])
 
 
 def from_csv(path, n_points) -> GridFunction:
-    """Read a :func:`to_csv` file of a function on the n_points grid.
-
-    ``to_csv`` writes the index and x columns round-trip, so they must be
-    0 ... N-1 and ``grid_points(N)`` exactly.  A file of another length, or
-    sampled anywhere else, is refused with a ConfigurationError.
-    """
-    index, x, re, im = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
-                                  unpack=True)
-    if index.size != n_points:
-        raise ConfigurationError(
-            f"{path} holds {index.size} samples, the grid has N = {n_points}")
-    if not (np.array_equal(index, np.arange(n_points))
-            and np.array_equal(x, grid_points(n_points))):
-        raise ConfigurationError(
-            f"{path} is not sampled at x_j = 2*pi*j/{n_points}, "
-            f"j = 0 ... {n_points - 1}")
+    """Read a :func:`to_csv` file of a function on the n_points grid; one
+    :func:`read_grid_csvs` refuses is a ConfigurationError."""
+    re, im = read_grid_csvs([path], n_points, ["re", "im"])[0].T
     return GridFunction(re + 1j * im)
-

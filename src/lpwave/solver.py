@@ -277,10 +277,11 @@ def residual_norm(traj: Trajectory, i, f: Optional[Callable] = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# persistence: one CSV per saved state plus a JSON manifest.  The states
-# are written and parsed a grid.row_chunks chunk at a time, the chunks split
-# across the usable CPUs by grid.for_each_chunk; every file is formatted on
-# its own, so its bytes do not depend on that split.
+# persistence: one grid CSV per saved state plus a JSON manifest.  The
+# states are written, a file at a time, and parsed, a grid.row_chunks chunk
+# per call, split across the usable CPUs by grid.for_each_chunk; the files'
+# bytes do not depend on that split, and loads fill shared arrays.
+STATE_COLUMNS = ("re_u", "im_u", "re_ut", "im_ut")
 
 
 def _coefficients_record(cs: CoefficientSet) -> dict:
@@ -302,18 +303,12 @@ def save_trajectory(traj: Trajectory, out_dir):
         "times": [float(t) for t in traj.times],
     }
     grid.write_json(os.path.join(out_dir, "trajectory.json"), manifest)
-    # the index and x columns are the same in every file: format them once
-    index = list(map(str, range(traj.n_points)))
-    x = list(map(str, grid.grid_points(traj.n_points).tolist()))
 
     def write(rows):
         for i in range(rows.start, rows.stop):
-            grid.write_csv(_state_path(out_dir, i),
-                           ["index", "x", "re_u", "im_u", "re_ut", "im_ut"],
-                           zip(index, x, traj.u[i].real.tolist(),
-                               traj.u[i].imag.tolist(),
-                               traj.ut[i].real.tolist(),
-                               traj.ut[i].imag.tolist()))
+            grid.write_grid_csv(_state_path(out_dir, i), STATE_COLUMNS,
+                                [traj.u[i].real, traj.u[i].imag,
+                                 traj.ut[i].real, traj.ut[i].imag])
 
     grid.for_each_chunk(traj.n_saved, traj.n_points, write)
 
@@ -324,7 +319,7 @@ def load_trajectory(out_dir, cs: Optional[CoefficientSet] = None) -> Trajectory:
     A ``cs`` that differs from the manifest's coefficient record is refused
     with a ConfigurationError naming each differing key, and so is a
     manifest whose period is not 2*pi, the only domain the package has,
-    and a state file that is not a header and N rows of six numbers.
+    and a state file that :func:`lpwave.grid.read_grid_csvs` refuses.
     """
     with open(os.path.join(out_dir, "trajectory.json")) as fh:
         manifest = json.load(fh)
@@ -345,50 +340,20 @@ def load_trajectory(out_dir, cs: Optional[CoefficientSet] = None) -> Trajectory:
             + "; ".join(differ))
     times = np.array(manifest["times"])
     n = manifest["N"]
-    us = np.empty((times.size, n), dtype=complex)
-    uts = np.empty_like(us)
+    us = grid.shared_empty((times.size, n), complex)
+    uts = grid.shared_empty((times.size, n), complex)
 
     def read(rows):
-        cells = _read_states([_state_path(out_dir, i)
-                              for i in range(rows.start, rows.stop)], n)
-        us[rows] = cells[..., 2] + 1j * cells[..., 3]
-        uts[rows] = cells[..., 4] + 1j * cells[..., 5]
+        cells = grid.read_grid_csvs([_state_path(out_dir, i)
+                                     for i in range(rows.start, rows.stop)],
+                                    n, STATE_COLUMNS)
+        us[rows] = cells[..., 0] + 1j * cells[..., 1]
+        uts[rows] = cells[..., 2] + 1j * cells[..., 3]
 
-    grid.for_each_chunk(times.size, n, read, (us, uts))
+    grid.for_each_chunk(times.size, n, read)
     return Trajectory(times, us, uts, manifest["dt"], cs,
                       manifest["solver_dt"])
 
 
 def _state_path(out_dir, i):
     return os.path.join(out_dir, f"state_{i:06d}.csv")
-
-
-def _read_states(paths, n) -> np.ndarray:
-    """The (len(paths), n, 6) cells of state files, parsed in one call.
-
-    A file that is not a header line and n rows of six numbers is refused
-    with a ConfigurationError naming it: the rows of all the files are
-    parsed together, so a short file must not shift the rows after it.
-    """
-    lines = []
-    for path in paths:
-        with open(path) as fh:
-            file_lines = fh.readlines()
-        if len(file_lines) != n + 1:
-            raise ConfigurationError(
-                f"{path} holds {len(file_lines) - 1} rows, a state on the "
-                f"N = {n} grid has {n}")
-        lines += file_lines[1:]
-    try:
-        cells = np.loadtxt(lines, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        problem = str(exc)
-    else:
-        if cells.shape == (len(lines), 6):
-            return cells.reshape(len(paths), n, 6)
-        problem = "parsed as {} rows of {} numbers".format(*cells.shape)
-    if len(paths) > 1:          # parse one file at a time to name the bad one
-        for path in paths:
-            _read_states([path], n)
-    raise ConfigurationError(
-        f"{paths[0]} is not {n} rows of 6 numbers: {problem}")

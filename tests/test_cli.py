@@ -212,6 +212,30 @@ def test_verify_energy_refuses_a_malformed_state_file(tmp_path, tiny_cfg,
     assert "state_000030.csv" in err, err
 
 
+@pytest.mark.parametrize("damage", ["header", "index", "x"])
+def test_verify_energy_refuses_a_state_file_off_the_grid_layout(
+        tmp_path, tiny_cfg, capsys, damage):
+    # u and ut swapped in the header, or one index or x in every row: the
+    # numbers parse, but they are not the state the file's name promises
+    traj_dir = tmp_path / "traj"
+    assert main(["solve", "--config", tiny_cfg, "--out", str(traj_dir)]) == 0
+    path = traj_dir / "state_000030.csv"
+    rows = [line.split(b",") for line in path.read_bytes().split(b"\r\n")]
+    if damage == "header":
+        rows[0] = b"index,x,re_ut,im_ut,re_u,im_u".split(b",")
+    for cells in rows[1:-1]:
+        if damage == "index":
+            cells[0] = b"7"
+        elif damage == "x":
+            cells[1] = b"0.5"
+    path.write_bytes(b"\r\n".join(map(b",".join, rows)))
+    assert main(["verify-energy", "--config", tiny_cfg, "--traj",
+                 str(traj_dir), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "state_000030.csv" in err, err
+
+
 @pytest.mark.parametrize("command", ["solve", "pipeline"])
 def test_empty_output_dir_is_config_error(tmp_path, capsys, monkeypatch,
                                           command):
@@ -244,6 +268,23 @@ def test_sweep_subcommand(tmp_path, tiny_cfg, capsys):
     out = tmp_path / "sweep"
     assert main(["sweep", tiny_cfg, "--out", str(out), "--jobs", "2"]) == 0
     assert (out / "tiny" / "manifest.json").exists()
+
+
+def test_sweep_refuses_members_of_one_name(tmp_path, capsys):
+    # each member writes under its config's file name: two configs called
+    # x.cfg would write into one directory, the later over the earlier
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.cfg").write_text(TINY)
+        paths.append(str(tmp_path / sub / "x.cfg"))
+    out = tmp_path / "sweep"
+    assert main(["sweep", *paths, "--out", str(out), "--jobs", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("configuration error: sweep members share a "
+                            "name: x\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -356,6 +397,21 @@ def test_decompose_in_refuses_a_csv_off_the_config_grid(tmp_path, tiny_cfg,
     }[case]
     path = _grid_csv(tmp_path / "in.csv", index, x)
     assert main(["decompose", "--config", tiny_cfg, "--in", path,
+                 "--out", str(tmp_path / "dec")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "dec").exists()
+
+
+def test_decompose_in_refuses_re_and_im_swapped(tmp_path, tiny_cfg, capsys):
+    # the values parse and sit on the grid, but the header names them in
+    # the other order: reading them as (re, im) would conjugate i*w
+    first = tmp_path / "first"
+    assert main(["decompose", "--config", tiny_cfg, "--out", str(first)]) == 0
+    source = first / "source.csv"
+    text = source.read_bytes()
+    assert text.startswith(b"index,x,re,im\r\n")
+    source.write_bytes(b"index,x,im,re" + text[len(b"index,x,re,im"):])
+    assert main(["decompose", "--config", tiny_cfg, "--in", str(source),
                  "--out", str(tmp_path / "dec")]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "dec").exists()

@@ -550,8 +550,8 @@ def test_split_save_raises_what_a_child_raised(tmp_path, monkeypatch):
 
 
 def test_split_load_fails_promptly_in_its_own_part(tmp_path, monkeypatch):
-    # the child's part (states 128 ... 300) is larger than a pipe buffer, so
-    # a caller that waited for it before closing its pipe would hang
+    # the caller's own part fails: it waits for the child's part (states
+    # 128 ... 300), which succeeds, and raises its own error without hanging
     traj = _three_chunk_trajectory()
     save_trajectory(traj, tmp_path / "run")
     path = tmp_path / "run" / "state_000050.csv"
@@ -563,16 +563,51 @@ def test_split_load_fails_promptly_in_its_own_part(tmp_path, monkeypatch):
     _assert_no_child_left()
 
 
-def test_for_each_chunk_raises_when_a_child_dies(monkeypatch):
+def test_for_each_chunk_redoes_the_part_of_a_child_that_died(monkeypatch):
+    # a child reports only its exit status: the one that dies has its part
+    # redone here, the other's rows come back through shared memory
     parent = os.getpid()
-    out = np.zeros((3, CHUNK_VALUES))   # one row per chunk
+    filled = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(grid, "usable_cpus", lambda cpus=cpus: cpus)
+        out = grid.shared_empty((3, CHUNK_VALUES), float)   # a row a chunk
 
-    def work(rows):
-        if os.getpid() != parent:
-            os._exit(3)
-        out[rows] = 1.0
+        def work(rows):
+            if os.getpid() != parent and rows.start == 1:
+                os._exit(3)
+            out[rows] = rows.start + 0.5
 
-    monkeypatch.setattr(grid, "usable_cpus", lambda: 3)
-    with pytest.raises(ChildProcessError, match=r"states 1 \.\.\. 1:"):
-        grid.for_each_chunk(3, CHUNK_VALUES, work, (out,))
+        grid.for_each_chunk(3, CHUNK_VALUES, work)
+        filled[cpus] = out.tobytes()
+        _assert_no_child_left()
+    assert filled[3] == filled[1]
+
+
+def _damage_state_file(path, damage):
+    """Rewrite a state file with its header's u and ut swapped, or with one
+    index or x in every row."""
+    lines = path.read_bytes().split(b"\r\n")[:-1]
+    if damage == "header":
+        lines[0] = b"index,x,re_ut,im_ut,re_u,im_u"
+    else:
+        column, cell = {"index": (0, b"7"), "x": (1, b"0.5")}[damage]
+        for i, line in enumerate(lines[1:], 1):
+            cells = line.split(b",")
+            cells[column] = cell
+            lines[i] = b",".join(cells)
+    path.write_bytes(b"".join(line + b"\r\n" for line in lines))
+
+
+@pytest.mark.parametrize("state", [50, 200], ids=["caller", "child"])
+@pytest.mark.parametrize("damage", ["header", "index", "x"])
+def test_split_load_refuses_a_state_file_off_the_grid_layout(
+        tmp_path, monkeypatch, damage, state):
+    # with two CPUs the caller parses states 0 ... 127, a child the rest
+    traj = _three_chunk_trajectory()
+    save_trajectory(traj, tmp_path / "run")
+    name = f"state_{state:06d}.csv"
+    _damage_state_file(tmp_path / "run" / name, damage)
+    monkeypatch.setattr(grid, "usable_cpus", lambda: 2)
+    with pytest.raises(ConfigurationError, match=name):
+        load_trajectory(tmp_path / "run")
     _assert_no_child_left()
