@@ -9,11 +9,11 @@ K[xi, eta] = qhat(xi - eta) * (phi_nu(xi) - phi_nu(eta)) * psi_mu(eta).
 The cutoffs have exact zeros, so K has two blocks that can be non-zero:
 A on the rows where phi_nu != 0 (over the psi_mu columns), and B on the
 other rows and the psi_mu columns where phi_nu != 0.  The dense norm is
-the top singular value of K from the smaller Gram matrix, formed from A
-stacked on the R factor of B's QR (K^H K = A^H A + R^H R) when that has
-fewer rows than the row-trimmed kernel, and from that kernel otherwise;
-ARPACK via ``scipy.sparse.linalg.svds`` on the FFT-applied operator
-provides the second, independent route.
+the top singular value of K from the smaller Gram matrix of one stacked
+matrix: A's live rows on B's, or on the R factor of B's QR when that is
+smaller (K^H K = A^H A + B^H B = A^H A + R^H R).  ARPACK via
+``scipy.sparse.linalg.svds`` on the FFT-applied operator provides the
+second, independent route.
 """
 
 from __future__ import annotations
@@ -101,7 +101,6 @@ class _KernelBlocks:
     every other entry is exactly zero, phi_nu vanishing at both ends.
     """
 
-    qhat: np.ndarray
     s1: np.ndarray
     s0: np.ndarray
     cols: np.ndarray
@@ -118,7 +117,7 @@ def _kernel_blocks(coef, nu, mu, fam: CutoffFamily) -> _KernelBlocks:
     s1, s0 = np.flatnonzero(inside), np.flatnonzero(~inside)
     cols = np.flatnonzero(psi)
     c1 = inside[cols]
-    return _KernelBlocks(qhat, s1, s0, cols, c1,
+    return _KernelBlocks(s1, s0, cols, c1,
                          _kernel_block(qhat, phi, psi, s1, cols),
                          _kernel_block(qhat, phi, psi, s0, cols[c1]))
 
@@ -126,33 +125,22 @@ def _kernel_blocks(coef, nu, mu, fam: CutoffFamily) -> _KernelBlocks:
 def _gram_input(coef, nu, mu, fam: CutoffFamily) -> Optional[np.ndarray]:
     """A matrix M with M^H M = K^H K, None when K has no non-zero entry.
 
-    K^H K = A^H A + B^H B = A^H A + R^H R for the R factor of B = QR, so
-    when |s1| + |c1| is below the short side of the row-trimmed kernel,
-    M is A stacked on R (placed in the c1 columns).  Otherwise M is that
-    kernel itself: the rows of K[:, cols] that are not all zero, in order,
-    assembled from the blocks byte for byte as the formula gives them.
+    M is A's live (not all-zero) rows on B's live rows, in the c1 columns.
+    K^H K = A^H A + R^H R for the R factor of B = QR, so R replaces B's
+    rows when that makes the Gram matrix smaller:
+    n_a + |c1| < min(n_a + n_b, |cols|).
     """
     k = _kernel_blocks(coef, nu, mu, fam)
     live_a, live_b = np.any(k.a != 0, axis=1), np.any(k.b != 0, axis=1)
     n_a, n_b = np.count_nonzero(live_a), np.count_nonzero(live_b)
     if not n_a + n_b:
         return None
-    n1 = k.s1.size
-    if n1 + np.count_nonzero(k.c1) < min(n_a + n_b, k.cols.size):
-        r = qr(k.b, mode="r")
-        stacked = np.zeros((n1 + r.shape[0], k.cols.size), dtype=complex)
-        stacked[:n1] = k.a
-        stacked[n1:, k.c1] = r
-        return stacked
-    kernel = np.empty((n_a + n_b, k.cols.size), dtype=complex)
-    kernel[:n_a] = k.a[live_a]
-    lower = kernel[n_a:]
-    lower[:, k.c1] = k.b[live_b]
-    # the zero entries are formed, not filled in: their signs are the
-    # formula's, so this is the full formula's trimmed kernel, bit for bit
-    lower[:, ~k.c1] = _kernel_block(k.qhat, fam.phi[nu], fam.psi[mu],
-                                    k.s0[live_b], k.cols[~k.c1])
-    return kernel[np.argsort(np.concatenate([k.s1[live_a], k.s0[live_b]]))]
+    use_r = n_a + np.count_nonzero(k.c1) < min(n_a + n_b, k.cols.size)
+    lower = qr(k.b, mode="r") if use_r else k.b[live_b]
+    stacked = np.zeros((n_a + lower.shape[0], k.cols.size), dtype=complex)
+    np.compress(live_a, k.a, axis=0, out=stacked[:n_a])
+    stacked[n_a:, k.c1] = lower
+    return stacked
 
 
 def dense_norm(coef, nu, mu, fam: CutoffFamily) -> float:
@@ -270,39 +258,17 @@ class SchurKernel:
     col_sum: float      # sup_mu sum_nu k
 
 
-def _damped_kernel(h, norms, rows=1.0, cols=1.0) -> SchurKernel:
+def schur_kernel(h, norms, rows=1.0, cols=1.0) -> SchurKernel:
     """Kernel e^{-(h_nu - h_mu)/2} * rows * norms / cols and its Schur sums.
 
+    ``h`` is the weight column at the scan time; ``rows`` (e.g. 2^nu as a
+    column) and ``cols`` (e.g. eps_mu as a row) broadcast against ``norms``.
     Every factor is non-negative, so plain sums are the Schur test's sums.
     """
     damp = np.exp(-(h[:, None] - h[None, :]) / 2.0)
     kernel = damp * rows * norms / cols
     return SchurKernel(kernel, float(np.max(np.sum(kernel, axis=1))),
                        float(np.max(np.sum(kernel, axis=0))))
-
-
-def schur_kernel(s: CommutatorScan, h_at_t, t, cs, which="a",
-                 epsilons=None) -> SchurKernel:
-    """Build the weighted kernel whose Schur sums bound a cross-band term.
-
-    which="a": e^{-(h_nu - h_mu)/2} * 2^nu * alpha(t) * norms_beta, the
-    second-order coupling.  which="b": e^{-(h_nu - h_mu)/2} * norms_b /
-    eps_mu, the first-order coupling (``epsilons`` required).
-    """
-    h = np.asarray(h_at_t, dtype=float)
-    n = s.nu_max + 1
-    if h.shape[0] != n:
-        raise ValueError("weight column does not match the scan size")
-    if which == "a":
-        alpha_t = float(np.real(cs.alpha(t)))
-        return _damped_kernel(h, s.norms_beta,
-                              rows=(2.0 ** np.arange(n))[:, None] * alpha_t)
-    if which == "b":
-        if epsilons is None:
-            raise ValueError("the first-order kernel needs the epsilon array")
-        eps = np.asarray(epsilons, dtype=float)
-        return _damped_kernel(h, s.norms_b, cols=eps[None, :])
-    raise ValueError(f"unknown kernel selector {which!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +331,3 @@ def verify_decay(s: CommutatorScan) -> DecayReport:
     residual = float(np.sqrt(res[0] / far_pts)) if res.size else 0.0
     return DecayReport(near_best, near_arg, float(slope), far_pts, False,
                        consts, residual)
-
-
-def decay_report_to_json(report: DecayReport, path):
-    grid.write_json(path, report.to_dict())

@@ -27,7 +27,7 @@ from scipy.integrate import quad
 
 from . import grid
 from .coefficients import SCAN_TIMES, CoefficientSet, tensor_scan
-from .commutator import CommutatorScan, _damped_kernel
+from .commutator import CommutatorScan, schur_kernel
 from .dyadic import CutoffFamily, band_norms_sq, build_cutoffs, sobolev_norms
 from .grid import TWO_PI
 from .solver import Trajectory, cfl_limit, operator_blocks, solve_cauchy
@@ -265,11 +265,11 @@ def calibrate_constants(cs: CoefficientSet, fam: CutoffFamily,
     h_col = weight_table(scan.nu_max, [0.0, scan.t], cs, scale=Ctilde)[:, 1]
     eps = epsilon_array(cs.k, scan.nu_max)
     # second-order kernel: alpha-free norms with the (alpha+1)^(1/2) factor
-    ka = _damped_kernel(h_col, scan.norms_beta,
-                        rows=(2.0 ** np.arange(scan.nu_max + 1))[:, None])
+    ka = schur_kernel(h_col, scan.norms_beta,
+                      rows=(2.0 ** np.arange(scan.nu_max + 1))[:, None])
     S_row_a, S_col_a = ka.row_sum, ka.col_sum
     C_A = 4.0 * np.sqrt((sup_alpha + 1.0) / lam) * np.sqrt(S_row_a * S_col_a)
-    kb = _damped_kernel(h_col, scan.norms_b, cols=eps[None, :])
+    kb = schur_kernel(h_col, scan.norms_b, cols=eps[None, :])
     S_row_b, S_col_b = kb.row_sum, kb.col_sum
     C_B = 2.0 * np.sqrt(S_row_b * S_col_b)
     C_schur = float(C_A + C_B + 1.0)
@@ -448,8 +448,11 @@ def estimate_loss(cs: CoefficientSet, m, deltas, grid_sizes=(128, 256, 512),
     function pair), a forcing-free solve to T, and a ratio curve.  delta*
     is the smallest grid value whose worst-case ratio varies by at most
     the LOSS_STABILITY factor across the grid sizes; the reported
-    constant is the largest ratio there.
+    constant is the largest ratio there.  One distinct size is refused.
     """
+    if len(set(grid_sizes)) < 2:
+        raise ValueError(
+            f"the loss search needs two distinct grid sizes, got {grid_sizes}")
     deltas = np.asarray(deltas, dtype=float)
     ratios_by_n = {}
     for n_pts in grid_sizes:
@@ -500,7 +503,3 @@ def inequality_to_csv(report: InequalityReport, path):
                    zip(report.times.tolist(), report.Etot.tolist(),
                        report.rhs_cumulative.tolist(),
                        report.violation.tolist()))
-
-
-def constants_to_json(constants: Constants, path):
-    grid.write_json(path, constants.to_dict())

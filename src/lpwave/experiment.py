@@ -263,8 +263,8 @@ def run_commutator_scan(cfg: ExperimentConfig, out_dir, t=None, nu_max=None):
     os.makedirs(out_dir, exist_ok=True)
     commutator.scan_to_csv(s, os.path.join(out_dir, "commutator_scan.csv"))
     report = commutator.verify_decay(s)
-    commutator.decay_report_to_json(report,
-                                    os.path.join(out_dir, "lemma2_report.json"))
+    grid.write_json(os.path.join(out_dir, "lemma2_report.json"),
+                    report.to_dict())
     return s, report
 
 
@@ -308,7 +308,8 @@ def run_verify_energy(cfg: ExperimentConfig, traj, out_dir):
     commutator.scan_to_csv(s, os.path.join(out_dir, "commutator_scan.csv"))
     energy.ledger_to_csv(ledger, os.path.join(out_dir, "energies.csv"))
     energy.inequality_to_csv(report, os.path.join(out_dir, "etot.csv"))
-    energy.constants_to_json(constants, os.path.join(out_dir, "constants.json"))
+    grid.write_json(os.path.join(out_dir, "constants.json"),
+                    constants.to_dict())
     grid.write_json(os.path.join(out_dir, "verify.json"), report.to_dict())
     return s, constants, ledger, report
 
@@ -340,10 +341,11 @@ def run_full_pipeline(cfg: ExperimentConfig, out_dir=None, force=False):
         stage("verify-energy")
         s, constants, ledger, ineq = run_verify_energy(cfg, traj, out_dir)
         decay = commutator.verify_decay(s)
-        commutator.decay_report_to_json(
-            decay, os.path.join(out_dir, "lemma2_report.json"))
+        grid.write_json(os.path.join(out_dir, "lemma2_report.json"),
+                        decay.to_dict())
         stage("loss-estimate")
-        sizes = sorted({max(64, cfg.N // 2), cfg.N})
+        # two distinct grids: N/2 and N, or 64 and 128 when N/2 < 64
+        sizes = (max(64, cfg.N // 2), max(128, cfg.N))
         loss = energy.estimate_loss(traj.coeffs, cfg.m, cfg.delta_grid,
                                     grid_sizes=sizes, seed=cfg.seed)
         grid.write_json(os.path.join(out_dir, "loss.json"), loss.to_dict())

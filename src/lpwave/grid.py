@@ -124,8 +124,11 @@ def for_each_chunk(n_rows, row_width, work):
     then the part of each that failed is run again here, so ``work`` must
     be idempotent.  An error is raised with its own type and its part's
     range of rows (saved states, in the trajectory's save and load) first.
+    With no rows it does nothing.
     """
     chunks = list(row_chunks(n_rows, row_width))
+    if not chunks:
+        return
     n_parts = min(usable_cpus(), len(chunks)) if hasattr(os, "fork") else 1
     bounds = [len(chunks) * i // n_parts for i in range(n_parts + 1)]
     parts = [chunks[a:b] for a, b in zip(bounds, bounds[1:])]

@@ -188,6 +188,22 @@ def test_verify_energy_refuses_other_period(tmp_path, tiny_cfg, capsys):
     assert "configuration error" in err and "period 3.14159" in err, err
 
 
+def test_verify_energy_refuses_a_trajectory_with_no_times(tmp_path, tiny_cfg,
+                                                          capsys):
+    # no saved time, so no state to read: the grid check refuses it
+    traj_dir = tmp_path / "traj"
+    assert main(["solve", "--config", tiny_cfg, "--out", str(traj_dir)]) == 0
+    path = traj_dir / "trajectory.json"
+    manifest = json.loads(path.read_text())
+    manifest["times"] = []
+    path.write_text(json.dumps(manifest))
+    assert main(["verify-energy", "--config", tiny_cfg, "--traj",
+                 str(traj_dir), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "saved on another grid" in err, err
+
+
 @pytest.mark.parametrize("damage", ["short", "wide", "non-numeric"])
 def test_verify_energy_refuses_a_malformed_state_file(tmp_path, tiny_cfg,
                                                       capsys, damage):

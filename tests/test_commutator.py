@@ -203,7 +203,9 @@ def test_schur_kernel_zero_for_constant_beta():
     n = 7
     s = CommutatorScan(0.5, np.zeros((n, n)), np.zeros((n, n)), "dense-svd",
                        1e-8, n - 1, 256)
-    k = schur_kernel(s, np.zeros(n), 0.5, cs)
+    alpha_t = float(np.real(cs.alpha(0.5)))
+    k = schur_kernel(np.zeros(n), s.norms_beta,
+                     rows=(2.0 ** np.arange(n))[:, None] * alpha_t)
     assert k.row_sum == 0.0 and k.col_sum == 0.0
 
 
@@ -215,7 +217,8 @@ def test_schur_kernel_diagonal_toy():
     norms = np.diag([C * 2.0 ** -nu for nu in range(n)])
     s = CommutatorScan(0.0, norms, np.zeros((n, n)), "dense-svd", 1e-8,
                        n - 1, 256)
-    k = schur_kernel(s, np.zeros(n), 0.0, cs)   # alpha(0) = 1 for this family
+    rows = (2.0 ** np.arange(n))[:, None] * float(np.real(cs.alpha(0.0)))
+    k = schur_kernel(np.zeros(n), s.norms_beta, rows=rows)   # alpha(0) = 1
     assert abs(k.row_sum - C) < 1e-12
     assert abs(k.col_sum - C) < 1e-12
     # banded version with linear-in-nu weights stays below 5*C*e^(spread)
@@ -226,7 +229,7 @@ def test_schur_kernel_diagonal_toy():
             norms_band[nu, mu] = C * 2.0 ** -nu
     s2 = CommutatorScan(0.0, norms_band, np.zeros((n, n)), "dense-svd", 1e-8,
                         n - 1, 256)
-    k2 = schur_kernel(s2, h, 0.0, cs)
+    k2 = schur_kernel(h, s2.norms_beta, rows=rows)
     assert k2.row_sum <= 5.0 * C * np.exp(0.3)
     assert k2.col_sum <= 5.0 * C * np.exp(0.3)
 
@@ -244,7 +247,9 @@ def test_schur_sums_bounded_under_more_bands():
         fam = build_cutoffs(n_pts)
         s = scan(cs, t, fam)
         h = np.array([decay_weight(nu, t, cs) for nu in range(fam.nu_max + 1)])
-        k = schur_kernel(s, h, t, cs)
+        rows = (2.0 ** np.arange(fam.nu_max + 1))[:, None] \
+            * float(np.real(cs.alpha(t)))
+        k = schur_kernel(h, s.norms_beta, rows=rows)
         sums[fam.nu_max] = (k.row_sum, k.col_sum)
     for side in (0, 1):
         s4, s6, s8 = sums[4][side], sums[6][side], sums[8][side]
@@ -254,17 +259,12 @@ def test_schur_sums_bounded_under_more_bands():
 
 
 def test_b_kernel_uses_epsilon_column():
-    cs = builtin_family("monomial", k=2, gamma=0.25)
     n = 4
     norms_b = np.full((n, n), 0.1)
-    s = CommutatorScan(0.5, np.zeros((n, n)), norms_b, "dense-svd", 1e-8,
-                       n - 1, 64)
     eps = np.array([1.0, 0.5, 0.25, 0.125])
-    k = schur_kernel(s, np.zeros(n), 0.5, cs, which="b", epsilons=eps)
+    k = schur_kernel(np.zeros(n), norms_b, cols=eps[None, :])
     expect_row = 0.1 * np.sum(1.0 / eps)
     assert abs(k.row_sum - expect_row) < 1e-12
-    with pytest.raises(ValueError):
-        schur_kernel(s, np.zeros(n), 0.5, cs, which="b")
 
 
 def test_power_norm_reruns_bit_identical():
@@ -488,15 +488,12 @@ def _assert_matches_reference(q, nu, mu, fam):
     if ref_kernel is None:
         assert matrix is None and got == 0.0, (nu, mu, got)
         return
-    short = s1.size + np.count_nonzero(c1)
-    if short < min(ref_kernel.shape):
-        # the QR route: A stacked on the R factor of B
-        assert matrix.shape == (s1.size + min(s0.size, np.count_nonzero(c1)),
-                                cols.size), (nu, mu)
-    else:
-        # the uncompressed route: the trimmed kernel itself, byte for byte
-        assert matrix.shape == ref_kernel.shape, (nu, mu)
-        assert matrix.tobytes() == ref_kernel.tobytes(), (nu, mu)
+    # M spans the psi_mu columns; B's R factor replaces B's rows only where
+    # that shrinks the Gram matrix, so M is never taller than the trimmed
+    # kernel and its short side is never longer
+    assert matrix.shape[1] == cols.size, (nu, mu)
+    assert matrix.shape[0] <= ref_kernel.shape[0], (nu, mu)
+    assert min(matrix.shape) <= min(ref_kernel.shape), (nu, mu)
     if ref == 0.0:
         assert got == 0.0, (nu, mu, got)
     else:
@@ -579,22 +576,31 @@ def test_dense_norm_hands_lapack_the_compressed_blocks(monkeypatch):
 
 
 def test_reference_check_fails_with_r_zeroed(monkeypatch):
-    # negative control: B's contribution R^H R is what closes the gap
-    # between A^H A and K^H K on a coefficient with full Fourier support
+    # negative controls: B's contribution, as the R factor of its QR or as
+    # its rows, is what closes the gap between A^H A and K^H K on a
+    # coefficient with full Fourier support
+    kernel_blocks = commutator._kernel_blocks
+
     def zero_r(b, mode):
         return np.zeros((min(b.shape), b.shape[1]), dtype=complex)
 
-    monkeypatch.setattr(commutator, "qr", zero_r)
+    def drop_b_rows(*args):
+        k = kernel_blocks(*args)
+        return dataclasses.replace(k, b=k.b[:0])
+
     q = DENSE_CASES["k4-gamma0.3-b-128"]()
     fam = build_cutoffs(q.size)
-    failed = []
-    for nu in range(fam.nu_max + 1):
-        for mu in range(fam.nu_max + 1):
-            try:
-                _assert_matches_reference(q, nu, mu, fam)
-            except AssertionError:
-                failed.append((nu, mu))
-    assert failed
+    for name, damage in (("qr", zero_r), ("_kernel_blocks", drop_b_rows)):
+        failed = []
+        with monkeypatch.context() as patch:
+            patch.setattr(commutator, name, damage)
+            for nu in range(fam.nu_max + 1):
+                for mu in range(fam.nu_max + 1):
+                    try:
+                        _assert_matches_reference(q, nu, mu, fam)
+                    except AssertionError:
+                        failed.append((nu, mu))
+        assert failed, name
 
 
 def _power_norm_through_wrappers(coef, nu, mu, fam, tol=POWER_TOL):

@@ -520,6 +520,14 @@ def test_loss_estimate_nondegenerate_hits_grid_bottom():
     assert report.delta_star == 0.1
 
 
+@pytest.mark.parametrize("sizes", [(128,), (128, 128)])
+def test_loss_search_refuses_fewer_than_two_grid_sizes(sizes):
+    # one grid compared with itself calls every delta stable
+    with pytest.raises(ValueError, match="two distinct grid sizes"):
+        estimate_loss(builtin_family("flat", k=2), 0.0, (0.1, 0.5),
+                      grid_sizes=sizes, seed=3)
+
+
 def test_loss_search_scans_sup_a_once_per_grid(monkeypatch):
     # estimate_loss and solve_cauchy both ask for cfl_limit on each grid;
     # the memoised sup_a scans the (t, x) grid once for the two of them

@@ -158,6 +158,10 @@ def test_full_pipeline_and_manifest(tmp_path):
                  "commutator_scan.csv", "lemma2_report.json", "loss.json",
                  "conditions.json", "plots.json"):
         assert (out / name).exists(), name
+    # N = 64 has no coarser grid of 64 points or more: the loss search
+    # refines to 128 instead of comparing the 64-point grid with itself
+    loss = json.loads((out / "loss.json").read_text())
+    assert set(loss["ratios_by_n"]) == {"64", "128"}
 
 
 def test_pipeline_determinism(tmp_path):
