@@ -50,7 +50,7 @@ norms = np.zeros((n, n))
 for nu in range(n):
     for mu in range(n):
         norms[nu, mu] = dense_norm(broad, nu, mu, fam)
-s = CommutatorScan(0.0, norms, np.zeros_like(norms), "dense-svd", 1e-8,
+s = CommutatorScan(0.0, norms, np.zeros_like(norms), "dense-svd",
                    fam.nu_max, N)
 report = verify_decay(s)
 ties = ", ".join(f"({nu},{mu})" for nu, mu in report.near_argmax)

@@ -52,8 +52,7 @@ def build_parser():
     p = sub.add_parser("commutator-scan",
                        help="operator norms of the band commutators")
     _add_common(p)
-    p.add_argument("--t", type=float, default=None, help="scan time")
-    p.add_argument("--nu-max", type=int, default=None)
+    p.add_argument("--t", type=float, default=None, help="scan time in [0, T]")
 
     p = sub.add_parser("weights", help="tabulate the decay weights h(nu, t)")
     _add_common(p)
@@ -82,10 +81,6 @@ def _load_config(args):
     return cfg
 
 
-def _out_dir(args, cfg):
-    return args.out or cfg.output_dir
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -105,7 +100,7 @@ def _dispatch(args) -> int:
         return max(results.values(), default=EXIT_OK)
 
     cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+    out = args.out or cfg.output_dir
 
     if args.command == "check-conditions":
         code, reports = experiment.run_check_conditions(cfg, out)
@@ -126,8 +121,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "commutator-scan":
-        _, report = experiment.run_commutator_scan(cfg, out, t=args.t,
-                                                   nu_max=args.nu_max)
+        _, report = experiment.run_commutator_scan(cfg, out, t=args.t)
         slope = report.far_slope
         print(f"near constant {report.near_constant:.6f}, far slope "
               f"{'exact zero' if slope is None else f'{slope:.3f}'}")

@@ -32,7 +32,7 @@ from .dyadic import CutoffFamily
 from .errors import GridMismatchError, PowerIterationError
 from .grid import GridFunction
 
-POWER_TOL = 1e-8        # svds tolerance of power_norm, recorded by scan
+POWER_TOL = 1e-8        # svds tolerance of power_norm
 DECAY_FLOOR = 1e-14     # far entries at or below this count as exact zeros
 DECAY_ORDERS = (2, 4)   # q of the fitted constants norm * 2^(q*max(nu, mu))
 NEAR_TIE_RTOL = 1e-12   # near entries this close to the maximum tie with it
@@ -212,7 +212,6 @@ class CommutatorScan:
     norms_beta: np.ndarray
     norms_b: np.ndarray
     method: str
-    tolerance: float
     nu_max: int
     n_points: int
 
@@ -232,8 +231,8 @@ def scan(cs, t, fam: CutoffFamily, method="dense-svd") -> CommutatorScan:
         for mu in range(n):
             norms_beta[nu, mu] = norm(beta_vals, nu, mu, fam)
             norms_b[nu, mu] = norm(b_vals, nu, mu, fam)
-    return CommutatorScan(float(t), norms_beta, norms_b, method, POWER_TOL,
-                          fam.nu_max, fam.n_points)
+    return CommutatorScan(float(t), norms_beta, norms_b, method, fam.nu_max,
+                          fam.n_points)
 
 
 def scan_to_csv(s: CommutatorScan, path):

@@ -311,7 +311,6 @@ class EnergyLedger:
 
     nu_max: int
     times: np.ndarray
-    epsilon: np.ndarray        # (nu_max+1,)
     E: np.ndarray              # (nu_max+1, n_saved)
     h: np.ndarray              # (nu_max+1, n_saved)
     Etot: np.ndarray           # (n_saved,)
@@ -323,8 +322,7 @@ def build_ledger(traj: Trajectory, fam: CutoffFamily, cs: CoefficientSet,
     E = energy_table(traj, fam, cs)
     h = weight_table(fam.nu_max, traj.times, cs, scale=constants.Ctilde)
     Etot = np.sum(_weights(h, traj.times, constants.sigma) * E, axis=0)
-    return EnergyLedger(fam.nu_max, traj.times, epsilon_array(cs.k, fam.nu_max),
-                        E, h, Etot, constants)
+    return EnergyLedger(fam.nu_max, traj.times, E, h, Etot, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +410,11 @@ class LossReport:
     note: str = ""
 
     def to_dict(self):
+        sizes = sorted(self.ratios_by_n)
         return {"delta_star": self.delta_star, "C_m": self.C_m,
                 "deltas": [float(d) for d in self.deltas],
-                "ratios_by_n": {str(n): [float(r) for r in c]
-                                for n, c in self.ratios_by_n.items()},
+                "grid_sizes": sizes,
+                "ratios": [self.ratios_by_n[n].tolist() for n in sizes],
                 "stability_factor": self.stability_factor,
                 "found": self.found, "note": self.note}
 

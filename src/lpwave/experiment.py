@@ -15,7 +15,6 @@ import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,7 +41,6 @@ class ExperimentConfig:
     T: float = 1.0
     N: int = 128
     dt: float = 1e-3
-    nu_max_override: Optional[int] = None
     m: float = 0.0
     delta_grid: tuple = _DEFAULT_DELTAS
     seed: int = 0
@@ -51,6 +49,9 @@ class ExperimentConfig:
     save_every: int = 1
 
     def validate(self):
+        for key in ("gamma", "C0", "T", "dt", "m", "delta_grid"):
+            if not np.all(np.isfinite(getattr(self, key))):
+                raise ConfigError(f"{key} must be finite")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if self.gamma < 0:
@@ -95,8 +96,6 @@ def _coerce(name, raw):
     raw = raw.strip()
     if name == "delta_grid":
         return tuple(float(v) for v in raw.split(",") if v.strip())
-    if name == "nu_max_override":
-        return None if raw.lower() in ("", "none") else int(raw)
     if f.type in ("int", int):
         return int(raw)
     if f.type in ("float", float):
@@ -135,8 +134,6 @@ def write_config(cfg: ExperimentConfig, path):
             v = getattr(cfg, f.name)
             if f.name == "delta_grid":
                 v = ",".join(repr(float(d)) for d in v)
-            elif v is None:
-                v = "none"
             fh.write(f"{f.name} = {v}\n")
 
 
@@ -156,7 +153,7 @@ def coefficient_set(cfg: ExperimentConfig):
 
 
 def cutoff_family(cfg: ExperimentConfig):
-    return dyadic.build_cutoffs(cfg.N, nu_max=cfg.nu_max_override)
+    return dyadic.build_cutoffs(cfg.N)
 
 
 def initial_data(cfg: ExperimentConfig, cs):
@@ -254,12 +251,13 @@ def run_decompose(cfg: ExperimentConfig, out_dir, source_csv=None):
     return summary
 
 
-def run_commutator_scan(cfg: ExperimentConfig, out_dir, t=None, nu_max=None):
+def run_commutator_scan(cfg: ExperimentConfig, out_dir, t=None):
     cs = coefficient_set(cfg)
-    fam = dyadic.build_cutoffs(
-        cfg.N, nu_max=cfg.nu_max_override if nu_max is None else nu_max)
-    t_scan = scan_time(cs) if t is None else float(t)
-    s = commutator.scan(cs, t_scan, fam)
+    if t is None:
+        t = scan_time(cs)
+    elif not 0.0 <= t <= cfg.T:
+        raise ConfigError(f"scan time t = {t!r} is not in [0, T]")
+    s = commutator.scan(cs, float(t), cutoff_family(cfg))
     os.makedirs(out_dir, exist_ok=True)
     commutator.scan_to_csv(s, os.path.join(out_dir, "commutator_scan.csv"))
     report = commutator.verify_decay(s)
@@ -299,7 +297,7 @@ def run_verify_energy(cfg: ExperimentConfig, traj, out_dir):
         raise ConfigurationError("trajectory was saved on another grid: "
                                  + "; ".join(differ))
     cs = traj.coeffs
-    fam = dyadic.build_cutoffs(traj.n_points, nu_max=cfg.nu_max_override)
+    fam = cutoff_family(cfg)
     s = commutator.scan(cs, scan_time(cs), fam)
     constants = energy.calibrate_constants(cs, fam, s)
     ledger = energy.build_ledger(traj, fam, cs, constants)
@@ -314,13 +312,12 @@ def run_verify_energy(cfg: ExperimentConfig, traj, out_dir):
     return s, constants, ledger, report
 
 
-def run_full_pipeline(cfg: ExperimentConfig, out_dir=None, force=False):
+def run_full_pipeline(cfg: ExperimentConfig, out_dir, force=False):
     """check -> solve -> scan -> calibrate -> energies -> verify -> loss.
 
     Raises on the first failing stage; artifacts written so far stay in
     place and the manifest names the failed stage.
     """
-    out_dir = out_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     stages = []
 

@@ -122,8 +122,7 @@ def for_each_chunk(n_rows, row_width, work):
     reports only its exit status, so the rows it fills must be in
     :func:`shared_empty` arrays.  Every child is waited for, on every path,
     then the part of each that failed is run again here, so ``work`` must
-    be idempotent.  An error is raised with its own type and its part's
-    range of rows (saved states, in the trajectory's save and load) first.
+    be idempotent; an error of that rerun is raised as ``work`` raised it.
     With no rows it does nothing.
     """
     chunks = list(row_chunks(n_rows, row_width))
@@ -139,29 +138,18 @@ def for_each_chunk(n_rows, row_width, work):
             if pid == 0:        # a child ends only through os._exit
                 code = 1
                 try:
-                    _run_part(work, part)
+                    for rows in part:
+                        work(rows)
                     code = 0
                 finally:
                     os._exit(code)
             children.append((pid, part))
-        _run_part(work, parts[0])
+        for rows in parts[0]:
+            work(rows)
     finally:
         failed = [part for pid, part in children if os.waitpid(pid, 0)[1]]
-    for part in failed:
-        _run_part(work, part)
-
-
-def _run_part(work, part):
-    try:
-        for rows in part:
-            work(rows)
-    except Exception as exc:
-        message = f"states {part[0].start} ... {part[-1].stop - 1}: {exc}"
-        try:
-            named = type(exc)(message)
-        except Exception:
-            named = RuntimeError(message)
-        raise named from exc
+    for rows in itertools.chain.from_iterable(failed):
+        work(rows)
 
 
 def shared_empty(shape, dtype) -> np.ndarray:
@@ -247,9 +235,6 @@ def random_band_limited(n_points, xi_max=None, rng=None,
 def content_hash(w: GridFunction) -> str:
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(w.values).tobytes())
-    # the period follows the values, as in hashes already on disk, so the
-    # source_hash in decompose.json keeps its value
-    h.update(repr(TWO_PI).encode())
     return h.hexdigest()[:16]
 
 

@@ -277,10 +277,11 @@ def residual_norm(traj: Trajectory, i, f: Optional[Callable] = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# persistence: one grid CSV per saved state plus a JSON manifest.  The
-# states are written, a file at a time, and parsed, a grid.row_chunks chunk
-# per call, split across the usable CPUs by grid.for_each_chunk; the files'
-# bytes do not depend on that split, and loads fill shared arrays.
+# persistence: one grid CSV per saved state plus trajectory.json (N, steps,
+# period, coefficients, times).  States are written a file at a time and
+# parsed a grid.row_chunks chunk per call, split across the usable CPUs by
+# grid.for_each_chunk; the bytes do not depend on that split, loads fill
+# shared arrays, and an error names the state file it is about.
 STATE_COLUMNS = ("re_u", "im_u", "re_ut", "im_ut")
 
 
@@ -296,10 +297,8 @@ def save_trajectory(traj: Trajectory, out_dir):
         "N": traj.n_points,
         "dt": traj.dt,
         "solver_dt": traj.solver_dt,
-        "M": traj.n_saved - 1,
         "period": TWO_PI,
         "coefficients": _coefficients_record(traj.coeffs),
-        "saved_indices": list(range(traj.n_saved)),
         "times": [float(t) for t in traj.times],
     }
     grid.write_json(os.path.join(out_dir, "trajectory.json"), manifest)

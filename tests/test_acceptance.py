@@ -131,7 +131,7 @@ def test_criterion_4_far_decay_and_method_agreement():
     for nu in range(n):
         for mu in range(n):
             norms[nu, mu] = dense_norm(coef, nu, mu, fam)
-    s = CommutatorScan(0.0, norms, np.zeros_like(norms), "dense-svd", 1e-8,
+    s = CommutatorScan(0.0, norms, np.zeros_like(norms), "dense-svd",
                        fam.nu_max, n_points)
     report = verify_decay(s)
     worst_rel = 0.0

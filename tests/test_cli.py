@@ -91,6 +91,20 @@ def test_bad_seed_or_delta_grid_is_config_error(tmp_path, capsys, line):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["T = inf", "dt = inf", "m = nan", "m = inf",
+                                  "C0 = inf", "gamma = nan", "gamma = inf",
+                                  "delta_grid = 0.1,nan"])
+def test_non_finite_config_value_is_config_error(tmp_path, capsys, line):
+    key = line.split(" ")[0]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(row for row in TINY.splitlines()
+                             if not row.startswith(key + " ")) + f"\n{line}\n")
+    assert main(["check-conditions", "--config", str(cfg),
+                 "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {key} " in err, err
+
+
 def test_negative_seed_flag_is_config_error(tmp_path, tiny_cfg, capsys):
     assert main(["solve", "--config", tiny_cfg, "--seed", "-1",
                  "--out", str(tmp_path / "t")]) == 2
@@ -118,6 +132,19 @@ def test_commutator_scan_subcommand(tmp_path, tiny_cfg, capsys):
                  "--t", "0.5"]) == 0
     assert (out / "commutator_scan.csv").exists()
     assert (out / "lemma2_report.json").exists()
+
+
+def test_commutator_scan_refuses_a_time_outside_0_T(tmp_path, tiny_cfg,
+                                                    capsys):
+    # the tiny config has T = 0.5; both ends of [0, T] are scan times
+    for t in ("nan", "inf", "-inf", "-0.5", "0.51"):
+        assert main(["commutator-scan", "--config", tiny_cfg, f"--t={t}",
+                     "--out", str(tmp_path / "bad")]) == 2, t
+        assert "not in [0, T]" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    for t in ("0", "0.5"):
+        assert main(["commutator-scan", "--config", tiny_cfg, "--t", t,
+                     "--out", str(tmp_path / t)]) == 0, t
 
 
 def test_weights_subcommand(tmp_path, tiny_cfg):
@@ -267,11 +294,6 @@ def test_empty_output_dir_is_config_error(tmp_path, capsys, monkeypatch,
     assert not list(work.iterdir())
 
 
-def test_commutator_scan_nu_max_zero_is_config_error(tmp_path, tiny_cfg):
-    assert main(["commutator-scan", "--config", tiny_cfg, "--nu-max", "0",
-                 "--out", str(tmp_path / "scan")]) == 2
-
-
 def test_pipeline_subcommand(tmp_path, tiny_cfg, capsys):
     out = tmp_path / "pipe"
     assert main(["pipeline", "--config", tiny_cfg, "--out", str(out)]) == 0
@@ -316,9 +338,10 @@ def test_sweep_isolates_workers_and_keeps_exit_codes(tmp_path, tiny_cfg,
     assert printed == ["bad_dt: 3", "bad_k: 2", "tiny: 0"]
 
 
-@pytest.mark.parametrize("key", ["lambda0", "Lambda0"])
+@pytest.mark.parametrize("key", ["lambda0", "Lambda0", "nu_max_override"])
 def test_removed_config_key_is_config_error(tmp_path, capsys, key):
-    # the ellipticity bounds belong to the coefficient family, not the config
+    # the ellipticity bounds belong to the coefficient family, not the
+    # config, and every run uses all the bands its grid hosts
     cfg = tmp_path / "old.cfg"
     cfg.write_text(TINY + f"{key} = 0.9\n")
     assert main(["check-conditions", "--config", str(cfg),

@@ -190,7 +190,7 @@ def test_verify_decay_broad_spectrum_slope():
     for nu in range(n):
         for mu in range(n):
             norms[nu, mu] = dense_norm(coef, nu, mu, fam)
-    s = CommutatorScan(0.0, norms, np.zeros_like(norms), "dense-svd", 1e-8,
+    s = CommutatorScan(0.0, norms, np.zeros_like(norms), "dense-svd",
                        fam.nu_max, 512)
     report = verify_decay(s)
     assert not report.far_exact_zero
@@ -202,7 +202,7 @@ def test_schur_kernel_zero_for_constant_beta():
     cs = builtin_family("monomial", k=2)
     n = 7
     s = CommutatorScan(0.5, np.zeros((n, n)), np.zeros((n, n)), "dense-svd",
-                       1e-8, n - 1, 256)
+                       n - 1, 256)
     alpha_t = float(np.real(cs.alpha(0.5)))
     k = schur_kernel(np.zeros(n), s.norms_beta,
                      rows=(2.0 ** np.arange(n))[:, None] * alpha_t)
@@ -215,7 +215,7 @@ def test_schur_kernel_diagonal_toy():
     n = 8
     C = 0.7
     norms = np.diag([C * 2.0 ** -nu for nu in range(n)])
-    s = CommutatorScan(0.0, norms, np.zeros((n, n)), "dense-svd", 1e-8,
+    s = CommutatorScan(0.0, norms, np.zeros((n, n)), "dense-svd",
                        n - 1, 256)
     rows = (2.0 ** np.arange(n))[:, None] * float(np.real(cs.alpha(0.0)))
     k = schur_kernel(np.zeros(n), s.norms_beta, rows=rows)   # alpha(0) = 1
@@ -227,7 +227,7 @@ def test_schur_kernel_diagonal_toy():
     for nu in range(n):
         for mu in range(max(0, nu - 2), min(n, nu + 3)):
             norms_band[nu, mu] = C * 2.0 ** -nu
-    s2 = CommutatorScan(0.0, norms_band, np.zeros((n, n)), "dense-svd", 1e-8,
+    s2 = CommutatorScan(0.0, norms_band, np.zeros((n, n)), "dense-svd",
                         n - 1, 256)
     k2 = schur_kernel(h, s2.norms_beta, rows=rows)
     assert k2.row_sum <= 5.0 * C * np.exp(0.3)
@@ -324,7 +324,7 @@ def _decay_report_loop(s):
 
 def _table_scan(norms):
     n = norms.shape[0]
-    return CommutatorScan(0.0, norms, np.zeros_like(norms), "dense-svd", 1e-8,
+    return CommutatorScan(0.0, norms, np.zeros_like(norms), "dense-svd",
                           n - 1, 256)
 
 

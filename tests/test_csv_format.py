@@ -47,7 +47,7 @@ def _cutoffs(tmp_path):
 def _scan(tmp_path):
     s = commutator.CommutatorScan(
         0.5, np.array([[0.0, 1e-17], [0.25, -0.0]]),
-        np.array([[2.0, 0.0], [3.5, 1.0 / 3.0]]), "dense-svd", 1e-8, 1, 8)
+        np.array([[2.0, 0.0], [3.5, 1.0 / 3.0]]), "dense-svd", 1, 8)
     commutator.scan_to_csv(s, tmp_path / "scan.csv")
     return tmp_path / "scan.csv"
 
@@ -55,8 +55,7 @@ def _scan(tmp_path):
 def _energies(tmp_path):
     constants = energy.Constants(1.0, 2.0, 0.0, 4.0, 4.0, 3.0, 0.0)
     ledger = energy.EnergyLedger(
-        1, np.array([0.0, 0.5]), np.array([1.0, 0.5]),
-        np.array([[1.0, 0.75], [0.5, -0.0]]),
+        1, np.array([0.0, 0.5]), np.array([[1.0, 0.75], [0.5, -0.0]]),
         np.array([[0.0, 0.0], [0.0, -0.0]]), np.array([1.5, 0.75]), constants)
     energy.ledger_to_csv(ledger, tmp_path / "energies.csv")
     return tmp_path / "energies.csv"

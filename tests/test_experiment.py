@@ -87,13 +87,6 @@ def test_config_roundtrip(tmp_path):
     assert again == cfg
 
 
-def test_nu_max_override_roundtrip(tmp_path):
-    cfg = dataclasses.replace(parse_config(TINY), nu_max_override=3)
-    path = tmp_path / "o.cfg"
-    write_config(cfg, path)
-    assert read_config(path).nu_max_override == 3
-
-
 def test_shipped_configs_parse():
     here = os.path.join(os.path.dirname(__file__), "..", "configs")
     for name in ("k2-gamma0.cfg", "k4-gamma0.3.cfg", "nondegenerate.cfg"):
@@ -161,7 +154,18 @@ def test_full_pipeline_and_manifest(tmp_path):
     # N = 64 has no coarser grid of 64 points or more: the loss search
     # refines to 128 instead of comparing the 64-point grid with itself
     loss = json.loads((out / "loss.json").read_text())
-    assert set(loss["ratios_by_n"]) == {"64", "128"}
+    assert set(loss["grid_sizes"]) == {64, 128}
+
+
+def test_loss_json_lists_grid_sizes_in_ascending_order(tmp_path):
+    # written sorted as numbers: sorted as strings, "128" came before "64"
+    result = experiment.run_full_pipeline(parse_config(TINY), tmp_path)
+    loss = json.loads((tmp_path / "loss.json").read_text())
+    assert loss["grid_sizes"] == [64, 128]
+    assert loss["ratios"] == [result["loss"].ratios_by_n[n].tolist()
+                              for n in (64, 128)]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["loss"] == loss
 
 
 def test_pipeline_determinism(tmp_path):

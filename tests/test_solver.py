@@ -544,7 +544,7 @@ def test_split_save_raises_what_a_child_raised(tmp_path, monkeypatch):
 
     monkeypatch.setattr(grid, "write_csv", failing_write_csv)
     monkeypatch.setattr(grid, "usable_cpus", lambda: 2)
-    with pytest.raises(OSError, match=r"states 128 \.\.\. 300: disk full"):
+    with pytest.raises(OSError, match=r"disk full"):
         save_trajectory(traj, tmp_path / "run")
     _assert_no_child_left()
 
