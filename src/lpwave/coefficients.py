@@ -276,20 +276,28 @@ def check_finite_degeneration(cs: CoefficientSet, x=None) -> ConditionReport:
 def check_levi(cs: CoefficientSet, x=None) -> ConditionReport:
     """|b| <= C0 * a**gamma, with the a = 0 set handled by convention.
 
-    For gamma > 0 the ratio is undefined where a vanishes; there the check
-    requires |b| = 0 (to rounding) and flags the report when that branch
-    was exercised.
+    For gamma > 0 the ratio is undefined where a**gamma is 0: where a
+    vanishes, or where a**gamma underflows at a large gamma.  There the
+    check requires |b| = 0 (to rounding) and flags the report when that
+    branch was exercised.  A b that is not finite on the scan grid is a
+    ConfigurationError.
     """
     t_grid, x_grid = _scan_grids(cs, x)
     a = tensor_scan(cs.a, t_grid, x_grid)
     bb = np.abs(tensor_scan(cs.b, t_grid, x_grid))
+    if not np.all(np.isfinite(bb)):
+        raise ConfigurationError(
+            f"b is not finite on the scan grid (C0 = {cs.C0!r}, "
+            f"gamma = {cs.gamma!r})")
     note = ""
     if cs.gamma == 0:
         ratio = bb
     else:
         ratio = np.zeros_like(bb)
-        pos = a > 0.0
-        ratio[pos] = bb[pos] / a[pos] ** cs.gamma
+        a_gamma = np.zeros_like(a)       # stays 0 where a**gamma underflows
+        a_gamma[a > 0.0] = a[a > 0.0] ** cs.gamma
+        pos = a_gamma > 0.0
+        ratio[pos] = bb[pos] / a_gamma[pos]
         zero_set = ~pos
         if np.any(zero_set):
             note = "a = 0 set present; limit convention applied"

@@ -13,7 +13,9 @@ the top singular value of K from the smaller Gram matrix of one stacked
 matrix: A's live rows on B's, or on the R factor of B's QR when that is
 smaller (K^H K = A^H A + B^H B = A^H A + R^H R).  ARPACK via
 ``scipy.sparse.linalg.svds`` on the FFT-applied operator provides the
-second, independent route.
+second, independent route.  Each norm imports the scipy modules it calls
+(``scipy.linalg``, ``scipy.sparse.linalg``) itself, so importing this
+module loads neither.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.linalg import qr
-from scipy.linalg import eigvalsh, get_blas_funcs
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 
 from . import grid
 from .dyadic import CutoffFamily
@@ -153,6 +153,8 @@ def dense_norm(coef, nu, mu, fam: CutoffFamily) -> float:
     has fewer rows than columns, found directly by LAPACK; the relative
     error of that square root is O(machine epsilon) at every scale.
     """
+    from scipy.linalg import eigvalsh, get_blas_funcs
+
     m_in = _gram_input(coef, nu, mu, fam)
     if m_in is None:
         return 0.0
@@ -177,6 +179,8 @@ def power_norm(coef, nu, mu, fam: CutoffFamily, tol=POWER_TOL) -> float:
     euclidean algebra gives the same norm and the same adjoint.  The start
     vector is fixed, so reruns are bit-identical.
     """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
+
     q = _coef_values(coef, fam)
     q_conj = np.conj(q)
     phi, psi = fam.phi[nu], fam.psi[mu]

@@ -14,6 +14,8 @@ band in one vectorised pass of QUADPACK's 21-point Gauss-Kronrod rule
 (``qk21``), with the sums in ``qk21``'s order and ``dqagse``'s first-step
 acceptance test; an interval that fails the test is integrated by
 ``scipy.integrate.quad``, so each entry is the number ``quad`` returns.
+``scipy.integrate`` is imported by the first such call, so importing this
+module, or a weight table that needs no fallback, loads no scipy.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import grid
 from .coefficients import SCAN_TIMES, CoefficientSet, tensor_scan
 from .commutator import CommutatorScan, schur_kernel
 from .dyadic import CutoffFamily, band_norms_sq, build_cutoffs, sobolev_norms
+from .errors import ConfigurationError
 from .grid import TWO_PI
 from .solver import Trajectory, cfl_limit, operator_blocks, solve_cauchy
 
@@ -112,9 +114,15 @@ def decay_weight(nu, t, cs: CoefficientSet, scale=1.0) -> float:
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return 0.0
-    val, _ = quad(weight_integrand(cs, nu), 0.0, t,
-                  epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
-    return float(scale * val)
+    return float(scale * _quad(weight_integrand(cs, nu), 0.0, t, limit=400))
+
+
+def _quad(f, lo, hi, limit):
+    """``scipy.integrate.quad``'s value of the integral of f over [lo, hi]
+    to QUAD_TOL, absolute and relative."""
+    from scipy.integrate import quad
+
+    return quad(f, lo, hi, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=limit)[0]
 
 
 # QUADPACK dqk21: Kronrod nodes xgk (odd 0-based entries are the 10-point
@@ -199,8 +207,7 @@ def weight_table(nu_max, times, cs: CoefficientSet, scale=1.0) -> np.ndarray:
         f = weight_integrand(cs, nu)
         inc, done = _qk21_first_step(f, lo, hi)
         for i in np.flatnonzero(~done):
-            inc[i], _ = quad(f, lo[i], hi[i], epsabs=QUAD_TOL,
-                             epsrel=QUAD_TOL, limit=200)
+            inc[i] = _quad(f, lo[i], hi[i], limit=200)
         out[nu, 0] = decay_weight(nu, times[0], cs)
         out[nu, 1:] = inc
         out[nu] = np.cumsum(out[nu])
@@ -447,7 +454,8 @@ def estimate_loss(cs: CoefficientSet, m, deltas, grid_sizes=(128, 256, 512),
     function pair), a forcing-free solve to T, and a ratio curve.  delta*
     is the smallest grid value whose worst-case ratio varies by at most
     the LOSS_STABILITY factor across the grid sizes; the reported
-    constant is the largest ratio there.  One distinct size is refused.
+    constant is the largest ratio there.  One distinct size is refused, and
+    so is an ``m`` whose ratio curve on some grid is not finite.
     """
     if len(set(grid_sizes)) < 2:
         raise ValueError(
@@ -465,7 +473,12 @@ def estimate_loss(cs: CoefficientSet, m, deltas, grid_sizes=(128, 256, 512),
         steps = -(-steps // save_every) * save_every
         traj = solve_cauchy(cs, u0, u1, f=None, M=steps, check=False,
                             save_every=save_every)
-        ratios_by_n[n_pts] = loss_ratio_curve(traj, fam, m, deltas)
+        curve = loss_ratio_curve(traj, fam, m, deltas)
+        if not np.all(np.isfinite(curve)):
+            raise ConfigurationError(
+                f"m = {m!r} gives loss ratios that are not finite at N = "
+                f"{n_pts}: its Sobolev weights overflow or its data underflow")
+        ratios_by_n[n_pts] = curve
     ratios = np.array([ratios_by_n[n] for n in grid_sizes])   # (sizes, deltas)
     positive = np.all(ratios > 0, axis=0)
     # max / min only where every ratio is > 0; the rest stay unstable

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 import multiprocessing
 import os
 import sys
@@ -30,6 +31,9 @@ class ConfigError(ConfigurationError):
 _DEFAULT_DELTAS = tuple(round(0.1 * i, 10) for i in range(1, 31))
 # samples of the scan-time search: nt times over [0, T], nx grid points
 _SCAN_NT, _SCAN_NX = 64, 256
+# the scipy modules a pipeline run calls, each imported where it is called
+_PIPELINE_SCIPY = ("scipy.fft._pocketfft.pypocketfft", "scipy.integrate",
+                   "scipy.linalg", "scipy.sparse.linalg")
 
 
 @dataclass(frozen=True)
@@ -395,6 +399,8 @@ def run_sweep(config_paths, out_root, jobs=1, force=False):
     if jobs <= 1:
         results = [_sweep_worker(a) for a in args]
     else:
+        for name in _PIPELINE_SCIPY:     # once here, not once per worker
+            importlib.import_module(name)
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_sweep_worker, args)
     return dict(results)

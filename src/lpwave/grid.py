@@ -12,6 +12,7 @@ so ``coefficients(w) == fft(w.values)/N`` and the discrete L2 norm
 
 Every transform in the package goes through :func:`fft` and :func:`ifft`
 here, along the last axis.  They call scipy's pocketfft binding directly,
+imported by the first transform so that ``import lpwave`` loads no scipy,
 with the arguments ``scipy.fft`` itself passes, so the bits are those of
 ``np.fft`` and of ``scipy.fft`` on complex input, without the per-call
 backend dispatch: on a 2-core x86 VM one call at N = 128 took 1.9 us
@@ -32,7 +33,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft._pocketfft import pypocketfft
 
 from .errors import ConfigurationError, GridMismatchError
 
@@ -85,16 +85,25 @@ class GridFunction:
     __rmul__ = __mul__
 
 
+def _c2c(*args):
+    """pocketfft's complex transform: the first call imports the binding
+    (and with it ``scipy.fft``) and rebinds this name to it."""
+    global _c2c
+    from scipy.fft._pocketfft import pypocketfft
+    _c2c = pypocketfft.c2c
+    return _c2c(*args)
+
+
 def fft(values) -> np.ndarray:
     """Unnormalised forward DFT along the last axis, of the complex cast."""
     a = np.asarray(values, dtype=complex)
-    return pypocketfft.c2c(a, (a.ndim - 1,), True, 0, None, 1)
+    return _c2c(a, (a.ndim - 1,), True, 0, None, 1)
 
 
 def ifft(values) -> np.ndarray:
     """Inverse DFT along the last axis, scaled by 1/N, of the complex cast."""
     a = np.asarray(values, dtype=complex)
-    return pypocketfft.c2c(a, (a.ndim - 1,), False, 2, None, 1)
+    return _c2c(a, (a.ndim - 1,), False, 2, None, 1)
 
 
 def row_chunks(n_rows, row_width):
@@ -281,9 +290,14 @@ def _csv_block(block, width) -> str:
 
 
 def write_json(path, obj):
-    """Indented JSON with sorted keys, so reruns give identical bytes."""
+    """Indented JSON with sorted keys, so reruns give identical bytes.
+
+    A NaN or infinite float raises ValueError before the file is opened:
+    strict JSON has no such values.
+    """
+    text = json.dumps(obj, indent=1, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write(text)
 
 
 @functools.lru_cache(maxsize=8)

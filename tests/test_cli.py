@@ -105,6 +105,25 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, line):
     assert f"configuration error: {key} " in err, err
 
 
+def test_loss_search_refuses_an_m_whose_ratios_are_not_finite(tmp_path,
+                                                              capsys):
+    # at m = 200 the weights 4^((m+1-delta)*nu) overflow and the rough data
+    # underflow: every loss ratio was NaN and loss.json held bare NaN cells
+    cfg = tmp_path / "m200.cfg"
+    cfg.write_text(TINY + "m = 200\n")
+    out = tmp_path / "p"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "configuration error: m = 200.0 " in capsys.readouterr().err
+    assert not (out / "loss.json").exists()
+
+    def strict(token):
+        raise ValueError(f"non-finite JSON value {token}")
+
+    manifest = json.loads((out / "manifest.json").read_text(),
+                          parse_constant=strict)
+    assert manifest["stages"][-2:] == ["loss-estimate", "FAILED"]
+
+
 def test_negative_seed_flag_is_config_error(tmp_path, tiny_cfg, capsys):
     assert main(["solve", "--config", tiny_cfg, "--seed", "-1",
                  "--out", str(tmp_path / "t")]) == 2

@@ -176,6 +176,24 @@ def test_levi_tight_constant():
     assert report.margin < 0
 
 
+@pytest.mark.parametrize("k, gamma", [(2, 400.0), (4, 50.0), (12, 50.0)])
+def test_levi_holds_where_a_power_gamma_underflows(k, gamma):
+    # b = C0 * a**gamma underflows to 0 with a**gamma at small t > 0: the
+    # ratio there was 0/0 = NaN, a FAIL verdict with a NaN margin
+    report = check_levi(builtin_family("monomial", k=k, gamma=gamma))
+    assert report.verdict
+    assert abs(report.margin) < 1e-9
+    assert "limit convention" in report.note
+    json.dumps(report.to_dict(), allow_nan=False)
+
+
+def test_levi_refuses_a_b_that_is_not_finite():
+    # b = 1e300 * a**400 overflows where a = beta > 1
+    cs = builtin_family("nondegenerate", gamma=400.0, C0=1e300)
+    with pytest.raises(ConfigurationError, match="b is not finite"):
+        check_levi(cs)
+
+
 def test_order_condition_table():
     cases = [
         (2, 0.0, True, 0.0),

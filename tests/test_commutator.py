@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import svdvals
@@ -280,7 +281,7 @@ def test_arpack_no_convergence_is_power_iteration_error(monkeypatch):
         raise ArpackNoConvergence("no convergence", np.zeros(0),
                                   np.zeros((64, 0)))
 
-    monkeypatch.setattr("lpwave.commutator.svds", no_convergence)
+    monkeypatch.setattr("scipy.sparse.linalg.svds", no_convergence)
     fam = build_cutoffs(64)
     with pytest.raises(PowerIterationError):
         power_norm(np.ones(64, dtype=complex), 2, 2, fam)
@@ -555,7 +556,8 @@ def test_dense_norm_hands_lapack_the_compressed_blocks(monkeypatch):
     blocks = _kernel_blocks(q, 4, 6, fam)
     short = blocks.s1.size + np.count_nonzero(blocks.c1)
     seen = []
-    get_blas_funcs, eigvalsh = commutator.get_blas_funcs, commutator.eigvalsh
+    get_blas_funcs = scipy.linalg.get_blas_funcs
+    eigvalsh = scipy.linalg.eigvalsh
 
     def recording_blas(names, arrays):
         seen.append(("herk", arrays[0].shape))
@@ -565,8 +567,8 @@ def test_dense_norm_hands_lapack_the_compressed_blocks(monkeypatch):
         seen.append(("eigvalsh", a.shape))
         return eigvalsh(a, **kwargs)
 
-    monkeypatch.setattr(commutator, "get_blas_funcs", recording_blas)
-    monkeypatch.setattr(commutator, "eigvalsh", recording_eigvalsh)
+    monkeypatch.setattr(scipy.linalg, "get_blas_funcs", recording_blas)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", recording_eigvalsh)
     got = dense_norm(q, 4, 6, fam)
     assert short == 76 and blocks.cols.size == 478
     assert seen == [("herk", (short, 478)), ("eigvalsh", (short, short))]

@@ -251,7 +251,7 @@ def _counting_quad(monkeypatch):
         calls.append(args[1:3])
         return quad(*args, **kwargs)
 
-    monkeypatch.setattr("lpwave.energy.quad", counted)
+    monkeypatch.setattr("scipy.integrate.quad", counted)
     return calls
 
 

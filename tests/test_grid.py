@@ -130,3 +130,12 @@ def test_derivative_values_of_real_input_matches_numpy():
     ik = 1j * grid.frequencies(64)
     expect = np.fft.ifft(ik * np.fft.fft(values))
     assert grid.derivative_values(values).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_non_finite_floats(tmp_path, value):
+    # strict JSON has no NaN or Infinity; nothing is written
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        grid.write_json(path, {"ok": [1.5], "bad": [value]})
+    assert not path.exists()
