@@ -26,11 +26,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, UnknownFamilyError
-from .grid import row_chunks
+from .grid import grid_points, row_chunks
 
 BUILTIN_FAMILIES = ("monomial", "interior_zero", "nondegenerate", "flat")
 MAX_ORDER = 12   # highest degeneration order the derivative check accepts
 SCAN_TIMES = 512   # time samples of the (t, x) grid the checkers scan
+SCAN_POINTS = grid_points(256)   # its x samples when no grid is given
+SCAN_POINTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,7 @@ class ConditionReport:
 
 def _scan_grids(cs, x):
     if x is None:
-        x = np.arange(256) * (2.0 * np.pi / 256)
+        x = SCAN_POINTS
     t = np.linspace(0.0, cs.T, SCAN_TIMES)
     return t, np.asarray(x, dtype=float)
 
@@ -235,15 +237,26 @@ def tensor_scan(fn, t_grid, x_grid):
     return out
 
 
+def _bounds(condition_id, fn, cs, x, lo, hi) -> ConditionReport:
+    """lo <= fn <= hi on [0,T] x grid, tolerance 1e-12; margin and witness
+    are those of the extreme nearer its bound (the minimum on a tie)."""
+    t_grid, x_grid = _scan_grids(cs, x)
+    vals = tensor_scan(fn, t_grid, x_grid)
+    low, high = np.argmin(vals), np.argmax(vals)
+    lo_margin = float(vals.flat[low]) - lo
+    hi_margin = hi - float(vals.flat[high])
+    i, j = np.unravel_index(high if hi_margin < lo_margin else low,
+                            vals.shape)
+    margin = min(lo_margin, hi_margin)
+    return ConditionReport(condition_id, margin >= -1e-12,
+                           Witness(float(t_grid[i]), float(x_grid[j]),
+                                   float(vals[i, j])),
+                           margin=margin)
+
+
 def check_weak_hyperbolicity(cs: CoefficientSet, x=None) -> ConditionReport:
     """a(t,x) >= 0 on [0,T] x grid, tolerance 1e-12."""
-    t_grid, x_grid = _scan_grids(cs, x)
-    vals = tensor_scan(cs.a, t_grid, x_grid)
-    i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    amin = float(vals[i, j])
-    return ConditionReport("weak_hyperbolicity", amin >= -1e-12,
-                           Witness(float(t_grid[i]), float(x_grid[j]), amin),
-                           margin=amin)
+    return _bounds("weak_hyperbolicity", cs.a, cs, x, 0.0, np.inf)
 
 
 def check_finite_degeneration(cs: CoefficientSet, x=None) -> ConditionReport:
@@ -330,19 +343,7 @@ def check_order_condition(k, gamma) -> ConditionReport:
 
 def check_ellipticity(cs: CoefficientSet, x=None) -> ConditionReport:
     """lambda0 <= beta <= Lambda0 on [0,T] x grid, tolerance 1e-12."""
-    t_grid, x_grid = _scan_grids(cs, x)
-    vals = tensor_scan(cs.beta, t_grid, x_grid)
-    lo_margin = float(np.min(vals)) - cs.lambda0
-    hi_margin = cs.Lambda0 - float(np.max(vals))
-    if lo_margin <= hi_margin:
-        i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    else:
-        i, j = np.unravel_index(np.argmax(vals), vals.shape)
-    margin = min(lo_margin, hi_margin)
-    return ConditionReport("ellipticity", margin >= -1e-12,
-                           Witness(float(t_grid[i]), float(x_grid[j]),
-                                   float(vals[i, j])),
-                           margin=margin)
+    return _bounds("ellipticity", cs.beta, cs, x, cs.lambda0, cs.Lambda0)
 
 
 def run_all_checks(cs: CoefficientSet, x=None) -> list:

@@ -70,11 +70,6 @@ class CutoffFamily:
         return grid.frequencies(self.n_points)
 
 
-def max_band_index(n_points) -> int:
-    """Highest band whose support fits under the Nyquist frequency N/2."""
-    return int(np.floor(np.log2(n_points // 2))) - 1
-
-
 def build_cutoffs(n_points, nu_max=None) -> CutoffFamily:
     """Tabulate the cutoff family for a grid.
 
@@ -84,7 +79,7 @@ def build_cutoffs(n_points, nu_max=None) -> CutoffFamily:
     """
     if n_points < 8 or not grid._is_pow2(n_points):
         raise ConfigurationError("grid size must be a power of two >= 8")
-    cap = max_band_index(n_points)
+    cap = grid.max_band_index(n_points)
     if nu_max is None:
         nu_max = cap
     if nu_max > cap:

@@ -65,7 +65,7 @@ def energy_table(traj: Trajectory, fam: CutoffFamily,
     """
     n = traj.n_points
     x = grid.grid_points(n)
-    ik_phi = 1j * grid.frequencies(n) * fam.phi
+    ik_phi = grid.ik(n) * fam.phi
     dx_w = TWO_PI / n
     out = np.empty((fam.nu_max + 1, traj.n_saved))
     eps = epsilon_array(cs.k, fam.nu_max)[:, None]
@@ -236,8 +236,7 @@ class Constants:
         return asdict(self)
 
 
-def _sup_scan(fn, cs, x, nt):
-    t = np.linspace(0.0, cs.T, nt)
+def _sup_scan(fn, t, x):
     return max(0.0, float(np.max(np.abs(tensor_scan(fn, t, x)))))
 
 
@@ -251,13 +250,13 @@ def calibrate_constants(cs: CoefficientSet, fam: CutoffFamily,
     sigma is set to it, leaving a factor-2 margin over the sigma > C/2
     requirement.
     """
-    x = grid.grid_points(fam.n_points)
+    t, x = np.linspace(0.0, cs.T, nt), grid.grid_points(fam.n_points)
     lam = min(cs.lambda0, 1.0)
     sup_beta_t = _sup_scan(functools.partial(cs.beta_time_derivative, 1),
-                           cs, x, nt)
-    sup_c = _sup_scan(cs.c, cs, x, nt)
-    sup_b = _sup_scan(cs.b, cs, x, nt)
-    sup_alpha = float(np.max(np.real(cs.alpha(np.linspace(0.0, cs.T, nt)))))
+                           t, x)
+    sup_c = _sup_scan(cs.c, t, x)
+    sup_b = _sup_scan(cs.b, t, x)
+    sup_alpha = float(np.max(np.real(cs.alpha(t))))
 
     C1 = 2.0 * (1.0 + 1.0 / lam)
     C2_alpha = cs.Lambda0 / lam
@@ -498,15 +497,21 @@ def estimate_loss(cs: CoefficientSet, m, deltas, grid_sizes=(128, 256, 512),
 # exports
 
 
+def band_tables_to_csv(path, times, **tables):
+    """Rows (t, nu, one cell per table) in (t, nu) order; each keyword is
+    a column name and its (bands, times) table."""
+    n = len(next(iter(tables.values())))
+    cells = [table.T.ravel().tolist() for table in tables.values()]
+    grid.write_csv(path, ["t", "nu", *tables],
+                   zip(np.repeat(times, n).tolist(),
+                       list(range(n)) * times.size, *cells))
+
+
 def ledger_to_csv(ledger: EnergyLedger, path):
     """energies.csv rows: (t, nu, E, h, weight)."""
-    n = ledger.nu_max + 1
     weight = _weights(ledger.h, ledger.times, ledger.constants.sigma)
-    grid.write_csv(path, ["t", "nu", "E", "h", "weight"],
-                   zip(np.repeat(ledger.times, n).tolist(),
-                       list(range(n)) * ledger.times.size,
-                       ledger.E.T.ravel().tolist(),
-                       ledger.h.T.ravel().tolist(), weight.T.ravel().tolist()))
+    band_tables_to_csv(path, ledger.times, E=ledger.E, h=ledger.h,
+                       weight=weight)
 
 
 def inequality_to_csv(report: InequalityReport, path):

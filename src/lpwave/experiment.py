@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import commutator, dyadic, energy, grid, solver
-from .coefficients import builtin_family, run_all_checks, tensor_scan
+from .coefficients import (SCAN_POINTS, builtin_family, run_all_checks,
+                           tensor_scan)
 from .errors import ConditionError, ConfigurationError, classify
 
 
@@ -29,8 +30,7 @@ class ConfigError(ConfigurationError):
 
 
 _DEFAULT_DELTAS = tuple(round(0.1 * i, 10) for i in range(1, 31))
-# samples of the scan-time search: nt times over [0, T], nx grid points
-_SCAN_NT, _SCAN_NX = 64, 256
+_SCAN_NT = 64   # times over [0, T] of the scan-time search
 # the scipy modules a pipeline run calls, each imported where it is called
 _PIPELINE_SCIPY = ("scipy.fft._pocketfft.pypocketfft", "scipy.integrate",
                    "scipy.linalg", "scipy.sparse.linalg")
@@ -175,7 +175,7 @@ def initial_data(cfg: ExperimentConfig, cs):
 def scan_time(cs):
     """Time at which beta oscillates most in x (largest commutators)."""
     t = np.linspace(0.0, cs.T, _SCAN_NT)
-    vals = tensor_scan(cs.beta, t, grid.grid_points(_SCAN_NX))
+    vals = tensor_scan(cs.beta, t, SCAN_POINTS)
     return float(t[np.argmax(np.max(vals, axis=1) - np.min(vals, axis=1))])
 
 
@@ -203,9 +203,12 @@ def write_manifest(out_dir, cfg, stages, extra=None):
     return manifest
 
 
-def write_plot_script(out_dir, plots):
-    """Renderer-agnostic plot description referencing the CSVs."""
-    grid.write_json(os.path.join(out_dir, "plots.json"), {"plots": plots})
+def _write_lemma2_report(s, out_dir):
+    """lemma2_report.json: the decay check of a scan's beta commutators."""
+    report = commutator.verify_decay(s)
+    grid.write_json(os.path.join(out_dir, "lemma2_report.json"),
+                    report.to_dict())
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +267,7 @@ def run_commutator_scan(cfg: ExperimentConfig, out_dir, t=None):
     s = commutator.scan(cs, float(t), cutoff_family(cfg))
     os.makedirs(out_dir, exist_ok=True)
     commutator.scan_to_csv(s, os.path.join(out_dir, "commutator_scan.csv"))
-    report = commutator.verify_decay(s)
-    grid.write_json(os.path.join(out_dir, "lemma2_report.json"),
-                    report.to_dict())
-    return s, report
+    return s, _write_lemma2_report(s, out_dir)
 
 
 def run_weights(cfg: ExperimentConfig, out_dir):
@@ -277,10 +277,8 @@ def run_weights(cfg: ExperimentConfig, out_dir):
     times = np.linspace(0.0, cfg.T, 65)
     table = energy.weight_table(fam.nu_max, times, cs)
     os.makedirs(out_dir, exist_ok=True)
-    n = fam.nu_max + 1
-    grid.write_csv(os.path.join(out_dir, "weights.csv"), ["t", "nu", "h"],
-                   zip(np.repeat(times, n).tolist(),
-                       list(range(n)) * times.size, table.T.ravel().tolist()))
+    energy.band_tables_to_csv(os.path.join(out_dir, "weights.csv"), times,
+                              h=table)
     return table
 
 
@@ -324,34 +322,29 @@ def run_full_pipeline(cfg: ExperimentConfig, out_dir, force=False):
     """
     os.makedirs(out_dir, exist_ok=True)
     stages = []
-
-    def stage(name):
-        stages.append(name)
-
     try:
-        stage("check-conditions")
+        stages.append("check-conditions")
         code, reports = run_check_conditions(cfg, out_dir)
         if code != 0 and not force:
             raise ConditionError(
                 "hypothesis checks failed: "
                 + ", ".join(r["condition_id"] for r in reports
                             if not r["verdict"]))
-        stage("solve")
+        stages.append("solve")
         traj = run_solve(cfg, os.path.join(out_dir, "trajectory"),
                          force=force)
-        stage("verify-energy")
+        stages.append("verify-energy")
         s, constants, ledger, ineq = run_verify_energy(cfg, traj, out_dir)
-        decay = commutator.verify_decay(s)
-        grid.write_json(os.path.join(out_dir, "lemma2_report.json"),
-                        decay.to_dict())
-        stage("loss-estimate")
+        _write_lemma2_report(s, out_dir)
+        stages.append("loss-estimate")
         # two distinct grids: N/2 and N, or 64 and 128 when N/2 < 64
         sizes = (max(64, cfg.N // 2), max(128, cfg.N))
         loss = energy.estimate_loss(traj.coeffs, cfg.m, cfg.delta_grid,
                                     grid_sizes=sizes, seed=cfg.seed)
         grid.write_json(os.path.join(out_dir, "loss.json"), loss.to_dict())
-        stage("done")
-        write_plot_script(out_dir, [
+        stages.append("done")
+        # renderer-agnostic plot descriptions referencing the CSVs
+        grid.write_json(os.path.join(out_dir, "plots.json"), {"plots": [
             {"title": "weighted band energies", "xlabel": "t",
              "ylabel": "E", "series": [{"csv": "energies.csv", "x": "t",
                                         "y": "E", "group": "nu",
@@ -363,7 +356,7 @@ def run_full_pipeline(cfg: ExperimentConfig, out_dir, force=False):
             {"title": "commutator norms", "xlabel": "nu", "ylabel": "norm",
              "series": [{"csv": "commutator_scan.csv", "x": "nu",
                          "y": "norm_beta", "group": "mu", "logy": True}]},
-        ])
+        ]})
         manifest = write_manifest(out_dir, cfg, stages, extra={
             "verify": ineq.to_dict(), "loss": loss.to_dict()})
         return {"manifest": manifest, "inequality": ineq, "loss": loss,

@@ -177,6 +177,19 @@ def frequencies(n_points):
     return np.fft.fftfreq(n_points, d=1.0 / n_points)
 
 
+@functools.lru_cache(maxsize=32)
+def ik(n_points):
+    """The spectral d_x multiplier 1j*xi of one grid, shared read-only."""
+    out = 1j * frequencies(n_points)
+    out.flags.writeable = False
+    return out
+
+
+def max_band_index(n_points) -> int:
+    """Highest band whose support fits under the Nyquist frequency N/2."""
+    return int(np.floor(np.log2(n_points // 2))) - 1
+
+
 def coefficients(w: GridFunction) -> np.ndarray:
     """Fourier coefficients c_m in FFT order."""
     return fft(w.values) / w.n_points
@@ -216,8 +229,7 @@ def derivative(w: GridFunction, order: int = 1) -> GridFunction:
 
 def derivative_values(values, order=1):
     """Array version of :func:`derivative` for hot loops."""
-    xi = frequencies(values.shape[0])
-    return ifft((1j * xi) ** order * fft(values))
+    return ifft(ik(values.shape[0]) ** order * fft(values))
 
 
 def random_band_limited(n_points, xi_max=None, rng=None,
@@ -234,7 +246,7 @@ def random_band_limited(n_points, xi_max=None, rng=None,
         rng = np.random.default_rng(int(rng))
     xi = frequencies(n_points)
     if xi_max is None:
-        xi_max = 2.0 ** (int(np.floor(np.log2(n_points // 2))) - 1)
+        xi_max = 2.0 ** max_band_index(n_points)
     coeffs = (rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points))
     coeffs *= (1.0 + np.abs(xi)) ** (-decay)
     coeffs[np.abs(xi) > xi_max] = 0.0

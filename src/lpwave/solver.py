@@ -1,12 +1,13 @@
 """Pseudospectral time-domain solver for the degenerate wave operator.
 
 One array-level kernel, ``_terms``, holds the spatial operator on the 2*pi
-torus: spectral x-derivatives through a 1j*xi multiplier built once per
-grid size, pointwise coefficient products, and the divergence-form term
-evaluated as d_x(a * d_x u) so the structure the energy analysis
-integrates by parts against is preserved exactly.  ``apply_L``, the RK4
-right-hand side, the manufactured forcing and ``operator_blocks`` all call
-it.  Time stepping is classical fourth-order Runge-Kutta on the
+torus: spectral x-derivatives through the 1j*xi multiplier ``grid.ik``,
+pointwise coefficient products, and the divergence-form term evaluated as
+d_x(a * d_x u) so the structure the energy analysis integrates by parts
+against is preserved exactly.  ``_operator`` is the one assembly of L u
+from it, which ``apply_L``, the manufactured forcing, ``operator_blocks``
+and ``residual_norm`` call; the RK4 right-hand side calls ``_terms`` for
+d_t^2 u.  Time stepping is classical fourth-order Runge-Kutta on the
 first-order system, one (2, N) state y = (u, d_t u), with an explicit CFL
 bound tied to sup a.  The work that depends on time alone is taken out of
 the step loop: for a chunk of steps the stage times t, t + dt/2 and t + dt
@@ -55,37 +56,27 @@ class Trajectory:
     def n_points(self) -> int:
         return self.u.shape[1]
 
-    def u_at(self, i) -> GridFunction:
-        return GridFunction(self.u[i])
-
-    def ut_at(self, i) -> GridFunction:
-        return GridFunction(self.ut[i])
-
-
-@functools.lru_cache(maxsize=32)
-def _ik(n_points):
-    """The spectral d_x multiplier 1j*xi of one grid, shared read-only."""
-    ik = 1j * grid.frequencies(n_points)
-    ik.flags.writeable = False
-    return ik
-
-
-def _coefficients(cs: CoefficientSet, t, x):
-    """(a, b, c) at time t, a scalar or an (S, 1) column, on the grid x."""
-    return cs.a(t, x), cs.b(t, x), cs.c(t, x)
-
 
 def _terms(a, b, c, ik, u):
     """The spatial operator's terms (d_x(a d_x u), b d_x u, c u).
 
     Plain arrays in and out, the FFTs along the last axis, so rows of u
     may be states at different times with matching coefficient rows;
-    ``ik`` is ``_ik(N)`` of the grid.  u may be real:
+    ``ik`` is ``grid.ik(N)`` of the grid.  u may be real:
     :func:`lpwave.grid.fft` casts it to complex.
     """
     ux = grid.ifft(ik * grid.fft(u))
     div = grid.ifft(ik * grid.fft(a * ux))
     return div, b * ux, c * u
+
+
+def _operator(cs: CoefficientSet, t, x, u, utt):
+    """L u = utt - d_x(a d_x u) + b d_x u + c u on plain arrays, with the
+    coefficients at time t, a scalar or an (S, 1) column whose rows match
+    those of u and utt, on the grid x."""
+    div, bux, cu = _terms(cs.a(t, x), cs.b(t, x), cs.c(t, x),
+                          grid.ik(x.shape[0]), u)
+    return utt - div + bux + cu
 
 
 def apply_L(cs: CoefficientSet, u: GridFunction, ut2: GridFunction,
@@ -95,9 +86,7 @@ def apply_L(cs: CoefficientSet, u: GridFunction, ut2: GridFunction,
     Returns ut2 - d_x(a d_x u) + b d_x u + c u with spectral derivatives.
     """
     same_grid(u, ut2)
-    div, bux, cu = _terms(*_coefficients(cs, t, u.x),
-                          _ik(u.n_points), u.values)
-    return GridFunction(ut2.values - div + bux + cu)
+    return GridFunction(_operator(cs, t, u.x, u.values, ut2.values))
 
 
 @dataclass(frozen=True)
@@ -131,9 +120,8 @@ def manufactured_rhs(cs: CoefficientSet, exact: SpaceTimeFunction) -> Callable:
     scalar or an (S, 1) column of times, giving one row per time.
     """
     def f(t, x):
-        u = np.asarray(exact.u(t, x), dtype=complex)
-        div, bux, cu = _terms(*_coefficients(cs, t, x), _ik(x.shape[0]), u)
-        return np.asarray(exact.utt(t, x), dtype=complex) - div + bux + cu
+        return _operator(cs, t, x, np.asarray(exact.u(t, x), dtype=complex),
+                         np.asarray(exact.utt(t, x), dtype=complex))
 
     return f
 
@@ -192,7 +180,7 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
     if dt > limit * (1.0 + 1e-12):
         raise CFLError(f"dt = {dt:.3e} exceeds stability bound {limit:.3e}")
 
-    n, x, ik = u0.n_points, u0.x, _ik(u0.n_points)
+    n, x, ik = u0.n_points, u0.x, grid.ik(u0.n_points)
     half, sixth = dt / 2, dt / 6
     n_saved = M // save_every + 1
     times = np.empty(n_saved)
@@ -212,7 +200,7 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
         ts = _stage_times(steps.start, steps.stop, dt)
         shape = (ts.shape[0], n)
         a, b, c = (np.broadcast_to(vals, shape)
-                   for vals in _coefficients(cs, ts, x))
+                   for vals in (cs.a(ts, x), cs.b(ts, x), cs.c(ts, x)))
         fs = None if f is None else np.broadcast_to(f(ts, x), shape)
         for step in range(steps.start, steps.stop):
             r = 3 * (step - steps.start)
@@ -258,21 +246,19 @@ def operator_blocks(cs: CoefficientSet, traj: Trajectory):
     the column of a block's times and one batched operator per block, so
     temporaries stay small for long trajectories."""
     x = grid.grid_points(traj.n_points)
-    ik = _ik(traj.n_points)
     for rows in grid.row_chunks(traj.n_saved, traj.n_points):
-        div, bux, cu = _terms(*_coefficients(cs, traj.times[rows, None], x),
-                              ik, traj.u[rows])
-        yield rows, second_time_derivative(traj, rows) - div + bux + cu
+        yield rows, _operator(cs, traj.times[rows, None], x, traj.u[rows],
+                              second_time_derivative(traj, rows))
 
 
 def residual_norm(traj: Trajectory, i, f: Optional[Callable] = None) -> float:
     """|| L u - f || at saved index i, with d_t^2 u by finite differences."""
     i = range(traj.n_saved)[i]
-    t, u = float(traj.times[i]), traj.u_at(i)
-    ut2 = second_time_derivative(traj, slice(i, i + 1))[0]
-    vals = apply_L(traj.coeffs, u, GridFunction(ut2), t).values
+    t, x = float(traj.times[i]), grid.grid_points(traj.n_points)
+    vals = _operator(traj.coeffs, t, x, traj.u[i],
+                     second_time_derivative(traj, slice(i, i + 1))[0])
     if f is not None:
-        vals = vals - f(t, u.x)
+        vals = vals - f(t, x)
     return grid.norm(GridFunction(vals))
 
 

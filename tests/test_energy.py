@@ -442,7 +442,7 @@ def test_inequality_matches_per_state_loop(forced, zeroed):
             ut2 = (3 * ut[i] - 4 * ut[i - 1] + ut[i - 2]) / (2 * d)
         else:
             ut2 = (ut[i + 1] - ut[i - 1]) / (2 * d)
-        lu = apply_L(cs, traj.u_at(i), GridFunction(ut2),
+        lu = apply_L(cs, GridFunction(traj.u[i]), GridFunction(ut2),
                      float(traj.times[i])).values
         lu_hat = np.fft.fft(lu) / traj.n_points
         band_norms_sq = grid.TWO_PI * np.sum(
@@ -506,8 +506,8 @@ def test_loss_ratio_matches_per_delta_loop(n_points, m):
     expected = np.zeros_like(deltas)
     for i in range(traj.n_saved):
         for j, d in enumerate(deltas):
-            lhs = (sobolev_norm(traj.u_at(i), m + 1.0 - d, fam)
-                   + sobolev_norm(traj.ut_at(i), m - d, fam))
+            lhs = (sobolev_norm(GridFunction(traj.u[i]), m + 1.0 - d, fam)
+                   + sobolev_norm(GridFunction(traj.ut[i]), m - d, fam))
             expected[j] = max(expected[j], lhs / denom)
     assert np.array_equal(loss_ratio_curve(traj, fam, m, deltas), expected)
 
