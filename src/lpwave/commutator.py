@@ -13,7 +13,10 @@ the top singular value of K from the smaller Gram matrix of one stacked
 matrix: A's live rows on B's, or on the R factor of B's QR when that is
 smaller (K^H K = A^H A + B^H B = A^H A + R^H R).  ARPACK via
 ``scipy.sparse.linalg.svds`` on the FFT-applied operator provides the
-second, independent route.  Each norm imports the scipy modules it calls
+second, independent route.  Both norms are homogeneous in q, so both
+measure q scaled by a power of two to unit size (:func:`_unit_scaled`) and
+scale the norm back: the Gram matrix squares the kernel's entries, and
+would overflow or underflow for a q far from unit size.  Each norm imports the scipy modules it calls
 (``scipy.linalg``, ``scipy.sparse.linalg``) itself, so importing this
 module loads neither.
 """
@@ -47,6 +50,16 @@ def _coef_values(coef, fam: CutoffFamily) -> np.ndarray:
     if vals.shape != (fam.n_points,):
         raise GridMismatchError("coefficient samples do not match the grid")
     return vals
+
+
+def _unit_scaled(coef, fam: CutoffFamily):
+    """(coef's samples times 2^-e, e), e the binary exponent of their
+    largest real or imaginary part, so those parts lie in (-1, 1).  A
+    power of two scales every entry exactly, so the norm of the scaled
+    samples times 2^e, by ``np.ldexp``, is the norm of coef."""
+    q = np.ascontiguousarray(_coef_values(coef, fam)).view(float)
+    e = int(np.frexp(np.max(np.abs(q), initial=0.0))[1])
+    return np.ldexp(q, -e).view(complex), e
 
 
 def _commutator_values(q, phi, psi, phi_psi, w):
@@ -150,12 +163,15 @@ def dense_norm(coef, nu, mu, fam: CutoffFamily) -> float:
     The physical-space operator is unitarily similar to the kernel, so its
     largest singular value is the exact discrete L2 operator norm.  It is
     the square root of the largest eigenvalue of M^H M, or of M M^H when M
-    has fewer rows than columns, found directly by LAPACK; the relative
-    error of that square root is O(machine epsilon) at every scale.
+    has fewer rows than columns, found directly by LAPACK, for coef
+    scaled to unit size by :func:`_unit_scaled` and scaled back, so the
+    relative error is O(machine epsilon) at every scale of coef that has
+    a finite norm.
     """
     from scipy.linalg import eigvalsh, get_blas_funcs
 
-    m_in = _gram_input(coef, nu, mu, fam)
+    q, e = _unit_scaled(coef, fam)
+    m_in = _gram_input(q, nu, mu, fam)
     if m_in is None:
         return 0.0
     # herk on the Fortran-order view M^T (no copy) fills the upper triangle
@@ -168,7 +184,7 @@ def dense_norm(coef, nu, mu, fam: CutoffFamily) -> float:
     m = gram.shape[0]
     top = eigvalsh(gram, lower=False, overwrite_a=True,
                    subset_by_index=[m - 1, m - 1])[0]
-    return float(np.sqrt(max(top, 0.0)))
+    return float(np.ldexp(np.sqrt(max(top, 0.0)), e))
 
 
 def power_norm(coef, nu, mu, fam: CutoffFamily, tol=POWER_TOL) -> float:
@@ -177,11 +193,12 @@ def power_norm(coef, nu, mu, fam: CutoffFamily, tol=POWER_TOL) -> float:
     Implicitly restarted Lanczos on T*T, with T and T* applied by FFTs, so
     no kernel is formed.  The grid weight is uniform, so sample-space
     euclidean algebra gives the same norm and the same adjoint.  The start
-    vector is fixed, so reruns are bit-identical.
+    vector is fixed, so reruns are bit-identical.  As :func:`dense_norm`,
+    it measures coef scaled to unit size by :func:`_unit_scaled`.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 
-    q = _coef_values(coef, fam)
+    q, e = _unit_scaled(coef, fam)
     q_conj = np.conj(q)
     phi, psi = fam.phi[nu], fam.psi[mu]
     phi_psi = phi * psi
@@ -196,12 +213,12 @@ def power_norm(coef, nu, mu, fam: CutoffFamily, tol=POWER_TOL) -> float:
     if not np.any(T.rmatvec(T.matvec(v0))):
         return 0.0    # a generic start vector in the null space: T = 0
     try:
-        return float(svds(T, k=1, tol=tol, v0=v0,
-                          return_singular_vectors=False)[0])
+        top = svds(T, k=1, tol=tol, v0=v0, return_singular_vectors=False)[0]
     except ArpackNoConvergence as exc:
         raise PowerIterationError(
             f"ARPACK did not reach tol {tol:g} on (nu, mu) = ({nu}, {mu})"
         ) from exc
+    return float(np.ldexp(top, e))
 
 
 @dataclass(frozen=True)

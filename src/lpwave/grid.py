@@ -331,8 +331,9 @@ def read_grid_csvs(paths, n_points, names):
     parsed in one ``np.loadtxt`` call.  A file is refused, with a
     ConfigurationError naming it, unless it has the header index, x,
     ``names`` and n_points rows of numbers, index and x exactly 0 ... N-1
-    and ``grid_points(N)``.  Each file's rows are counted first, so a short
-    one cannot shift the rows after it.
+    and ``grid_points(N)``, and finite values: ``np.loadtxt`` parses
+    ``nan`` and ``inf`` as numbers.  Each file's rows are counted first, so
+    a short one cannot shift the rows after it.
     """
     header = ",".join(["index", "x", *names])
     lines = []
@@ -357,11 +358,17 @@ def read_grid_csvs(paths, n_points, names):
             cells = cells.reshape(len(paths), n_points, width)
             off_grid = np.any((cells[..., 0] != np.arange(n_points))
                               | (cells[..., 1] != grid_points(n_points)), 1)
-            if not off_grid.any():
-                return cells[..., 2:]
-            raise ConfigurationError(
-                f"{paths[np.argmax(off_grid)]} is not sampled at "
-                f"x_j = 2*pi*j/{n_points}, j = 0 ... {n_points - 1}")
+            if off_grid.any():
+                raise ConfigurationError(
+                    f"{paths[np.argmax(off_grid)]} is not sampled at "
+                    f"x_j = 2*pi*j/{n_points}, j = 0 ... {n_points - 1}")
+            values = cells[..., 2:]
+            not_finite = ~np.isfinite(values).all(axis=(1, 2))
+            if not_finite.any():
+                raise ConfigurationError(
+                    f"{paths[np.argmax(not_finite)]} holds a value that is "
+                    f"not finite")
+            return values
         problem = "parsed as {} rows of {} numbers".format(*cells.shape)
     if len(paths) > 1:          # parse one file at a time to name the bad one
         for path in paths:

@@ -269,6 +269,7 @@ def residual_norm(traj: Trajectory, i, f: Optional[Callable] = None) -> float:
 # grid.for_each_chunk; the bytes do not depend on that split, loads fill
 # shared arrays, and an error names the state file it is about.
 STATE_COLUMNS = ("re_u", "im_u", "re_ut", "im_ut")
+MANIFEST_KEYS = ("N", "dt", "solver_dt", "period", "coefficients", "times")
 
 
 def _coefficients_record(cs: CoefficientSet) -> dict:
@@ -303,11 +304,11 @@ def load_trajectory(out_dir, cs: Optional[CoefficientSet] = None) -> Trajectory:
 
     A ``cs`` that differs from the manifest's coefficient record is refused
     with a ConfigurationError naming each differing key, and so is a
-    manifest whose period is not 2*pi, the only domain the package has,
-    and a state file that :func:`lpwave.grid.read_grid_csvs` refuses.
+    manifest that :func:`_read_manifest` refuses or whose period is not
+    2*pi, the only domain the package has, and a state file that
+    :func:`lpwave.grid.read_grid_csvs` refuses.
     """
-    with open(os.path.join(out_dir, "trajectory.json")) as fh:
-        manifest = json.load(fh)
+    manifest = _read_manifest(os.path.join(out_dir, "trajectory.json"))
     if manifest["period"] != TWO_PI:
         raise ConfigurationError(
             f"trajectory was saved with period {manifest['period']!r}, "
@@ -323,8 +324,7 @@ def load_trajectory(out_dir, cs: Optional[CoefficientSet] = None) -> Trajectory:
         raise ConfigurationError(
             "trajectory was saved with other coefficients: "
             + "; ".join(differ))
-    times = np.array(manifest["times"])
-    n = manifest["N"]
+    times, n = manifest["times"], manifest["N"]
     us = grid.shared_empty((times.size, n), complex)
     uts = grid.shared_empty((times.size, n), complex)
 
@@ -338,6 +338,50 @@ def load_trajectory(out_dir, cs: Optional[CoefficientSet] = None) -> Trajectory:
     grid.for_each_chunk(times.size, n, read)
     return Trajectory(times, us, uts, manifest["dt"], cs,
                       manifest["solver_dt"])
+
+
+def _read_manifest(path) -> dict:
+    """trajectory.json, refused with a ConfigurationError naming it unless
+    it is a JSON object holding MANIFEST_KEYS with N a grid size, dt and
+    solver_dt positive and dt / solver_dt whole to a relative 1e-9 (the
+    config's rule for T/dt), a coefficient record, and times that, unless
+    there are none, are finite and 0, dt, 2 dt, ... to a relative 1e-9."""
+    with open(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path} is not JSON: {exc}") from None
+    if not (isinstance(manifest, dict)
+            and all(key in manifest for key in MANIFEST_KEYS)):
+        raise ConfigurationError(f"{path} is not a JSON object holding "
+                                 + ", ".join(MANIFEST_KEYS))
+    n, dt, solver_dt = manifest["N"], manifest["dt"], manifest["solver_dt"]
+    if type(n) is not int or n < 8 or not grid._is_pow2(n):
+        raise ConfigurationError(f"{path}: N = {n!r} is not a power of two "
+                                 f">= 8")
+    if not all(type(v) in (int, float) and 0 < v < np.inf
+               for v in (dt, solver_dt)):
+        raise ConfigurationError(f"{path}: dt = {dt!r} and solver_dt = "
+                                 f"{solver_dt!r} must be positive numbers")
+    ratio = dt / solver_dt
+    if abs(ratio - round(ratio)) > 1e-9 * ratio:
+        raise ConfigurationError(f"{path}: dt / solver_dt = {ratio!r} is "
+                                 f"not a whole number")
+    if not isinstance(manifest["coefficients"], dict):
+        raise ConfigurationError(f"{path}: coefficients is not an object")
+    try:
+        times = np.array(manifest["times"], dtype=float)
+    except (TypeError, ValueError):
+        times = None
+    if times is None or times.ndim != 1:
+        raise ConfigurationError(f"{path}: times is not a list of numbers")
+    steps = np.arange(times.size) * dt
+    if times.size and not (times[0] == 0.0 and np.all(
+            np.abs(times - steps) <= 1e-9 * steps)):
+        raise ConfigurationError(f"{path}: times are not 0, dt, 2 dt, ... "
+                                 f"for dt = {dt!r}")
+    manifest["times"] = times
+    return manifest
 
 
 def _state_path(out_dir, i):

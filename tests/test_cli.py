@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from lpwave import grid
 from lpwave.cli import main
 
+K4_CONFIG = (pathlib.Path(__file__).resolve().parent.parent / "configs"
+             / "k4-gamma0.3.cfg")
 TINY = """
 family = monomial
 k = 2
@@ -473,3 +476,123 @@ def test_decompose_in_refuses_re_and_im_swapped(tmp_path, tiny_cfg, capsys):
                  "--out", str(tmp_path / "dec")]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "dec").exists()
+
+
+def _set_cell(path, row, column, text):
+    """Replace one cell of a grid CSV, row 1 being the first after the
+    header."""
+    lines = path.read_bytes().split(b"\r\n")
+    cells = lines[row].split(b",")
+    cells[column] = text
+    lines[row] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
+
+
+@pytest.mark.parametrize("cell", [b"nan", b"inf", b"-inf"])
+def test_decompose_in_refuses_a_non_finite_cell(tmp_path, tiny_cfg, capsys,
+                                               cell):
+    # np.loadtxt parses nan and inf as numbers: the file is refused before
+    # any output is written, not after seven CSVs at decompose.json
+    first = tmp_path / "first"
+    assert main(["decompose", "--config", tiny_cfg, "--out", str(first)]) == 0
+    source = first / "source.csv"
+    _set_cell(source, 4, 2, cell)
+    assert main(["decompose", "--config", tiny_cfg, "--in", str(source),
+                 "--out", str(tmp_path / "dec")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "source.csv" in err and "not finite" in err, err
+    assert not (tmp_path / "dec").exists()
+
+
+@pytest.mark.parametrize("cell", [b"nan", b"inf"])
+def test_verify_energy_refuses_a_non_finite_state_cell(tmp_path, tiny_cfg,
+                                                      capsys, cell):
+    traj_dir = tmp_path / "traj"
+    assert main(["solve", "--config", tiny_cfg, "--out", str(traj_dir)]) == 0
+    _set_cell(traj_dir / "state_000010.csv", 4, 5, cell)
+    assert main(["verify-energy", "--config", tiny_cfg, "--traj",
+                 str(traj_dir), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "state_000010.csv" in err and "not finite" in err, err
+    assert not (tmp_path / "v").exists()
+
+
+def _truncated(text):
+    return text[:100]
+
+
+def _edited(edit):
+    def damage(text):
+        manifest = json.loads(text)
+        edit(manifest)
+        return json.dumps(manifest)
+    return damage
+
+
+MANIFEST_DAMAGE = {
+    "truncated": (_truncated, "is not JSON"),
+    "a-list": (lambda text: "[" + text + "]", "is not a JSON object"),
+    "no-period": (_edited(lambda m: m.pop("period")),
+                  "is not a JSON object holding N, dt"),
+    "repeated-time": (_edited(lambda m: m["times"].__setitem__(
+        3, m["times"][4])), "times are not 0, dt, 2 dt"),
+    "nan-time": (_edited(lambda m: m["times"].__setitem__(3, float("nan"))),
+                 "times are not 0, dt, 2 dt"),
+    "late-start": (_edited(lambda m: m.update(
+        times=[t + m["dt"] for t in m["times"]])),
+        "times are not 0, dt, 2 dt"),
+    "fractional-save-every": (_edited(lambda m: m.update(
+        solver_dt=m["dt"] / 4.5)), "dt / solver_dt = 4.5"),
+    "string-N": (_edited(lambda m: m.update(N="64")), "N = '64'"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(MANIFEST_DAMAGE))
+def test_verify_energy_refuses_a_damaged_manifest(tmp_path, tiny_cfg, capsys,
+                                                  damage):
+    # trajectory.json is read before any state: a manifest that is not the
+    # one solve writes is refused by name (exit 2), not a traceback or a
+    # verdict on times that no solve saved
+    traj_dir = tmp_path / "traj"
+    assert main(["solve", "--config", tiny_cfg, "--out", str(traj_dir)]) == 0
+    path = traj_dir / "trajectory.json"
+    edit, message = MANIFEST_DAMAGE[damage]
+    path.write_text(edit(path.read_text()))
+    assert main(["verify-energy", "--config", tiny_cfg, "--traj",
+                 str(traj_dir), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "trajectory.json" in err and message in err, err
+    assert not (tmp_path / "v").exists()
+
+
+def _norms(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return (np.array([float(r[3]) for r in rows]),
+            np.array([float(r[4]) for r in rows]))
+
+
+@pytest.mark.parametrize("C0", [1e200, 1e-200, 2.0 ** 664, 2.0 ** -664])
+def test_commutator_scan_norms_scale_with_C0(tmp_path, C0):
+    # the b norms are homogeneous in C0: at 1e200 the Gram matrix of the
+    # unscaled kernel overflows, and at 1e-200 it underflows to zero
+    k4 = (K4_CONFIG.read_text().replace("N = 128", "N = 64")
+          .replace("C0 = 1.0", "C0 = {!r}"))
+    runs = {}
+    for name, value in (("one", 1.0), ("scaled", C0)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(k4.format(value))
+        out = tmp_path / name
+        assert main(["commutator-scan", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        runs[name] = _norms(out / "commutator_scan.csv")
+    (beta_one, b_one), (beta, b) = runs["one"], runs["scaled"]
+    assert np.array_equal(beta, beta_one)
+    assert np.all(np.isfinite(b)) and np.any(b_one > 0)
+    if np.frexp(C0)[0] == 0.5:      # a power of two scales b exactly
+        assert np.array_equal(b, C0 * b_one)
+    else:       # b's rounding moves the smallest norms by more than 1e-12
+        np.testing.assert_allclose(b, C0 * b_one, rtol=1e-12,
+                                   atol=1e-12 * C0 * b_one.max())

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpwave.coefficients import (BUILTIN_FAMILIES, MAX_ORDER, builtin_family,
+from lpwave.coefficients import (BUILTIN_FAMILIES, MAX_ORDER, ConditionReport,
+                                 Witness, _scan_grids, builtin_family,
                                  check_ellipticity,
                                  check_finite_degeneration, check_levi,
                                  check_order_condition,
@@ -302,3 +303,86 @@ def test_tensor_scan_matches_per_time_loop(case):
     assert out.flags.writeable and out.flags.owndata
     assert out.shape == (t_grid.size, x_grid.size)
     assert out.tobytes() == _per_time_scan(fn, t_grid, x_grid).tobytes()
+
+
+# The two bound checks as they were written before they shared one scan,
+# kept verbatim as the reference of the merged check.
+def reference_weak_hyperbolicity(cs, x=None):
+    t_grid, x_grid = _scan_grids(cs, x)
+    vals = tensor_scan(cs.a, t_grid, x_grid)
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    amin = float(vals[i, j])
+    return ConditionReport("weak_hyperbolicity", amin >= -1e-12,
+                           Witness(float(t_grid[i]), float(x_grid[j]), amin),
+                           margin=amin)
+
+
+def reference_ellipticity(cs, x=None):
+    t_grid, x_grid = _scan_grids(cs, x)
+    vals = tensor_scan(cs.beta, t_grid, x_grid)
+    lo_margin = float(np.min(vals)) - cs.lambda0
+    hi_margin = cs.Lambda0 - float(np.max(vals))
+    if lo_margin <= hi_margin:
+        i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    else:
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+    margin = min(lo_margin, hi_margin)
+    return ConditionReport("ellipticity", margin >= -1e-12,
+                           Witness(float(t_grid[i]), float(x_grid[j]),
+                                   float(vals[i, j])),
+                           margin=margin)
+
+
+def assert_bound_checks_match_reference(cs, x):
+    # repr tells -0.0 from 0.0, which == does not
+    for check, reference in ((check_weak_hyperbolicity,
+                              reference_weak_hyperbolicity),
+                             (check_ellipticity, reference_ellipticity)):
+        assert repr(check(cs, x).to_dict()) \
+            == repr(reference(cs, x).to_dict()), (cs.name, check.__name__)
+
+
+def _bound_check_sets(name):
+    """Every k = 1 ... 6 and gamma in {0, 0.3} of one family, each also
+    with lambda0 above min beta (ellipticity fails low) and Lambda0
+    below max beta (it fails high)."""
+    for k in range(1, 7):
+        for gamma in (0.0, 0.3):
+            if name == "constant":
+                cs = constant_coefficients(a0=(-1.0, 0.0, 1.5)[k % 3], k=k)
+            elif name != "interior_zero" or k % 2 == 0:
+                cs = builtin_family(name, k=k, gamma=gamma)
+            else:
+                continue
+            yield cs
+            yield cs.with_params(lambda0=1.1)
+            yield cs.with_params(Lambda0=0.95)
+
+
+@pytest.mark.parametrize("name", BUILTIN_FAMILIES + ("constant",))
+def test_bound_checks_match_the_reference_bodies(name):
+    verdicts = set()
+    for cs in _bound_check_sets(name):
+        for x in (None, np.arange(64) * (2.0 * np.pi / 64)):
+            assert_bound_checks_match_reference(cs, x)
+            verdicts.add((check_weak_hyperbolicity(cs, x).verdict,
+                          check_ellipticity(cs, x).verdict))
+    # the sets exercise passing and failing ellipticity, and for the
+    # constant family (a0 = -1) failing weak hyperbolicity too
+    assert {v for _, v in verdicts} == {True, False}
+    if name == "constant":
+        assert {w for w, _ in verdicts} == {True, False}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.floats(-2.0, 2.0), st.floats(0.0, 2.0), st.floats(0.5, 3.0),
+       st.sampled_from([None, 8, 64]))
+def test_property_bound_checks_match_the_reference_bodies(a0, lambda0,
+                                                          Lambda0, n_x):
+    x = None if n_x is None else np.arange(n_x) * (2.0 * np.pi / n_x)
+    cs = builtin_family("monomial", k=2, gamma=0.3).with_params(
+        lambda0=lambda0, Lambda0=Lambda0)
+    assert_bound_checks_match_reference(cs, x)
+    assert_bound_checks_match_reference(
+        constant_coefficients(a0=a0).with_params(lambda0=lambda0,
+                                                 Lambda0=Lambda0), x)

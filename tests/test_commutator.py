@@ -632,3 +632,27 @@ def test_power_norm_matches_public_wrappers_bit_for_bit(case):
         for mu in range(max(0, nu - 2), min(fam.nu_max, nu + 2) + 1):
             assert power_norm(q, nu, mu, fam) \
                 == _power_norm_through_wrappers(q, nu, mu, fam), (nu, mu)
+
+
+@pytest.mark.parametrize("route", [dense_norm, power_norm])
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+def test_norms_are_homogeneous_at_every_scale(route, s):
+    # the Gram matrix squares the kernel's entries: unscaled, it loses the
+    # norm below about 1e-154 and overflows above about 1e154
+    fam = build_cutoffs(64)
+    q = 1.0 + np.cos(grid.grid_points(64)) / 2.0
+    ref = route(q, 3, 3, fam)
+    assert ref > 0.0
+    assert abs(route(s * q, 3, 3, fam) / s - ref) <= 1e-12 * ref
+
+
+def test_unit_scaled_is_exact_and_reaches_unit_size():
+    fam = build_cutoffs(64)
+    q = (1.0 + 2.0j) * (1.0 + np.cos(grid.grid_points(64)) / 2.0)
+    for s in (2.0 ** -1070, 2.0 ** -600, 1.0, 2.0 ** 700):
+        scaled, e = commutator._unit_scaled(s * q, fam)
+        assert np.array_equal(np.ldexp(scaled.view(float), e),
+                              (s * q).view(float))
+        assert 0.5 <= np.max(np.abs(scaled.view(float))) < 1.0
+    zero, e = commutator._unit_scaled(np.zeros(64), fam)
+    assert e == 0 and not np.any(zero)

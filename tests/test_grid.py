@@ -139,3 +139,12 @@ def test_write_json_refuses_non_finite_floats(tmp_path, value):
     with pytest.raises(ValueError):
         grid.write_json(path, {"ok": [1.5], "bad": [value]})
     assert not path.exists()
+
+
+def test_ik_is_a_shared_read_only_1j_xi():
+    for n in (8, 64, 1024):
+        ik = grid.ik(n)
+        assert ik.tobytes() == (1j * grid.frequencies(n)).tobytes()
+        assert grid.ik(n) is ik
+        with pytest.raises(ValueError):
+            ik[1] = 0.0

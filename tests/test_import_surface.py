@@ -1,7 +1,9 @@
-"""The scipy modules that importing lpwave, and its light commands, load.
+"""The scipy modules that importing lpwave, and its light commands, load,
+and the module-level imports of its source, each of which must be used.
 
-Each case runs in a fresh interpreter started with ``sys.executable``:
-this one has imported scipy already, through pytest and the other tests.
+Each scipy case runs in a fresh interpreter started with
+``sys.executable``: this one has imported scipy already, through pytest
+and the other tests.
 """
 
 import ast
@@ -12,6 +14,7 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "lpwave")
 K2 = os.path.join(ROOT, "configs", "k2-gamma0.cfg")
 REPORT = """
 import sys
@@ -79,3 +82,47 @@ for z, (forward, inverse) in zip(cases, ours):
 print(len(cases))
 """
     assert run_fresh(snippet, tmp_path) == "18"
+
+
+def unused_imports(source):
+    """(line, name) of each name that a module-level import of ``source``
+    binds and no expression in it reads; ``from __future__`` aside."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, (a.asname or a.name).split(".")[0])
+                      for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_every_module_level_import_is_used():
+    # __init__.py imports to re-export, so it is the one exception
+    modules = sorted(name for name in os.listdir(PACKAGE)
+                     if name.endswith(".py") and name != "__init__.py")
+    assert "solver.py" in modules
+    unused = {}
+    for name in modules:
+        with open(os.path.join(PACKAGE, name)) as fh:
+            found = unused_imports(fh.read())
+        if found:
+            unused[name] = found
+    assert unused == {}
+
+
+def test_unused_import_check_flags_an_unused_import():
+    # negative control: the same check on a snippet that imports json and
+    # a name from it and reads neither
+    snippet = """
+from __future__ import annotations
+import os.path
+import json
+from json import dumps as to_text
+from sys import argv
+
+print(os.path.sep, argv)
+"""
+    assert unused_imports(snippet) == [(4, "json"), (5, "to_text")]
