@@ -16,9 +16,9 @@ smaller (K^H K = A^H A + B^H B = A^H A + R^H R).  ARPACK via
 second, independent route.  Both norms are homogeneous in q, so both
 measure q scaled by a power of two to unit size (:func:`_unit_scaled`) and
 scale the norm back: the Gram matrix squares the kernel's entries, and
-would overflow or underflow for a q far from unit size.  Each norm imports the scipy modules it calls
-(``scipy.linalg``, ``scipy.sparse.linalg``) itself, so importing this
-module loads neither.
+would overflow or underflow for a q far from unit size.  Each norm
+imports the scipy modules it calls (``scipy.linalg``,
+``scipy.sparse.linalg``) itself, so importing this module loads neither.
 """
 
 from __future__ import annotations

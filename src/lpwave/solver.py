@@ -364,7 +364,7 @@ def _read_manifest(path) -> dict:
         raise ConfigurationError(f"{path}: dt = {dt!r} and solver_dt = "
                                  f"{solver_dt!r} must be positive numbers")
     ratio = dt / solver_dt
-    if abs(ratio - round(ratio)) > 1e-9 * ratio:
+    if not ratio < np.inf or abs(ratio - round(ratio)) > 1e-9 * ratio:
         raise ConfigurationError(f"{path}: dt / solver_dt = {ratio!r} is "
                                  f"not a whole number")
     if not isinstance(manifest["coefficients"], dict):
@@ -376,8 +376,7 @@ def _read_manifest(path) -> dict:
     if times is None or times.ndim != 1:
         raise ConfigurationError(f"{path}: times is not a list of numbers")
     steps = np.arange(times.size) * dt
-    if times.size and not (times[0] == 0.0 and np.all(
-            np.abs(times - steps) <= 1e-9 * steps)):
+    if not np.all(np.abs(times - steps) <= 1e-9 * steps):
         raise ConfigurationError(f"{path}: times are not 0, dt, 2 dt, ... "
                                  f"for dt = {dt!r}")
     manifest["times"] = times
