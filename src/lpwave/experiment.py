@@ -230,11 +230,9 @@ def run_check_conditions(cfg: ExperimentConfig, out_dir=None):
 def run_solve(cfg: ExperimentConfig, out_dir, force=False):
     cs = coefficient_set(cfg)
     u0, u1, f = initial_data(cfg, cs)
-    traj = solver.solve_cauchy(cs, u0, u1, f=f, M=cfg.steps,
-                               save_every=cfg.save_every, check=not force)
-    os.makedirs(out_dir, exist_ok=True)
-    solver.save_trajectory(traj, out_dir)
-    return traj
+    return solver.solve_cauchy(cs, u0, u1, f=f, M=cfg.steps,
+                               save_every=cfg.save_every, check=not force,
+                               out_dir=out_dir)
 
 
 def run_decompose(cfg: ExperimentConfig, out_dir, source_csv=None):

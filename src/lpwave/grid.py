@@ -38,6 +38,7 @@ from .errors import ConfigurationError, GridMismatchError
 
 TWO_PI = 2.0 * np.pi
 CHUNK_VALUES = 8192  # values per chunk of rows: see row_chunks
+_TOKEN_BYTES = 4     # a chunk index in for_each_chunk's queue
 
 
 def _is_pow2(n: int) -> bool:
@@ -122,43 +123,77 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def for_each_chunk(n_rows, row_width, work):
+def for_each_chunk(n_rows, row_width, work, produce=()):
     """Call ``work(rows)`` on every :func:`row_chunks` slice, the chunks
-    split into min(usable CPUs, chunks) contiguous parts run side by side.
+    taken from one queue by min(usable CPUs, chunks) processes side by side.
 
-    This process runs the first part and a forked child each of the
-    others, or, with one part or no ``os.fork``, everything.  A child
-    reports only its exit status, so the rows it fills must be in
-    :func:`shared_empty` arrays.  Every child is waited for, on every path,
-    then the part of each that failed is run again here, so ``work`` must
-    be idempotent; an error of that rerun is raised as ``work`` raised it.
-    With no rows it does nothing.
+    Items of ``produce`` count the leading rows ready so far; all rows are
+    ready when it ends.  This process forks the others, runs ``produce``,
+    queueing each chunk on a pipe once its last row is ready (and running
+    the head of the queue itself whenever the pipe is full), then closes
+    the queue and takes chunks from it until it is empty.  With one chunk
+    or no ``os.fork`` it runs ``produce``, then every chunk, alone.  A
+    child reports only its exit status, so the rows it reads or fills must
+    be in :func:`shared_empty` arrays, filled before their chunk is queued.
+    Every child is waited for, on every path, an error of ``produce``
+    included; then, if any failed, every chunk is run again here, so
+    ``work`` must be idempotent, and an error of that rerun is raised as
+    ``work`` raised it.
     """
     chunks = list(row_chunks(n_rows, row_width))
-    if not chunks:
+    n_children = (min(usable_cpus(), len(chunks)) - 1
+                  if hasattr(os, "fork") else 0)
+    if n_children < 1:
+        for _ in produce:
+            pass
+        for rows in chunks:
+            work(rows)
         return
-    n_parts = min(usable_cpus(), len(chunks)) if hasattr(os, "fork") else 1
-    bounds = [len(chunks) * i // n_parts for i in range(n_parts + 1)]
-    parts = [chunks[a:b] for a, b in zip(bounds, bounds[1:])]
+    take, post = os.pipe()
+    os.set_blocking(post, False)
+
+    def run_next():
+        """Run the chunk at the head of the queue; False once it is closed
+        and empty."""
+        token = os.read(take, _TOKEN_BYTES)
+        if token:
+            work(chunks[int.from_bytes(token, "little")])
+        return bool(token)
+
     children = []
     try:
-        for part in parts[1:]:
+        for _ in range(n_children):
             pid = os.fork()
             if pid == 0:        # a child ends only through os._exit
                 code = 1
                 try:
-                    for rows in part:
-                        work(rows)
+                    os.close(post)
+                    while run_next():
+                        pass
                     code = 0
                 finally:
                     os._exit(code)
-            children.append((pid, part))
-        for rows in parts[0]:
-            work(rows)
+            children.append(pid)
+        queued = 0
+        for ready in itertools.chain(produce, [n_rows]):
+            while queued < len(chunks) and chunks[queued].stop <= ready:
+                try:
+                    os.write(post, queued.to_bytes(_TOKEN_BYTES, "little"))
+                    queued += 1
+                except BlockingIOError:     # full: take the head here
+                    run_next()
+        os.close(post)
+        post = None
+        while run_next():
+            pass
     finally:
-        failed = [part for pid, part in children if os.waitpid(pid, 0)[1]]
-    for rows in itertools.chain.from_iterable(failed):
-        work(rows)
+        if post is not None:    # the children drain the queue and exit
+            os.close(post)
+        os.close(take)
+        failed = [pid for pid in children if os.waitpid(pid, 0)[1]]
+    if failed:
+        for rows in chunks:
+            work(rows)
 
 
 def shared_empty(shape, dtype) -> np.ndarray:

@@ -14,11 +14,14 @@ the step loop: for a chunk of steps the stage times t, t + dt/2 and t + dt
 form one column, and a, b, c and the forcing are tabulated on it in one
 call each, so the loop itself only makes the four operator FFTs per stage.
 Coefficient callables and forcings must therefore accept a column of
-times, (S, 1), as well as a scalar.
+times, (S, 1), as well as a scalar.  Given an output directory, the solve
+also saves its trajectory as it runs: forked writers take each finished
+chunk of saved states from ``grid.for_each_chunk``'s queue.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -150,7 +153,8 @@ def _stage_times(start, stop, dt) -> np.ndarray:
 
 def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
                  f: Optional[Callable] = None, M: int = 1000,
-                 save_every: int = 1, check: bool = True) -> Trajectory:
+                 save_every: int = 1, check: bool = True,
+                 out_dir=None) -> Trajectory:
     """Integrate the Cauchy problem from data (u0, u1) with forcing f.
 
     ``M`` steps of size T/M, T the family's final time.  The
@@ -163,6 +167,12 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
     c and f are called once on the (3S, 1) column of its stage times, so
     each must accept such a column and return (3S, N) or (N,) values; a
     scalar time still works, as for ``apply_L``.
+
+    With ``out_dir`` the files of :func:`save_trajectory` are written
+    while the solve runs, each chunk of saved states by the
+    ``grid.for_each_chunk`` process that takes it once the loop has saved
+    it.  If the solve or a write raises, they and the directories made for
+    them are removed once every writer has ended, and the error is raised.
     """
     same_grid(u0, u1)
     if M < 1:
@@ -183,40 +193,65 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
     n, x, ik = u0.n_points, u0.x, grid.ik(u0.n_points)
     half, sixth = dt / 2, dt / 6
     n_saved = M // save_every + 1
+    empty = np.empty if out_dir is None else grid.shared_empty
     times = np.empty(n_saved)
-    us = np.empty((n_saved, n), dtype=complex)
-    uts = np.empty_like(us)
-    y = np.stack((u0.values, u1.values))     # the state (u, d_t u)
-    times[0], (us[0], uts[0]) = 0.0, y
-    saved = 1
+    us = empty((n_saved, n), complex)
+    uts = empty((n_saved, n), complex)
+    traj = Trajectory(times, us, uts, dt * save_every, cs, dt)
 
-    def rhs(row, y):
-        # a, b, c and fs are the tables of the current chunk
-        div, bux, cu = _terms(a[row], b[row], c[row], ik, y[0])
-        vdot = div - bux - cu
-        return np.array((y[1], vdot if fs is None else vdot + fs[row]))
+    def steps_run():    # yields the count of saved states per chunk of steps
+        y = np.stack((u0.values, u1.values))     # the state (u, d_t u)
+        times[0], (us[0], uts[0]) = 0.0, y
+        saved = 1
 
-    for steps in grid.row_chunks(M, n):
-        ts = _stage_times(steps.start, steps.stop, dt)
-        shape = (ts.shape[0], n)
-        a, b, c = (np.broadcast_to(vals, shape)
-                   for vals in (cs.a(ts, x), cs.b(ts, x), cs.c(ts, x)))
-        fs = None if f is None else np.broadcast_to(f(ts, x), shape)
-        for step in range(steps.start, steps.stop):
-            r = 3 * (step - steps.start)
-            k1 = rhs(r, y)
-            k2 = rhs(r + 1, y + half * k1)
-            k3 = rhs(r + 1, y + half * k2)
-            k4 = rhs(r + 2, y + dt * k3)
-            y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-            if (step % 25 == 24 or step == M - 1) and not np.all(
-                    np.isfinite(y)):
-                raise NumericalBlowupError((step + 1) * dt)
-            if (step + 1) % save_every == 0:
-                times[saved] = (step + 1) * dt
-                us[saved], uts[saved] = y
-                saved += 1
-    return Trajectory(times, us, uts, dt * save_every, cs, dt)
+        def rhs(row, y):
+            # a, b, c and fs are the tables of the current chunk
+            div, bux, cu = _terms(a[row], b[row], c[row], ik, y[0])
+            vdot = div - bux - cu
+            return np.array((y[1], vdot if fs is None else vdot + fs[row]))
+
+        for steps in grid.row_chunks(M, n):
+            ts = _stage_times(steps.start, steps.stop, dt)
+            shape = (ts.shape[0], n)
+            a, b, c = (np.broadcast_to(vals, shape)
+                       for vals in (cs.a(ts, x), cs.b(ts, x), cs.c(ts, x)))
+            fs = None if f is None else np.broadcast_to(f(ts, x), shape)
+            for step in range(steps.start, steps.stop):
+                r = 3 * (step - steps.start)
+                k1 = rhs(r, y)
+                k2 = rhs(r + 1, y + half * k1)
+                k3 = rhs(r + 1, y + half * k2)
+                k4 = rhs(r + 2, y + dt * k3)
+                y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+                if (step % 25 == 24 or step == M - 1) and not np.all(
+                        np.isfinite(y)):
+                    raise NumericalBlowupError((step + 1) * dt)
+                if (step + 1) % save_every == 0:
+                    times[saved] = (step + 1) * dt
+                    us[saved], uts[saved] = y
+                    saved += 1
+            yield saved
+
+    if out_dir is None:
+        for _ in steps_run():
+            pass
+        return traj
+    made = _missing_dirs(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    try:
+        grid.for_each_chunk(n_saved, n, functools.partial(
+            _write_states, out_dir, us, uts), steps_run())
+        _write_manifest(traj, out_dir)
+    except BaseException:       # best effort: the error raised is this one
+        paths = [_state_path(out_dir, i) for i in range(n_saved)]
+        for path in [*paths, os.path.join(out_dir, "trajectory.json")]:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
+    return traj
 
 
 def second_time_derivative(traj: Trajectory, rows: slice) -> np.ndarray:
@@ -265,38 +300,45 @@ def residual_norm(traj: Trajectory, i, f: Optional[Callable] = None) -> float:
 # ---------------------------------------------------------------------------
 # persistence: one grid CSV per saved state plus trajectory.json (N, steps,
 # period, coefficients, times).  States are written a file at a time and
-# parsed a grid.row_chunks chunk per call, split across the usable CPUs by
-# grid.for_each_chunk; the bytes do not depend on that split, loads fill
-# shared arrays, and an error names the state file it is about.
+# parsed a grid.row_chunks chunk per call, the chunks taken from
+# grid.for_each_chunk's queue by every usable CPU: solve_cauchy queues each
+# once the step loop has saved it, save_trajectory and load_trajectory all
+# at once.  The bytes do not depend on which process took a chunk, loads
+# fill shared arrays, and an error names the state file it is about.
 STATE_COLUMNS = ("re_u", "im_u", "re_ut", "im_ut")
 MANIFEST_KEYS = ("N", "dt", "solver_dt", "period", "coefficients", "times")
+RECORD_KEYS = ("family", "k", "gamma", "C0", "lambda0", "Lambda0", "T")
 
 
 def _coefficients_record(cs: CoefficientSet) -> dict:
     """The manifest's record of the coefficients a trajectory solves."""
-    return {"family": cs.name, "k": cs.k, "gamma": cs.gamma, "C0": cs.C0,
-            "lambda0": cs.lambda0, "Lambda0": cs.Lambda0, "T": cs.T}
+    return dict(zip(RECORD_KEYS, (cs.name, cs.k, cs.gamma, cs.C0, cs.lambda0,
+                                  cs.Lambda0, cs.T)))
 
 
 def save_trajectory(traj: Trajectory, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    manifest = {
+    _write_manifest(traj, out_dir)
+    grid.for_each_chunk(traj.n_saved, traj.n_points, functools.partial(
+        _write_states, out_dir, traj.u, traj.ut))
+
+
+def _write_manifest(traj: Trajectory, out_dir):
+    grid.write_json(os.path.join(out_dir, "trajectory.json"), {
         "N": traj.n_points,
         "dt": traj.dt,
         "solver_dt": traj.solver_dt,
         "period": TWO_PI,
         "coefficients": _coefficients_record(traj.coeffs),
         "times": [float(t) for t in traj.times],
-    }
-    grid.write_json(os.path.join(out_dir, "trajectory.json"), manifest)
+    })
 
-    def write(rows):
-        for i in range(rows.start, rows.stop):
-            grid.write_grid_csv(_state_path(out_dir, i), STATE_COLUMNS,
-                                [traj.u[i].real, traj.u[i].imag,
-                                 traj.ut[i].real, traj.ut[i].imag])
 
-    grid.for_each_chunk(traj.n_saved, traj.n_points, write)
+def _write_states(out_dir, u, ut, rows):
+    """The state files of saved states ``rows`` of u and d_t u."""
+    for i in range(rows.start, rows.stop):
+        grid.write_grid_csv(_state_path(out_dir, i), STATE_COLUMNS,
+                            [u[i].real, u[i].imag, ut[i].real, ut[i].imag])
 
 
 def load_trajectory(out_dir, cs: Optional[CoefficientSet] = None) -> Trajectory:
@@ -344,8 +386,10 @@ def _read_manifest(path) -> dict:
     """trajectory.json, refused with a ConfigurationError naming it unless
     it is a JSON object holding MANIFEST_KEYS with N a grid size, dt and
     solver_dt positive and dt / solver_dt whole to a relative 1e-9 (the
-    config's rule for T/dt), a coefficient record, and times that, unless
-    there are none, are finite and 0, dt, 2 dt, ... to a relative 1e-9."""
+    config's rule for T/dt), a coefficient record holding RECORD_KEYS with
+    family a string, k an integer and the others finite numbers, and times
+    that, unless there are none, are finite and 0, dt, 2 dt, ... to a
+    relative 1e-9."""
     with open(path) as fh:
         try:
             manifest = json.load(fh)
@@ -367,8 +411,23 @@ def _read_manifest(path) -> dict:
     if not ratio < np.inf or abs(ratio - round(ratio)) > 1e-9 * ratio:
         raise ConfigurationError(f"{path}: dt / solver_dt = {ratio!r} is "
                                  f"not a whole number")
-    if not isinstance(manifest["coefficients"], dict):
+    record = manifest["coefficients"]
+    if not isinstance(record, dict):
         raise ConfigurationError(f"{path}: coefficients is not an object")
+    for key in RECORD_KEYS:
+        if key not in record:
+            raise ConfigurationError(f"{path}: coefficients has no {key!r}")
+        value = record[key]
+        if key == "family":
+            ok, kind = type(value) is str, "a string"
+        elif key == "k":
+            ok, kind = type(value) is int, "an integer"
+        else:
+            ok, kind = (type(value) is int or type(value) is float
+                        and np.isfinite(value)), "a finite number"
+        if not ok:
+            raise ConfigurationError(f"{path}: coefficients {key} = "
+                                     f"{value!r} is not {kind}")
     try:
         times = np.array(manifest["times"], dtype=float)
     except (TypeError, ValueError):
@@ -385,3 +444,10 @@ def _read_manifest(path) -> dict:
 
 def _state_path(out_dir, i):
     return os.path.join(out_dir, f"state_{i:06d}.csv")
+
+
+def _missing_dirs(path) -> list:
+    """``path`` and those of its parents that do not exist, deepest first."""
+    path = os.path.abspath(path)
+    return [] if os.path.isdir(path) else [path, *_missing_dirs(
+        os.path.dirname(path))]

@@ -1,4 +1,5 @@
 import contextlib
+import json
 import os
 import signal
 
@@ -477,13 +478,17 @@ def test_load_matches_csv_module_parse(tmp_path):
 # the split save and load: for_each_chunk over a trajectory of three chunks
 
 
-def _three_chunk_trajectory():
+def _three_chunk_solve(out_dir=None, f=None):
     """A random-k2 solve at N = 64 with 301 saved states: three row chunks."""
     cs = builtin_family("monomial", k=2)
     rng = np.random.default_rng(11)
     u0 = grid.random_band_limited(64, rng=rng, decay=1.0)
     u1 = grid.random_band_limited(64, rng=rng, decay=0.5)
-    traj = solve_cauchy(cs, u0, u1, M=300, check=False)
+    return solve_cauchy(cs, u0, u1, f=f, M=300, check=False, out_dir=out_dir)
+
+
+def _three_chunk_trajectory():
+    traj = _three_chunk_solve()
     assert len(list(grid.row_chunks(traj.n_saved, 64))) == 3
     return traj
 
@@ -539,7 +544,7 @@ def test_split_save_raises_what_a_child_raised(tmp_path, monkeypatch):
     write_csv = grid.write_csv
 
     def failing_write_csv(path, header, rows):
-        if str(path).endswith("state_000200.csv"):   # in the child's part
+        if str(path).endswith("state_000200.csv"):   # the last chunk
             raise OSError("disk full")
         write_csv(path, header, rows)
 
@@ -551,8 +556,8 @@ def test_split_save_raises_what_a_child_raised(tmp_path, monkeypatch):
 
 
 def test_split_load_fails_promptly_in_its_own_part(tmp_path, monkeypatch):
-    # the caller's own part fails: it waits for the child's part (states
-    # 128 ... 300), which succeeds, and raises its own error without hanging
+    # the process that takes state 50's chunk fails: the caller waits for
+    # every child and raises the error without hanging
     traj = _three_chunk_trajectory()
     save_trajectory(traj, tmp_path / "run")
     path = tmp_path / "run" / "state_000050.csv"
@@ -603,7 +608,8 @@ def _damage_state_file(path, damage):
 @pytest.mark.parametrize("damage", ["header", "index", "x"])
 def test_split_load_refuses_a_state_file_off_the_grid_layout(
         tmp_path, monkeypatch, damage, state):
-    # with two CPUs the caller parses states 0 ... 127, a child the rest
+    # states 50 and 200 are in the first and the last chunk, which with
+    # two CPUs the caller or the child may take
     traj = _three_chunk_trajectory()
     save_trajectory(traj, tmp_path / "run")
     name = f"state_{state:06d}.csv"
@@ -612,3 +618,189 @@ def test_split_load_refuses_a_state_file_off_the_grid_layout(
     with pytest.raises(ConfigurationError, match=name):
         load_trajectory(tmp_path / "run")
     _assert_no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# the save that runs with the solve: solve_cauchy(out_dir=...)
+
+
+def test_solve_with_out_dir_writes_the_bytes_of_save_trajectory(
+        tmp_path, monkeypatch):
+    traj = _three_chunk_trajectory()
+    save_trajectory(traj, tmp_path / "saved")
+    saved = _dir_bytes(tmp_path / "saved")
+    for cpus in (1, 2, 3, None):
+        if cpus is None:
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(grid, "usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        solved = _three_chunk_solve(out)
+        assert solved.u.tobytes() == traj.u.tobytes()
+        assert _dir_bytes(out) == saved
+        back = load_trajectory(out)
+        assert back.u.tobytes() == traj.u.tobytes()
+        assert back.ut.tobytes() == traj.ut.tobytes()
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("t_bad", [0.0, 0.95])
+def test_blowup_with_out_dir_leaves_no_trajectory(tmp_path, monkeypatch,
+                                                  t_bad):
+    # at t_bad = 0.95 two chunks of states are written before the blowup
+    def f(t, x):
+        return np.where(np.asarray(t) >= t_bad, np.inf, 0.0) * np.ones_like(x)
+
+    monkeypatch.setattr(grid, "usable_cpus", lambda: 2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NumericalBlowupError) as plain:
+            _three_chunk_solve(f=f)
+        (tmp_path / "kept").mkdir()
+        for out in (tmp_path / "made" / "traj", tmp_path / "kept"):
+            with pytest.raises(NumericalBlowupError) as saving:
+                _three_chunk_solve(out, f=f)
+            assert saving.value.t == plain.value.t
+            _assert_no_child_left()
+    assert not (tmp_path / "made").exists()
+    assert list((tmp_path / "kept").iterdir()) == []
+
+
+def test_solve_with_out_dir_raises_what_a_writer_raised(tmp_path,
+                                                        monkeypatch):
+    write_csv = grid.write_csv
+
+    def failing_write_csv(path, header, rows):
+        if str(path).endswith("state_000150.csv"):
+            raise OSError("disk full")
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(grid, "write_csv", failing_write_csv)
+    monkeypatch.setattr(grid, "usable_cpus", lambda: 2)
+    with _wall_clock_guard(60.0):
+        with pytest.raises(OSError, match=r"disk full"):
+            _three_chunk_solve(tmp_path / "run")
+    _assert_no_child_left()
+    assert not (tmp_path / "run").exists()
+
+
+def test_solve_with_out_dir_redoes_the_chunks_of_a_writer_that_died(
+        tmp_path, monkeypatch):
+    traj = _three_chunk_trajectory()
+    save_trajectory(traj, tmp_path / "saved")
+    parent = os.getpid()
+    write_csv = grid.write_csv
+
+    def dying_write_csv(path, header, rows):
+        if os.getpid() != parent and str(path).endswith("state_000150.csv"):
+            os._exit(3)
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(grid, "write_csv", dying_write_csv)
+    monkeypatch.setattr(grid, "usable_cpus", lambda: 3)
+    _three_chunk_solve(tmp_path / "run")
+    _assert_no_child_left()
+    assert _dir_bytes(tmp_path / "run") == _dir_bytes(tmp_path / "saved")
+
+
+def test_for_each_chunk_runs_each_chunk_once_from_the_shared_queue(
+        monkeypatch):
+    # three processes on the queue of 40 000 one-row chunks: no index is
+    # lost or taken twice
+    monkeypatch.setattr(grid, "usable_cpus", lambda: 3)
+    runs = grid.shared_empty((40_000,), np.int64)
+    runs[:] = 0
+
+    def work(rows):
+        runs[rows] += 1
+
+    with _wall_clock_guard(60.0):
+        grid.for_each_chunk(runs.size, CHUNK_VALUES, work)
+    _assert_no_child_left()
+    assert np.all(runs == 1)
+
+
+def test_for_each_chunk_takes_chunks_itself_while_the_queue_is_full(
+        monkeypatch):
+    # the only child dies on its first chunk, so 160 kB of queued indices
+    # fill the pipe: the caller runs chunks as it queues, then all again
+    parent = os.getpid()
+    monkeypatch.setattr(grid, "usable_cpus", lambda: 2)
+    runs = grid.shared_empty((40_000,), np.int64)
+    runs[:] = 0
+
+    def work(rows):
+        if os.getpid() != parent:
+            os._exit(3)
+        runs[rows] += 1
+
+    with _wall_clock_guard(60.0):
+        grid.for_each_chunk(runs.size, CHUNK_VALUES, work)
+    _assert_no_child_left()
+    assert np.sum(runs == 1) == 1 and np.sum(runs == 2) == runs.size - 1
+
+
+def test_for_each_chunk_queues_a_chunk_once_its_rows_are_ready(monkeypatch):
+    # produce fills rows a few at a time; every chunk that work sees is
+    # already whole, in this process or a child
+    monkeypatch.setattr(grid, "usable_cpus", lambda: 2)
+    n = 10
+    rows_in = grid.shared_empty((n, CHUNK_VALUES // 2), float)
+    seen = grid.shared_empty((n,), float)
+
+    def produce():
+        for i in range(n):
+            rows_in[i] = i + 1
+            yield i + 1
+
+    def work(rows):
+        seen[rows] = rows_in[rows].min(axis=1)
+
+    grid.for_each_chunk(n, CHUNK_VALUES // 2, work, produce())
+    _assert_no_child_left()
+    assert seen.tolist() == list(range(1, n + 1))
+
+
+def test_for_each_chunk_waits_for_its_children_when_produce_raises(
+        monkeypatch):
+    monkeypatch.setattr(grid, "usable_cpus", lambda: 3)
+
+    def produce():
+        yield 1
+        raise ValueError("stop")
+
+    with _wall_clock_guard(20.0):
+        with pytest.raises(ValueError, match="stop"):
+            grid.for_each_chunk(4, CHUNK_VALUES, lambda rows: None,
+                                produce())
+    _assert_no_child_left()
+
+
+def _saved_manifest(tmp_path):
+    cs, u0, u1, _, _ = _random_k2()
+    traj = solve_cauchy(cs, u0, u1, M=100, save_every=50, check=False)
+    save_trajectory(traj, tmp_path / "run")
+    path = tmp_path / "run" / "trajectory.json"
+    return traj, path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("key", ["family", "k", "T"])
+def test_load_refuses_a_coefficient_record_without_a_key(tmp_path, key):
+    _, path, manifest = _saved_manifest(tmp_path)
+    del manifest["coefficients"][key]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigurationError,
+                       match=f"trajectory.json: coefficients has no '{key}'"):
+        load_trajectory(tmp_path / "run")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("k", "2"), ("k", 2.0), ("family", 1), ("gamma", True),
+    ("C0", float("inf")), ("T", None)])
+def test_load_refuses_a_coefficient_record_of_the_wrong_type(tmp_path, key,
+                                                             value):
+    _, path, manifest = _saved_manifest(tmp_path)
+    manifest["coefficients"][key] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigurationError,
+                       match=f"trajectory.json: coefficients {key} = "):
+        load_trajectory(tmp_path / "run")
