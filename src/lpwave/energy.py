@@ -9,10 +9,10 @@ weight h(nu, t) integrates the growth factor of E_nu, and the weighted
 total  sum_nu exp(-h(nu,t) - 2*sigma*t) * E_nu(t)  is the quantity whose
 one-sided evolution bound is verified in integrated form.
 
-The weight table integrates all the intervals between saved times of a
-band in one vectorised pass of QUADPACK's 21-point Gauss-Kronrod rule
-(``qk21``), with the sums in ``qk21``'s order and ``dqagse``'s first-step
-acceptance test; an interval that fails the test is integrated by
+The weight table integrates all bands over all the intervals between
+saved times in one vectorised pass of QUADPACK's 21-point Gauss-Kronrod
+rule (``qk21``), with the sums in ``qk21``'s order and ``dqagse``'s
+first-step acceptance test; a (band, interval) that fails it is integrated by
 ``scipy.integrate.quad``, so each entry is the number ``quad`` returns.
 ``scipy.integrate`` is imported by the first such call, so importing this
 module, or a weight table that needs no fallback, loads no scipy.
@@ -40,18 +40,16 @@ LOSS_C_CFL = 0.4       # Courant factor of the loss-search solves
 LOSS_STABILITY = 2.0   # max/min ratio across grid sizes that counts as stable
 
 
-def block_epsilon(k, nu) -> float:
-    """Per-band regularization 2^(-nu*2k/(2+k)); in (0, 1], and
-    sqrt(eps)*2^nu = 2^(nu*2/(2+k)) >= 1."""
+def block_epsilon(k, nu):
+    """Regularization 2^(-nu*2k/(2+k)) of a band nu, or an integer array of
+    bands; in (0, 1], and sqrt(eps)*2^nu = 2^(nu*2/(2+k)) >= 1."""
+    nu = np.asarray(nu)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if nu < 0:
+    if np.any(nu < 0):
         raise ValueError("nu must be >= 0")
-    return float(2.0 ** (-nu * 2.0 * k / (2.0 + k)))
-
-
-def epsilon_array(k, nu_max) -> np.ndarray:
-    return np.array([block_epsilon(k, nu) for nu in range(nu_max + 1)])
+    eps = np.float_power(2.0, -nu * 2.0 * k / (2.0 + k))   # libm pow, as **
+    return float(eps) if eps.ndim == 0 else eps
 
 
 def energy_table(traj: Trajectory, fam: CutoffFamily,
@@ -68,7 +66,7 @@ def energy_table(traj: Trajectory, fam: CutoffFamily,
     ik_phi = grid.ik(n) * fam.phi
     dx_w = TWO_PI / n
     out = np.empty((fam.nu_max + 1, traj.n_saved))
-    eps = epsilon_array(cs.k, fam.nu_max)[:, None]
+    eps = block_epsilon(cs.k, np.arange(fam.nu_max + 1))[:, None]
     kinetic = band_norms_sq(fam, traj.ut)
     for rows in grid.row_chunks(traj.n_saved, n * (fam.nu_max + 1)):
         a_rows = tensor_scan(cs.a, traj.times[rows], x)
@@ -87,7 +85,8 @@ def energy_table(traj: Trajectory, fam: CutoffFamily,
 def weight_integrand(cs: CoefficientSet, nu):
     """The four-term growth-rate integrand for band nu (scale factor 1).
 
-    The returned f(s) takes a scalar or an array of times.
+    The returned f(s) takes a scalar or an array of times; an integer
+    array of bands nu broadcasts against them, alpha taken once per time.
     """
     eps = block_epsilon(cs.k, nu)
     two_nu = 2.0 ** nu
@@ -153,8 +152,9 @@ def _qk21_first_step(f, lo, hi):
     """dqagse's first step on each interval [lo[i], hi[i]] at once.
 
     Returns the 21-point Kronrod result per interval and a mask of the
-    intervals where dqagse would stop after that step.  Every sum runs in
-    dqk21's order, so an accepted entry is the number quad returns.
+    intervals where dqagse would stop after that step, each with f's
+    leading (band) axes.  Every sum runs in dqk21's order, so an accepted
+    entry is the number quad returns.
     """
     centr = 0.5 * (lo + hi)
     hlgth = 0.5 * (hi - lo)
@@ -162,21 +162,22 @@ def _qk21_first_step(f, lo, hi):
     absc = hlgth[:, None] * _XGK[:10]
     fv = f(np.concatenate([centr[:, None], centr[:, None] - absc,
                            centr[:, None] + absc], axis=1))
-    fc, fv1, fv2 = fv[:, 0], fv[:, 1:11], fv[:, 11:]
+    fc, fv1, fv2 = fv[..., 0], fv[..., 1:11], fv[..., 11:]
     resg = 0.0
     resk = _WGK[10] * fc
     resabs = np.abs(resk)
     for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):   # Gauss pairs first
-        fsum = fv1[:, j] + fv2[:, j]
+        fsum = fv1[..., j] + fv2[..., j]
         if j % 2:
             resg = resg + _WG[j // 2] * fsum
         resk = resk + _WGK[j] * fsum
-        resabs = resabs + _WGK[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
+        resabs = resabs + _WGK[j] * (np.abs(fv1[..., j])
+                                     + np.abs(fv2[..., j]))
     reskh = resk * 0.5
     resasc = _WGK[10] * np.abs(fc - reskh)
     for j in range(10):
-        resasc = resasc + _WGK[j] * (np.abs(fv1[:, j] - reskh)
-                                     + np.abs(fv2[:, j] - reskh))
+        resasc = resasc + _WGK[j] * (np.abs(fv1[..., j] - reskh)
+                                     + np.abs(fv2[..., j] - reskh))
     result = resk * hlgth
     resabs = resabs * dhlgth
     resasc = resasc * dhlgth
@@ -197,21 +198,18 @@ def _qk21_first_step(f, lo, hi):
 def weight_table(nu_max, times, cs: CoefficientSet, scale=1.0) -> np.ndarray:
     """Matrix h[nu, i] over the saved times, accumulated interval by interval.
 
-    Each interval's increment is quad's value: the vectorised first
-    Gauss-Kronrod step where dqagse accepts it, quad itself elsewhere.
+    One integrand call takes all bands at the nodes of all intervals.
+    Each increment is quad's value: the vectorised first Gauss-Kronrod
+    step where dqagse accepts it, quad itself elsewhere.
     """
     times = np.asarray(times, dtype=float)
-    out = np.zeros((nu_max + 1, times.size))
     lo, hi = times[:-1], times[1:]
-    for nu in range(nu_max + 1):
-        f = weight_integrand(cs, nu)
-        inc, done = _qk21_first_step(f, lo, hi)
-        for i in np.flatnonzero(~done):
-            inc[i] = _quad(f, lo[i], hi[i], limit=200)
-        out[nu, 0] = decay_weight(nu, times[0], cs)
-        out[nu, 1:] = inc
-        out[nu] = np.cumsum(out[nu])
-    return scale * out
+    f = weight_integrand(cs, np.arange(nu_max + 1)[:, None, None])
+    inc, done = _qk21_first_step(f, lo, hi)
+    for nu, i in np.argwhere(~done):
+        inc[nu, i] = _quad(weight_integrand(cs, nu), lo[i], hi[i], limit=200)
+    first = [decay_weight(nu, times[0], cs) for nu in range(nu_max + 1)]
+    return scale * np.cumsum(np.column_stack([first, inc]), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +267,7 @@ def calibrate_constants(cs: CoefficientSet, fam: CutoffFamily,
 
     # Schur sums need the weight column at the scan time with this Ctilde.
     h_col = weight_table(scan.nu_max, [0.0, scan.t], cs, scale=Ctilde)[:, 1]
-    eps = epsilon_array(cs.k, scan.nu_max)
+    eps = block_epsilon(cs.k, np.arange(scan.nu_max + 1))
     # second-order kernel: alpha-free norms with the (alpha+1)^(1/2) factor
     ka = schur_kernel(h_col, scan.norms_beta,
                       rows=(2.0 ** np.arange(scan.nu_max + 1))[:, None])

@@ -318,6 +318,7 @@ def run_full_pipeline(cfg: ExperimentConfig, out_dir, force=False):
     Raises on the first failing stage; artifacts written so far stay in
     place and the manifest names the failed stage.
     """
+    cutoff_family(cfg)      # refuses a grid of too few bands, before writing
     os.makedirs(out_dir, exist_ok=True)
     stages = []
     try:

@@ -5,8 +5,8 @@ torus: spectral x-derivatives through the 1j*xi multiplier ``grid.ik``,
 pointwise coefficient products, and the divergence-form term evaluated as
 d_x(a * d_x u) so the structure the energy analysis integrates by parts
 against is preserved exactly.  ``_operator`` is the one assembly of L u
-from it, which ``apply_L``, the manufactured forcing, ``operator_blocks``
-and ``residual_norm`` call; the RK4 right-hand side calls ``_terms`` for
+from it, which ``apply_L``, the manufactured forcing and
+``operator_blocks`` call; the RK4 right-hand side calls ``_terms`` for
 d_t^2 u.  Time stepping is classical fourth-order Runge-Kutta on the
 first-order system, one (2, N) state y = (u, d_t u), with an explicit CFL
 bound tied to sup a.  The work that depends on time alone is taken out of
@@ -15,8 +15,8 @@ form one column, and a, b, c and the forcing are tabulated on it in one
 call each, so the loop itself only makes the four operator FFTs per stage.
 Coefficient callables and forcings must therefore accept a column of
 times, (S, 1), as well as a scalar.  Given an output directory, the solve
-also saves its trajectory as it runs: forked writers take each finished
-chunk of saved states from ``grid.for_each_chunk``'s queue.
+also saves its trajectory as it runs, through ``save_trajectory``'s writer:
+forked writers take each finished chunk of saved states from its queue.
 """
 
 from __future__ import annotations
@@ -168,11 +168,9 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
     each must accept such a column and return (3S, N) or (N,) values; a
     scalar time still works, as for ``apply_L``.
 
-    With ``out_dir`` the files of :func:`save_trajectory` are written
-    while the solve runs, each chunk of saved states by the
-    ``grid.for_each_chunk`` process that takes it once the loop has saved
-    it.  If the solve or a write raises, they and the directories made for
-    them are removed once every writer has ended, and the error is raised.
+    With ``out_dir`` the trajectory is saved as the solve runs by
+    :func:`_save`, the writer of :func:`save_trajectory`, which takes the
+    step loop as the producer of its rows and cleans up if it raises.
     """
     same_grid(u0, u1)
     if M < 1:
@@ -235,22 +233,8 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
     if out_dir is None:
         for _ in steps_run():
             pass
-        return traj
-    made = _missing_dirs(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    try:
-        grid.for_each_chunk(n_saved, n, functools.partial(
-            _write_states, out_dir, us, uts), steps_run())
-        _write_manifest(traj, out_dir)
-    except BaseException:       # best effort: the error raised is this one
-        paths = [_state_path(out_dir, i) for i in range(n_saved)]
-        for path in [*paths, os.path.join(out_dir, "trajectory.json")]:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        for path in made:
-            with contextlib.suppress(OSError):
-                os.rmdir(path)
-        raise
+    else:
+        _save(traj, out_dir, steps_run())
     return traj
 
 
@@ -286,24 +270,14 @@ def operator_blocks(cs: CoefficientSet, traj: Trajectory):
                               second_time_derivative(traj, rows))
 
 
-def residual_norm(traj: Trajectory, i, f: Optional[Callable] = None) -> float:
-    """|| L u - f || at saved index i, with d_t^2 u by finite differences."""
-    i = range(traj.n_saved)[i]
-    t, x = float(traj.times[i]), grid.grid_points(traj.n_points)
-    vals = _operator(traj.coeffs, t, x, traj.u[i],
-                     second_time_derivative(traj, slice(i, i + 1))[0])
-    if f is not None:
-        vals = vals - f(t, x)
-    return grid.norm(GridFunction(vals))
-
-
 # ---------------------------------------------------------------------------
 # persistence: one grid CSV per saved state plus trajectory.json (N, steps,
-# period, coefficients, times).  States are written a file at a time and
-# parsed a grid.row_chunks chunk per call, the chunks taken from
-# grid.for_each_chunk's queue by every usable CPU: solve_cauchy queues each
-# once the step loop has saved it, save_trajectory and load_trajectory all
-# at once.  The bytes do not depend on which process took a chunk, loads
+# period, coefficients, times), written last.  States are written a file at
+# a time and parsed a grid.row_chunks chunk per call, the chunks taken from
+# grid.for_each_chunk's queue by every usable CPU.  One writer, _save,
+# serves solve_cauchy, which queues each chunk once the step loop has saved
+# it, and save_trajectory, which queues all at once; load_trajectory reads
+# all at once.  The bytes do not depend on which process took a chunk, loads
 # fill shared arrays, and an error names the state file it is about.
 STATE_COLUMNS = ("re_u", "im_u", "re_ut", "im_ut")
 MANIFEST_KEYS = ("N", "dt", "solver_dt", "period", "coefficients", "times")
@@ -317,21 +291,34 @@ def _coefficients_record(cs: CoefficientSet) -> dict:
 
 
 def save_trajectory(traj: Trajectory, out_dir):
+    """Save traj under out_dir through :func:`_save`, the solve's writer."""
+    _save(traj, out_dir)
+
+
+def _save(traj: Trajectory, out_dir, produce=()):
+    """Write traj's state files, each chunk by the ``grid.for_each_chunk``
+    process that takes it once ``produce`` counts its rows ready, then
+    trajectory.json.  If ``produce`` or a write raises, those files and
+    the directories made for them are removed once every writer has
+    ended, and the error is raised."""
+    made = _missing_dirs(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    _write_manifest(traj, out_dir)
-    grid.for_each_chunk(traj.n_saved, traj.n_points, functools.partial(
-        _write_states, out_dir, traj.u, traj.ut))
-
-
-def _write_manifest(traj: Trajectory, out_dir):
-    grid.write_json(os.path.join(out_dir, "trajectory.json"), {
-        "N": traj.n_points,
-        "dt": traj.dt,
-        "solver_dt": traj.solver_dt,
-        "period": TWO_PI,
-        "coefficients": _coefficients_record(traj.coeffs),
-        "times": [float(t) for t in traj.times],
-    })
+    try:
+        grid.for_each_chunk(traj.n_saved, traj.n_points, functools.partial(
+            _write_states, out_dir, traj.u, traj.ut), produce)
+        grid.write_json(os.path.join(out_dir, "trajectory.json"), dict(zip(
+            MANIFEST_KEYS, (traj.n_points, traj.dt, traj.solver_dt, TWO_PI,
+                            _coefficients_record(traj.coeffs),
+                            traj.times.tolist()))))
+    except BaseException:       # best effort: the error raised is this one
+        paths = [_state_path(out_dir, i) for i in range(traj.n_saved)]
+        for path in [*paths, os.path.join(out_dir, "trajectory.json")]:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
 
 
 def _write_states(out_dir, u, ut, rows):

@@ -400,6 +400,26 @@ def test_pipeline_failed_checks_exit_1(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["flat: 1"]
 
 
+def test_pipeline_refuses_too_few_bands_before_writing(tmp_path, capsys):
+    # N = 8 hosts bands 0 and 1 only: check-conditions and solve need no
+    # bands and accept it; the pipeline and a sweep member refuse it with
+    # exit 2 before they write a file
+    cfg = tmp_path / "n8.cfg"
+    cfg.write_text(TINY.replace("N = 64", "N = 8"))
+    assert main(["check-conditions", "--config", str(cfg),
+                 "--out", str(tmp_path / "cc")]) == 0
+    assert main(["solve", "--config", str(cfg),
+                 "--out", str(tmp_path / "traj")]) == 0
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg),
+                 "--out", str(tmp_path / "pipe")]) == 2
+    assert "nu_max=1 < 2" in capsys.readouterr().err
+    assert not (tmp_path / "pipe").exists()
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "sweep")]) == 2
+    assert "n8: configuration error" in capsys.readouterr().err
+    assert list((tmp_path / "sweep").iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [["weights", "--force"],
                                   ["commutator-scan", "--seed", "9"],
                                   ["solve", "--save-every", "25"]],

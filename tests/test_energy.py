@@ -11,10 +11,9 @@ from lpwave.coefficients import (builtin_family, constant_coefficients,
 from lpwave.commutator import scan
 from lpwave.dyadic import build_cutoffs, sobolev_norm
 from lpwave.energy import (block_epsilon, build_ledger, calibrate_constants,
-                           decay_weight, energy_table, epsilon_array,
-                           estimate_loss, loss_ratio_curve,
-                           verify_energy_inequality, weight_integrand,
-                           weight_table)
+                           decay_weight, energy_table, estimate_loss,
+                           loss_ratio_curve, verify_energy_inequality,
+                           weight_integrand, weight_table)
 from lpwave.grid import GridFunction
 from lpwave.solver import (Trajectory, apply_L, cosine_mode,
                            manufactured_rhs, solve_cauchy)
@@ -69,6 +68,13 @@ def test_block_epsilon_values():
             eps = block_epsilon(k, nu)
             assert 0.0 < eps <= 1.0
             assert np.sqrt(eps) * 2.0 ** nu >= 1.0 - 1e-15
+
+
+def test_block_epsilon_takes_an_array_of_bands():
+    bands = np.arange(64)
+    for k in range(1, 13):
+        scalars = np.array([block_epsilon(k, nu) for nu in range(64)])
+        assert block_epsilon(k, bands).tobytes() == scalars.tobytes()
 
 
 def test_block_epsilon_validation():
@@ -127,7 +133,7 @@ def test_energy_table_matches_per_band_loop():
     fam = build_cutoffs(128)
     xi = grid.frequencies(128)
     x = grid.grid_points(128)
-    eps = epsilon_array(cs.k, fam.nu_max)
+    eps = block_epsilon(cs.k, np.arange(fam.nu_max + 1))
     expect = np.empty((fam.nu_max + 1, traj.n_saved))
     for i in range(traj.n_saved):
         a_vals = np.real(cs.a(float(traj.times[i]), x))
@@ -152,7 +158,7 @@ def test_energy_lower_bounds():
     fam = build_cutoffs(128)
     table = energy_table(traj, fam, cs)
     xi = grid.frequencies(128)
-    eps = epsilon_array(cs.k, fam.nu_max)
+    eps = block_epsilon(cs.k, np.arange(fam.nu_max + 1))
     cu = grid.coefficients(u)
     cut = grid.coefficients(ut)
     for nu in range(fam.nu_max + 1):
@@ -175,7 +181,7 @@ def test_energy_quadratic_form_equivalence():
     alpha_t = float(cs.alpha(t))
     xi = grid.frequencies(128)
     cu = grid.coefficients(u)
-    eps = epsilon_array(cs.k, fam.nu_max)
+    eps = block_epsilon(cs.k, np.arange(fam.nu_max + 1))
     for nu in range(fam.nu_max + 1):
         gx = 2 * np.pi * np.sum(np.abs(xi * fam.phi[nu] * cu) ** 2)
         lo = min(cs.lambda0, 1.0) * (alpha_t + eps[nu]) * gx
@@ -275,14 +281,19 @@ def test_weight_table_matches_quad_loop_on_shipped_grids(monkeypatch,
 
 def test_weight_table_falls_back_to_quad(monkeypatch):
     # coarse intervals and high bands: the sharp |alpha'|/(alpha+eps) peak
-    # near t = 0 fails the first-step error test, and quad takes over
-    cs = builtin_family("monomial", k=2)
-    times = np.linspace(0.0, 1.0, 9)
-    expected = _old_weight_table(10, times, cs)
+    # near t = 0 fails the first-step error test, and quad takes over; the
+    # flat and interior-zero families and a grid from t = 0.3 match too
     calls = _counting_quad(monkeypatch)
-    table = weight_table(10, times, cs)
-    assert len(calls) >= 1
-    assert table.tobytes() == expected.tobytes()
+    for family in ("monomial", "flat", "interior_zero"):
+        cs = builtin_family(family, k=2)
+        for start in (0.0, 0.3):
+            times = np.linspace(start, 1.0, 9)
+            expected = _old_weight_table(10, times, cs)
+            calls.clear()
+            table = weight_table(10, times, cs)
+            if family == "monomial" and start == 0.0:
+                assert len(calls) >= 1
+            assert table.tobytes() == expected.tobytes()
 
 
 def test_weight_integrand_takes_arrays():
@@ -293,6 +304,10 @@ def test_weight_integrand_takes_arrays():
         values = f(s)
         assert values.tobytes() == np.array([f(v) for v in s.tolist()]
                                             ).tobytes()
+    bands = np.array([0, 3, 7, 40])
+    values = weight_integrand(cs, bands[:, None])(s)
+    assert values.tobytes() == np.array([weight_integrand(cs, nu)(s)
+                                         for nu in bands.tolist()]).tobytes()
 
 
 def test_decay_weight_linear_growth_in_band_index():

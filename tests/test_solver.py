@@ -16,7 +16,7 @@ from lpwave.errors import (CFLError, ConditionError, ConfigurationError,
 from lpwave.grid import CHUNK_VALUES, GridFunction
 from lpwave.solver import (SpaceTimeFunction, apply_L, cfl_limit,
                            cosine_mode, load_trajectory, manufactured_rhs,
-                           residual_norm, save_trajectory, solve_cauchy)
+                           operator_blocks, save_trajectory, solve_cauchy)
 
 
 def zero_field(t, x):
@@ -248,6 +248,14 @@ def test_blowup_detection():
     assert info.value.t > 0
 
 
+def _residual_norm(traj, i, f):
+    """|| L u - f || at saved index i, L u from operator_blocks."""
+    lu = np.concatenate([vals for _, vals in operator_blocks(traj.coeffs,
+                                                              traj)])
+    x = grid.grid_points(traj.n_points)
+    return grid.norm(GridFunction(lu[i] - f(float(traj.times[i]), x)))
+
+
 def test_residual_small_on_solution():
     cs = builtin_family("monomial", k=2)
     exact = cosine_mode()
@@ -256,10 +264,10 @@ def test_residual_small_on_solution():
     traj = solve_cauchy(cs, u0, u1, f=f, M=1000, save_every=10, check=False)
     # central-difference reconstruction is 2nd order in the save spacing
     mid = traj.n_saved // 2
-    assert residual_norm(traj, mid, f) < 1e-3
+    assert _residual_norm(traj, mid, f) < 1e-3
     fine = solve_cauchy(cs, u0, u1, f=f, M=1000, save_every=5, check=False)
-    assert (residual_norm(fine, fine.n_saved // 2, f)
-            < 0.3 * residual_norm(traj, mid, f))
+    assert (_residual_norm(fine, fine.n_saved // 2, f)
+            < 0.3 * _residual_norm(traj, mid, f))
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -553,6 +561,30 @@ def test_split_save_raises_what_a_child_raised(tmp_path, monkeypatch):
     with pytest.raises(OSError, match=r"disk full"):
         save_trajectory(traj, tmp_path / "run")
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, None], ids=["1", "2", "no-fork"])
+def test_failed_save_leaves_nothing_behind(tmp_path, monkeypatch, cpus):
+    # the write of state 150 fails: save_trajectory raises its error and
+    # removes the state files, trajectory.json and the directories it made
+    traj = _three_chunk_trajectory()
+    write_csv = grid.write_csv
+
+    def failing_write_csv(path, header, rows):
+        if str(path).endswith("state_000150.csv"):
+            raise OSError("disk full")
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(grid, "write_csv", failing_write_csv)
+    if cpus is None:
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(grid, "usable_cpus", lambda: cpus)
+    with _wall_clock_guard(60.0):
+        with pytest.raises(OSError, match=r"disk full"):
+            save_trajectory(traj, tmp_path / "made" / "run")
+    _assert_no_child_left()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_split_load_fails_promptly_in_its_own_part(tmp_path, monkeypatch):
