@@ -24,6 +24,7 @@ imports the scipy modules it calls (``scipy.linalg``,
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -39,6 +40,11 @@ POWER_TOL = 1e-8        # svds tolerance of power_norm
 DECAY_FLOOR = 1e-14     # far entries at or below this count as exact zeros
 DECAY_ORDERS = (2, 4)   # q of the fitted constants norm * 2^(q*max(nu, mu))
 NEAR_TIE_RTOL = 1e-12   # near entries this close to the maximum tie with it
+# smallest grid whose scan splits its norms across CPUs (see scan): on a
+# 2-core x86 VM with BLAS pinned to one thread, a split k4 dense scan took
+# 0.22-0.28 s against 0.42-0.48 s serially at N = 512, but 18-47 ms against
+# 21-40 ms at N = 128: no gain to count on
+SPLIT_MIN_POINTS = 256
 
 
 def _coef_values(coef, fam: CutoffFamily) -> np.ndarray:
@@ -237,21 +243,55 @@ class CommutatorScan:
     n_points: int
 
 
+def _may_split(n_points) -> bool:
+    """Whether :func:`scan` may fork: N >= SPLIT_MIN_POINTS, and this
+    process runs one OS thread (``/proc/self/task``; never where that
+    cannot be read).  One thread is what BLAS pinned to one thread leaves;
+    unpinned, numpy's and scipy's OpenBLAS pools are threads too, and a
+    split N = 512 dense scan took 6.8-12.3 s against 0.93-1.23 s serially."""
+    if n_points < SPLIT_MIN_POINTS:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
 def scan(cs, t, fam: CutoffFamily, method="dense-svd") -> CommutatorScan:
-    """Measure both coefficient commutator tables at time t."""
+    """Measure both coefficient commutator tables at time t.
+
+    When :func:`_may_split`, each (coefficient, nu, mu) norm is one item
+    of ``grid.for_each_chunk``'s queue, the largest bands first: at
+    N = 512 a dense (6-7, 6-7) pair took 70-139 ms for both coefficients,
+    most other pairs under 3 ms.  Else the norms run here, row by row:
+    with BLAS unpinned, the largest first made a serial N = 512 scan about
+    10% slower.  Every norm is the same call on the same inputs either
+    way, so the tables are bit-identical whatever the CPU count.
+    """
     norm = {"dense-svd": dense_norm, "power-iteration": power_norm}.get(method)
     if norm is None:
         raise ValueError(f"unknown method {method!r}")
     x = grid.grid_points(fam.n_points)
-    beta_vals = np.asarray(cs.beta(t, x), dtype=complex)
-    b_vals = np.asarray(cs.b(t, x), dtype=complex)
+    coefs = [np.asarray(cs.beta(t, x), dtype=complex),
+             np.asarray(cs.b(t, x), dtype=complex)]
     n = fam.nu_max + 1
-    norms_beta = np.zeros((n, n))
-    norms_b = np.zeros((n, n))
-    for nu in range(n):
-        for mu in range(n):
-            norms_beta[nu, mu] = norm(beta_vals, nu, mu, fam)
-            norms_b[nu, mu] = norm(b_vals, nu, mu, fam)
+    split = _may_split(fam.n_points)
+    pairs = itertools.product(range(n), repeat=2)
+    if split:
+        pairs = sorted(pairs, key=lambda p: (min(p), max(p)), reverse=True)
+    items = [(which, nu, mu) for nu, mu in pairs for which in (0, 1)]
+    table = grid.shared_empty((2, n, n), float) if split \
+        else np.empty((2, n, n))
+
+    def work(rows):
+        for which, nu, mu in items[rows]:
+            table[which, nu, mu] = norm(coefs[which], nu, mu, fam)
+
+    if split:   # a row as wide as a chunk: each chunk is one item
+        grid.for_each_chunk(len(items), grid.CHUNK_VALUES, work)
+    else:
+        work(slice(None))
+    norms_beta, norms_b = np.array(table)
     return CommutatorScan(float(t), norms_beta, norms_b, method, fam.nu_max,
                           fam.n_points)
 

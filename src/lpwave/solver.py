@@ -25,6 +25,7 @@ import contextlib
 import functools
 import json
 import os
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -297,15 +298,20 @@ def save_trajectory(traj: Trajectory, out_dir):
 
 def _save(traj: Trajectory, out_dir, produce=()):
     """Write traj's state files, each chunk by the ``grid.for_each_chunk``
-    process that takes it once ``produce`` counts its rows ready, then
-    trajectory.json.  If ``produce`` or a write raises, those files and
-    the directories made for them are removed once every writer has
+    process that takes it once ``produce`` counts its rows ready, remove
+    the state files of an earlier, longer trajectory in out_dir, then
+    write trajectory.json.  If ``produce`` or a write raises, those files
+    and the directories made for them are removed once every writer has
     ended, and the error is raised."""
     made = _missing_dirs(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     try:
         grid.for_each_chunk(traj.n_saved, traj.n_points, functools.partial(
             _write_states, out_dir, traj.u, traj.ut), produce)
+        for name in os.listdir(out_dir):
+            index = re.fullmatch(r"state_(\d+)\.csv", name)
+            if index and int(index[1]) >= traj.n_saved:
+                os.remove(os.path.join(out_dir, name))
         grid.write_json(os.path.join(out_dir, "trajectory.json"), dict(zip(
             MANIFEST_KEYS, (traj.n_points, traj.dt, traj.solver_dt, TWO_PI,
                             _coefficients_record(traj.coeffs),

@@ -324,6 +324,26 @@ def test_pipeline_subcommand(tmp_path, tiny_cfg, capsys):
     assert (out / "manifest.json").exists()
 
 
+def test_pipeline_rerun_keeps_only_its_own_states(tmp_path, tiny_cfg,
+                                                  capsys):
+    # 51 states saved every 5 steps, then 11 every 25 into the same --out:
+    # the first run's states 11 ... 50 must go, from the directory and the
+    # manifest's hashes
+    out = tmp_path / "pipe"
+    assert main(["pipeline", "--config", tiny_cfg, "--out", str(out)]) == 0
+    assert len(list((out / "trajectory").iterdir())) == 52
+    sparse = tmp_path / "sparse.cfg"
+    sparse.write_text(TINY.replace("save_every = 5", "save_every = 25"))
+    assert main(["pipeline", "--config", str(sparse), "--out", str(out)]) == 0
+    run_files = ["trajectory.json",
+                 *(f"state_{i:06d}.csv" for i in range(11))]
+    assert sorted(p.name for p in (out / "trajectory").iterdir()) \
+        == sorted(run_files)
+    hashed = json.loads((out / "manifest.json").read_text())["files"]
+    assert sorted(name for name in hashed if name.startswith("trajectory")) \
+        == sorted(f"trajectory/{name}" for name in run_files)
+
+
 def test_sweep_subcommand(tmp_path, tiny_cfg, capsys):
     out = tmp_path / "sweep"
     assert main(["sweep", tiny_cfg, "--out", str(out), "--jobs", "2"]) == 0

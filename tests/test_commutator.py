@@ -2,6 +2,9 @@ import dataclasses
 import functools
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -158,6 +161,151 @@ def test_scan_zero_at_time_zero():
     fam = build_cutoffs(64)
     s = scan(cs, 0.0, fam)
     assert np.max(s.norms_beta) < 1e-12
+
+
+# scan's split across CPUs happens only with BLAS pinned to one thread, so
+# these cases run in a fresh interpreter pinned as the benchmark pins
+needs_task_list = pytest.mark.skipif(
+    not (os.path.isdir("/proc/self/task") and hasattr(os, "fork")),
+    reason="scan splits only where /proc/self/task lists the threads")
+PINNED = """
+import os, sys
+from lpwave import commutator, dyadic, experiment, grid
+cs = experiment.coefficient_set(experiment.read_config(sys.argv[1]))
+t = experiment.scan_time(cs)
+fam = dyadic.build_cutoffs(256)
+"""
+
+
+def run_pinned(snippet, *args):
+    """Run PINNED then ``snippet`` in a fresh interpreter with BLAS pinned
+    to one thread; its last stdout line, parsed as JSON."""
+    src = os.path.join(os.path.dirname(CONFIG_DIR), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", PINNED + textwrap.dedent(snippet),
+         os.path.join(CONFIG_DIR, "k4-gamma0.3.cfg"), *args],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_scan_splits_only_from_n_split_min_with_one_thread(monkeypatch):
+    threads = ["1"]
+    monkeypatch.setattr(commutator.os, "listdir", lambda path: threads)
+    n = commutator.SPLIT_MIN_POINTS
+    assert commutator._may_split(n) and commutator._may_split(2 * n)
+    assert not commutator._may_split(n // 2)
+    threads.append("2")
+    assert not commutator._may_split(n)
+
+    def unreadable(path):
+        raise PermissionError(path)
+
+    monkeypatch.setattr(commutator.os, "listdir", unreadable)
+    assert not commutator._may_split(n)
+
+
+@needs_task_list
+def test_split_scan_is_bit_identical_across_cpu_counts():
+    # each norm is the same call on the same inputs in whichever process
+    # takes it; 3 CPUs fork two children on any machine
+    forks, cpus = run_pinned("""
+        import json
+        assert commutator._may_split(fam.n_points)
+        real_fork, real_cpus = os.fork, grid.usable_cpus
+        forks = []
+
+        def counted_fork():
+            pid = real_fork()
+            forks.append(pid)
+            return pid
+
+        os.fork = counted_fork
+        for method in ("dense-svd", "power-iteration"):
+            tables = set()
+            for cpus in (lambda: 1, real_cpus, lambda: 3):
+                grid.usable_cpus = cpus
+                s = commutator.scan(cs, t, fam, method)
+                tables.add((s.norms_beta.tobytes(), s.norms_b.tobytes()))
+            assert len(tables) == 1, method
+        print(json.dumps([sum(pid != 0 for pid in forks), real_cpus()]))
+    """)
+    assert forks == 2 * ((cpus - 1) + 2)   # per method: unpatched, then 3
+
+
+@needs_task_list
+def test_scan_does_not_fork_below_n_split_min_or_beside_a_thread():
+    assert run_pinned("""
+        import json, threading
+
+        def no_fork():
+            raise RuntimeError("forked")
+
+        os.fork = no_fork
+        grid.usable_cpus = lambda: 2
+        commutator.scan(cs, t, dyadic.build_cutoffs(128))
+        try:        # the control: alone, the N = 256 scan forks
+            commutator.scan(cs, t, fam)
+        except RuntimeError as exc:
+            assert str(exc) == "forked"
+        else:
+            raise AssertionError("a one-thread N = 256 scan did not fork")
+        stop = threading.Event()
+        beside = threading.Thread(target=stop.wait)
+        beside.start()
+        try:
+            scans = [commutator.scan(cs, t, fam, method)
+                     for method in ("dense-svd", "power-iteration")]
+        finally:
+            stop.set()
+            beside.join()
+        print(json.dumps(all(s.norms_beta.max() > 0 for s in scans)))
+    """)
+
+
+@needs_task_list
+def test_split_scan_raises_what_a_child_raised(tmp_path):
+    # power_norm fails on (0, 0), the last item of the queue, while the
+    # caller sleeps on its first: a child raises, the caller's rerun of
+    # every item raises it again, and every child has been waited for
+    log = tmp_path / "raised"
+    raised = run_pinned("""
+        import json, time
+        from lpwave.errors import PowerIterationError
+        caller = os.getpid()
+
+        def failing(coef, nu, mu, fam, tol=commutator.POWER_TOL):
+            if (nu, mu) == (0, 0):
+                with open(sys.argv[2], "a") as fh:
+                    fh.write(f"{os.getpid()}\\n")
+                raise PowerIterationError(f"no convergence on ({nu}, {mu})")
+            if os.getpid() == caller and not os.path.exists(sys.argv[2]):
+                time.sleep(0.5)
+            return 1.0
+
+        commutator.power_norm = failing
+        grid.usable_cpus = lambda: 2
+        try:
+            commutator.scan(cs, t, fam, method="power-iteration")
+        except PowerIterationError as exc:
+            assert str(exc) == "no convergence on (0, 0)"
+        else:
+            raise AssertionError("the scan did not raise")
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            left = False
+        else:
+            left = True
+        print(json.dumps([caller, left]))
+    """, str(log))
+    caller, left = raised
+    pids = [int(line) for line in log.read_text().split()]
+    assert not left
+    assert len(pids) == 2 and pids[0] != caller and pids[1] == caller
 
 
 def test_frequency_shift_exact_zeros():
