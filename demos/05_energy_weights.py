@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from lpwave.coefficients import builtin_family
 from lpwave.commutator import scan
 from lpwave.dyadic import build_cutoffs
-from lpwave.energy import block_epsilon, calibrate_constants, decay_weight
+from lpwave.energy import block_epsilon, calibrate_constants, weight_table
 
 cs = builtin_family("monomial", k=2, gamma=0.0)
 
@@ -30,7 +30,7 @@ print("sqrt(eps)*2^nu >= 1 always: the zero-order term stays absorbable")
 print()
 print("decay weights h(nu, t) for alpha = t^2 (raw scale):")
 print(f"{'nu':>3} {'h(nu,1)':>10} {'h/nu':>8} {'gap to next':>12}")
-h = [decay_weight(nu, 1.0, cs) for nu in range(1, 14)]
+h = weight_table(13, [1.0], cs)[1:, 0]
 for i, nu in enumerate(range(1, 13)):
     print(f"{nu:>3} {h[i]:>10.4f} {h[i]/nu:>8.4f} {h[i+1]-h[i]:>12.4f}")
 print("h/nu bounded, neighbor gaps level off near 2*log(2) = "

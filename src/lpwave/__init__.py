@@ -20,8 +20,8 @@ from .dyadic import (CutoffFamily, DyadicBlocks, bernstein_ratio,
                      build_cutoffs, decompose, reconstruct, sobolev_norm,
                      sobolev_norm_multiplier)
 from .energy import (Constants, EnergyLedger, block_epsilon, build_ledger,
-                     calibrate_constants, decay_weight, estimate_loss,
-                     loss_ratio_curve, verify_energy_inequality, weight_table)
+                     calibrate_constants, estimate_loss, loss_ratio_curve,
+                     verify_energy_inequality, weight_table)
 from .errors import (CFLError, ConditionError, ConfigurationError,
                      GridMismatchError, LPWaveError, NumericalBlowupError,
                      PowerIterationError, UnknownFamilyError, ZeroBlockError)

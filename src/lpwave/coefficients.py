@@ -221,7 +221,8 @@ class ConditionReport:
         return asdict(self)
 
 
-def _scan_grids(cs, x):
+def scan_grids(cs, x):
+    """The sup scans' (t, x): SCAN_TIMES times on [0, T], x or SCAN_POINTS."""
     if x is None:
         x = SCAN_POINTS
     t = np.linspace(0.0, cs.T, SCAN_TIMES)
@@ -240,7 +241,7 @@ def tensor_scan(fn, t_grid, x_grid):
 def _bounds(condition_id, fn, cs, x, lo, hi) -> ConditionReport:
     """lo <= fn <= hi on [0,T] x grid, tolerance 1e-12; margin and witness
     are those of the extreme nearer its bound (the minimum on a tie)."""
-    t_grid, x_grid = _scan_grids(cs, x)
+    t_grid, x_grid = scan_grids(cs, x)
     vals = tensor_scan(fn, t_grid, x_grid)
     low, high = np.argmin(vals), np.argmax(vals)
     lo_margin = float(vals.flat[low]) - lo
@@ -268,7 +269,7 @@ def check_finite_degeneration(cs: CoefficientSet, x=None) -> ConditionReport:
     if cs.k > MAX_ORDER:
         raise ConfigurationError(
             f"degeneration order {cs.k} exceeds the maximum {MAX_ORDER}")
-    t_grid, x_grid = _scan_grids(cs, x)
+    t_grid, x_grid = scan_grids(cs, x)
     alpha_dt = [np.asarray(cs.alpha_derivative(i, t_grid), dtype=float)
                 for i in range(cs.k + 1)]
     beta_dt = [tensor_scan(functools.partial(cs.beta_time_derivative, j),
@@ -295,7 +296,7 @@ def check_levi(cs: CoefficientSet, x=None) -> ConditionReport:
     branch was exercised.  A b that is not finite on the scan grid is a
     ConfigurationError.
     """
-    t_grid, x_grid = _scan_grids(cs, x)
+    t_grid, x_grid = scan_grids(cs, x)
     a = tensor_scan(cs.a, t_grid, x_grid)
     bb = np.abs(tensor_scan(cs.b, t_grid, x_grid))
     if not np.all(np.isfinite(bb)):

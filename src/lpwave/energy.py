@@ -9,13 +9,14 @@ weight h(nu, t) integrates the growth factor of E_nu, and the weighted
 total  sum_nu exp(-h(nu,t) - 2*sigma*t) * E_nu(t)  is the quantity whose
 one-sided evolution bound is verified in integrated form.
 
-The weight table integrates all bands over all the intervals between
-saved times in one vectorised pass of QUADPACK's 21-point Gauss-Kronrod
-rule (``qk21``), with the sums in ``qk21``'s order and ``dqagse``'s
-first-step acceptance test; a (band, interval) that fails it is integrated by
-``scipy.integrate.quad``, so each entry is the number ``quad`` returns.
-``scipy.integrate`` is imported by the first such call, so importing this
-module, or a weight table that needs no fallback, loads no scipy.
+The weight table integrates all bands over [0, t_0] and all the intervals
+between the saved times t_0, t_1, ... in one vectorised pass of QUADPACK's
+21-point Gauss-Kronrod rule (``qk21``), with the sums in ``qk21``'s order
+and ``dqagse``'s first-step acceptance test; a (band, interval) that fails
+it is integrated by ``scipy.integrate.quad``, so each entry is the number
+``quad`` returns.  ``scipy.integrate`` is imported by the first such call,
+so importing this module, or a weight table that needs no fallback, loads
+no scipy.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import grid
-from .coefficients import SCAN_TIMES, CoefficientSet, tensor_scan
+from .coefficients import CoefficientSet, scan_grids, tensor_scan
 from .commutator import CommutatorScan, schur_kernel
 from .dyadic import CutoffFamily, band_norms_sq, build_cutoffs, sobolev_norms
 from .errors import ConfigurationError
@@ -103,27 +104,6 @@ def weight_integrand(cs: CoefficientSet, nu):
     return f
 
 
-def decay_weight(nu, t, cs: CoefficientSet, scale=1.0) -> float:
-    """h(nu, t): integral of the band growth rate from 0 to t, times scale.
-
-    Zero at t = 0, non-decreasing in t, and bounded by a multiple of nu
-    uniformly on [0, T].
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 0.0
-    return float(scale * _quad(weight_integrand(cs, nu), 0.0, t, limit=400))
-
-
-def _quad(f, lo, hi, limit):
-    """``scipy.integrate.quad``'s value of the integral of f over [lo, hi]
-    to QUAD_TOL, absolute and relative."""
-    from scipy.integrate import quad
-
-    return quad(f, lo, hi, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=limit)[0]
-
-
 # QUADPACK dqk21: Kronrod nodes xgk (odd 0-based entries are the 10-point
 # Gauss nodes, the last is the centre), Kronrod weights wgk, Gauss weights wg
 _XGK = np.array([
@@ -196,20 +176,28 @@ def _qk21_first_step(f, lo, hi):
 
 
 def weight_table(nu_max, times, cs: CoefficientSet, scale=1.0) -> np.ndarray:
-    """Matrix h[nu, i] over the saved times, accumulated interval by interval.
+    """Matrix h[nu, i] of the integrals from 0 to times[i], accumulated
+    interval by interval, [0, times[0]] the first.
 
     One integrand call takes all bands at the nodes of all intervals.
     Each increment is quad's value: the vectorised first Gauss-Kronrod
-    step where dqagse accepts it, quad itself elsewhere.
+    step where dqagse accepts it, quad itself elsewhere.  h is zero at
+    t = 0, non-decreasing in t, and bounded by a multiple of nu uniformly
+    on [0, T]; a negative first time is a ValueError.
     """
     times = np.asarray(times, dtype=float)
-    lo, hi = times[:-1], times[1:]
+    if times[0] < 0:
+        raise ValueError("the first time must be >= 0")
+    lo, hi = np.concatenate([[0.0], times[:-1]]), times
     f = weight_integrand(cs, np.arange(nu_max + 1)[:, None, None])
     inc, done = _qk21_first_step(f, lo, hi)
-    for nu, i in np.argwhere(~done):
-        inc[nu, i] = _quad(weight_integrand(cs, nu), lo[i], hi[i], limit=200)
-    first = [decay_weight(nu, times[0], cs) for nu in range(nu_max + 1)]
-    return scale * np.cumsum(np.column_stack([first, inc]), axis=1)
+    if not done.all():
+        from scipy.integrate import quad
+
+        for nu, i in np.argwhere(~done):
+            inc[nu, i] = quad(weight_integrand(cs, nu), lo[i], hi[i],
+                              epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)[0]
+    return scale * np.cumsum(inc, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +222,8 @@ class Constants:
         return asdict(self)
 
 
-def _sup_scan(fn, t, x):
-    return max(0.0, float(np.max(np.abs(tensor_scan(fn, t, x)))))
-
-
 def calibrate_constants(cs: CoefficientSet, fam: CutoffFamily,
-                        scan: CommutatorScan, nt=SCAN_TIMES) -> Constants:
+                        scan: CommutatorScan) -> Constants:
     """Compute explicit candidates for every constant from grid sup-norms.
 
     C1..C4 come from the band-energy growth bound (each formula recorded);
@@ -248,12 +232,11 @@ def calibrate_constants(cs: CoefficientSet, fam: CutoffFamily,
     sigma is set to it, leaving a factor-2 margin over the sigma > C/2
     requirement.
     """
-    t, x = np.linspace(0.0, cs.T, nt), grid.grid_points(fam.n_points)
+    t, x = scan_grids(cs, grid.grid_points(fam.n_points))
     lam = min(cs.lambda0, 1.0)
-    sup_beta_t = _sup_scan(functools.partial(cs.beta_time_derivative, 1),
-                           t, x)
-    sup_c = _sup_scan(cs.c, t, x)
-    sup_b = _sup_scan(cs.b, t, x)
+    sup_beta_t, sup_c, sup_b = (
+        max(0.0, float(np.max(np.abs(tensor_scan(fn, t, x)))))
+        for fn in (functools.partial(cs.beta_time_derivative, 1), cs.c, cs.b))
     sup_alpha = float(np.max(np.real(cs.alpha(t))))
 
     C1 = 2.0 * (1.0 + 1.0 / lam)
@@ -266,7 +249,7 @@ def calibrate_constants(cs: CoefficientSet, fam: CutoffFamily,
     Ctilde = max(C1, C2_alpha, C3, C2_beta + C4)
 
     # Schur sums need the weight column at the scan time with this Ctilde.
-    h_col = weight_table(scan.nu_max, [0.0, scan.t], cs, scale=Ctilde)[:, 1]
+    h_col = weight_table(scan.nu_max, [scan.t], cs, scale=Ctilde)[:, 0]
     eps = block_epsilon(cs.k, np.arange(scan.nu_max + 1))
     # second-order kernel: alpha-free norms with the (alpha+1)^(1/2) factor
     ka = schur_kernel(h_col, scan.norms_beta,
@@ -304,19 +287,14 @@ def calibrate_constants(cs: CoefficientSet, fam: CutoffFamily,
 # ledger and total energy
 
 
-def _weights(h, times, sigma) -> np.ndarray:
-    """exp(-h(nu, t) - 2*sigma*t): the band weights of the total energy."""
-    return np.exp(-h - 2.0 * sigma * times[None, :])
-
-
 @dataclass(frozen=True)
 class EnergyLedger:
     """Everything the inequality checks need, per band and saved time."""
 
-    nu_max: int
     times: np.ndarray
     E: np.ndarray              # (nu_max+1, n_saved)
     h: np.ndarray              # (nu_max+1, n_saved)
+    weights: np.ndarray        # exp(-h - 2*sigma*t), (nu_max+1, n_saved)
     Etot: np.ndarray           # (n_saved,)
     constants: Constants
 
@@ -325,8 +303,9 @@ def build_ledger(traj: Trajectory, fam: CutoffFamily, cs: CoefficientSet,
                  constants: Constants) -> EnergyLedger:
     E = energy_table(traj, fam, cs)
     h = weight_table(fam.nu_max, traj.times, cs, scale=constants.Ctilde)
-    Etot = np.sum(_weights(h, traj.times, constants.sigma) * E, axis=0)
-    return EnergyLedger(fam.nu_max, traj.times, E, h, Etot, constants)
+    weights = np.exp(-h - 2.0 * constants.sigma * traj.times[None, :])
+    Etot = np.sum(weights * E, axis=0)
+    return EnergyLedger(traj.times, E, h, weights, Etot, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +345,10 @@ def verify_energy_inequality(traj: Trajectory, fam: CutoffFamily,
     most BUDGET.
     """
     d = traj.dt
-    weights = _weights(ledger.h, traj.times, ledger.constants.sigma)
     sq = np.empty((traj.n_saved, fam.nu_max + 1))
     for rows, lu in operator_blocks(cs, traj):
         sq[rows] = band_norms_sq(fam, lu)
-    rhs = np.sum(weights * sq.T, axis=0)
+    rhs = np.sum(ledger.weights * sq.T, axis=0)
     cumulative = np.concatenate([[0.0],
                                  np.cumsum((rhs[1:] + rhs[:-1]) / 2.0 * d)])
     denom = max(float(ledger.Etot[0]), 1e-300)
@@ -507,9 +485,8 @@ def band_tables_to_csv(path, times, **tables):
 
 def ledger_to_csv(ledger: EnergyLedger, path):
     """energies.csv rows: (t, nu, E, h, weight)."""
-    weight = _weights(ledger.h, ledger.times, ledger.constants.sigma)
     band_tables_to_csv(path, ledger.times, E=ledger.E, h=ledger.h,
-                       weight=weight)
+                       weight=ledger.weights)
 
 
 def inequality_to_csv(report: InequalityReport, path):

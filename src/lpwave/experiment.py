@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import importlib
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
@@ -22,7 +20,7 @@ import numpy as np
 from . import commutator, dyadic, energy, grid, solver
 from .coefficients import (SCAN_POINTS, builtin_family, run_all_checks,
                            tensor_scan)
-from .errors import ConditionError, ConfigurationError, classify
+from .errors import EXIT_FAIL, ConditionError, ConfigurationError, classify
 
 
 class ConfigError(ConfigurationError):
@@ -31,9 +29,6 @@ class ConfigError(ConfigurationError):
 
 _DEFAULT_DELTAS = tuple(round(0.1 * i, 10) for i in range(1, 31))
 _SCAN_NT = 64   # times over [0, T] of the scan-time search
-# the scipy modules a pipeline run calls, each imported where it is called
-_PIPELINE_SCIPY = ("scipy.fft._pocketfft.pypocketfft", "scipy.integrate",
-                   "scipy.linalg", "scipy.sparse.linalg")
 
 
 @dataclass(frozen=True)
@@ -128,8 +123,8 @@ def parse_config(text) -> ExperimentConfig:
 
 
 def read_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    """The config in the UTF-8 file ``path``; see :func:`grid.read_text`."""
+    return parse_config(grid.read_text(path))
 
 
 def write_config(cfg: ExperimentConfig, path):
@@ -365,34 +360,52 @@ def run_full_pipeline(cfg: ExperimentConfig, out_dir, force=False):
         raise
 
 
-def _sweep_worker(args):
-    """One sweep member; returns (name, exit code) and never raises."""
-    path, name, out_root, force = args
+def _sweep_member(path, name, out_root, force):
+    """One sweep member's exit code; never raises."""
     try:
-        cfg = read_config(path)
-        result = run_full_pipeline(cfg, os.path.join(out_root, name),
-                                   force=force)
-        return name, result["exit_code"]
-    except Exception as exc:          # worker must not kill the pool
+        return run_full_pipeline(read_config(path),
+                                 os.path.join(out_root, name),
+                                 force=force)["exit_code"]
+    except Exception as exc:          # one member must not stop the others
         code, label = classify(exc)
         print(f"{name}: {label}: {exc}", file=sys.stderr)
-        return name, code
+        return code
 
 
 def run_sweep(config_paths, out_root, jobs=1, force=False):
-    """Independent pipeline runs fanned out across worker processes, each
-    named, and writing under ``out_root``, by its config's file name."""
+    """Independent pipeline runs, each named, and writing under
+    ``out_root``, by its config's file name; returns each name's exit code.
+
+    With jobs > 1 each member runs in a forked child, at most ``jobs`` at
+    a time, and the child's exit status is the member's code: a member
+    killed by a signal is 1, and the others run on."""
     names = [os.path.splitext(os.path.basename(p))[0] for p in config_paths]
     same = sorted({name for name in names if names.count(name) > 1})
     if same:
         raise ConfigError(f"sweep members share a name: {', '.join(same)}")
     os.makedirs(out_root, exist_ok=True)
-    args = [(p, name, out_root, force) for p, name in zip(config_paths, names)]
-    if jobs <= 1:
-        results = [_sweep_worker(a) for a in args]
-    else:
-        for name in _PIPELINE_SCIPY:     # once here, not once per worker
-            importlib.import_module(name)
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_sweep_worker, args)
-    return dict(results)
+    members = [(p, name, out_root, force)
+               for p, name in zip(config_paths, names)]
+    if jobs <= 1 or not hasattr(os, "fork"):
+        return {m[1]: _sweep_member(*m) for m in members}
+    codes, running = {}, {}
+    while members or running:
+        if members and len(running) < jobs:
+            sys.stdout.flush()          # else the child writes them again
+            sys.stderr.flush()
+            member = members.pop(0)
+            pid = os.fork()
+            if pid == 0:        # a member's child ends only through os._exit
+                code = EXIT_FAIL
+                try:
+                    code = _sweep_member(*member)
+                    sys.stdout.flush()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(code)
+            running[pid] = member[1]
+        else:
+            pid, status = os.wait()
+            codes[running.pop(pid)] = (os.WEXITSTATUS(status)
+                                       if os.WIFEXITED(status) else EXIT_FAIL)
+    return {name: codes[name] for name in names}

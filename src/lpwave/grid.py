@@ -347,6 +347,16 @@ def write_json(path, obj):
         fh.write(text)
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file ``path``; a directory, a path through a
+    file, or bytes that are not UTF-8 are a ConfigurationError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (IsADirectoryError, NotADirectoryError, UnicodeDecodeError):
+        raise ConfigurationError(f"{path} is not a UTF-8 text file") from None
+
+
 @functools.lru_cache(maxsize=8)
 def _grid_cells(n_points):
     return (tuple(map(str, range(n_points))),
@@ -364,17 +374,16 @@ def write_grid_csv(path, names, columns):
 def read_grid_csvs(paths, n_points, names):
     """The (files, n_points, names) values of :func:`write_grid_csv` files,
     parsed in one ``np.loadtxt`` call.  A file is refused, with a
-    ConfigurationError naming it, unless it has the header index, x,
-    ``names`` and n_points rows of numbers, index and x exactly 0 ... N-1
-    and ``grid_points(N)``, and finite values: ``np.loadtxt`` parses
-    ``nan`` and ``inf`` as numbers.  Each file's rows are counted first, so
-    a short one cannot shift the rows after it.
+    ConfigurationError naming it, unless it is UTF-8 text with the header
+    index, x, ``names`` and n_points rows of numbers, index and x exactly
+    0 ... N-1 and ``grid_points(N)``, and finite values: ``np.loadtxt``
+    parses ``nan`` and ``inf`` as numbers.  Each file's rows are counted
+    first, so a short one cannot shift the rows after it.
     """
     header = ",".join(["index", "x", *names])
     lines = []
     for path in paths:
-        with open(path) as fh:
-            file_lines = fh.readlines()
+        file_lines = read_text(path).splitlines(keepends=True)
         if file_lines[:1] != [header + "\n"]:
             raise ConfigurationError(
                 f"{path} does not start with the header {header!r}")

@@ -32,8 +32,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import grid
-from .coefficients import (SCAN_TIMES, CoefficientSet, builtin_family,
-                           run_all_checks, tensor_scan)
+from .coefficients import (CoefficientSet, builtin_family, run_all_checks,
+                           scan_grids, tensor_scan)
 from .errors import (CFLError, ConditionError, ConfigurationError,
                      NumericalBlowupError)
 from .grid import GridFunction, TWO_PI, same_grid
@@ -134,8 +134,7 @@ def manufactured_rhs(cs: CoefficientSet, exact: SpaceTimeFunction) -> Callable:
 def sup_a(cs: CoefficientSet, n_points) -> float:
     """max(0, sup a) over [0, T] x grid; memoised, because estimate_loss
     and solve_cauchy both ask for it on every grid."""
-    x = grid.grid_points(n_points)
-    t = np.linspace(0.0, cs.T, SCAN_TIMES)
+    t, x = scan_grids(cs, grid.grid_points(n_points))
     return max(0.0, float(np.max(tensor_scan(cs.a, t, x))))
 
 
@@ -377,17 +376,16 @@ def load_trajectory(out_dir, cs: Optional[CoefficientSet] = None) -> Trajectory:
 
 def _read_manifest(path) -> dict:
     """trajectory.json, refused with a ConfigurationError naming it unless
-    it is a JSON object holding MANIFEST_KEYS with N a grid size, dt and
-    solver_dt positive and dt / solver_dt whole to a relative 1e-9 (the
-    config's rule for T/dt), a coefficient record holding RECORD_KEYS with
-    family a string, k an integer and the others finite numbers, and times
-    that, unless there are none, are finite and 0, dt, 2 dt, ... to a
-    relative 1e-9."""
-    with open(path) as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:
-            raise ConfigurationError(f"{path} is not JSON: {exc}") from None
+    it is UTF-8 text of a JSON object holding MANIFEST_KEYS with N a grid
+    size, dt and solver_dt positive and dt / solver_dt whole to a relative
+    1e-9 (the config's rule for T/dt), a coefficient record holding
+    RECORD_KEYS with family a string, k an integer and the others finite
+    numbers, and times that, unless there are none, are finite and 0, dt,
+    2 dt, ... to a relative 1e-9."""
+    try:
+        manifest = json.loads(grid.read_text(path))
+    except ValueError as exc:
+        raise ConfigurationError(f"{path} is not JSON: {exc}") from None
     if not (isinstance(manifest, dict)
             and all(key in manifest for key in MANIFEST_KEYS)):
         raise ConfigurationError(f"{path} is not a JSON object holding "

@@ -18,8 +18,8 @@ from lpwave.commutator import CommutatorScan, dense_norm, power_norm, verify_dec
 from lpwave.dyadic import (bernstein_ratio, build_cutoffs, decompose,
                            reconstruct)
 from lpwave.energy import (block_epsilon, build_ledger, calibrate_constants,
-                           decay_weight, estimate_loss,
-                           verify_energy_inequality)
+                           estimate_loss, verify_energy_inequality,
+                           weight_table)
 from lpwave.experiment import coefficient_set, initial_data, read_config
 from lpwave.grid import GridFunction
 from lpwave.solver import (SpaceTimeFunction, cosine_mode, manufactured_rhs,
@@ -150,7 +150,7 @@ def test_criterion_4_far_decay_and_method_agreement():
 
 def test_criterion_5_weight_bounds():
     cs = builtin_family("monomial", k=2, gamma=0.0)
-    h = np.array([decay_weight(nu, 1.0, cs) for nu in range(1, 14)])
+    h = weight_table(13, [1.0], cs)[1:, 0]
     slopes = h / np.arange(1, 14)
     slope_spread = float(slopes.max() / slopes.min())
     gaps = np.diff(h)            # gaps[i] = h(i+2) - h(i+1)

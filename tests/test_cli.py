@@ -636,3 +636,43 @@ def test_commutator_scan_norms_scale_with_C0(tmp_path, C0):
     else:       # b's rounding moves the smallest norms by more than 1e-12
         np.testing.assert_allclose(b, C0 * b_one, rtol=1e-12,
                                    atol=1e-12 * C0 * b_one.max())
+
+
+def _wrong_kind_input(case, tmp_path, tiny_cfg):
+    """(argv, path the refusal names) of one input of the wrong kind."""
+    latin1 = tmp_path / "latin1"
+    if case == "config-is-directory":
+        return ["check-conditions", "--config", str(tmp_path)], str(tmp_path)
+    if case == "config-not-utf8":
+        latin1.write_bytes(TINY.encode() + b"# caf\xe9\n")
+        return ["check-conditions", "--config", str(latin1)], str(latin1)
+    if case == "traj-is-file":
+        return (["verify-energy", "--config", tiny_cfg, "--traj", tiny_cfg],
+                tiny_cfg)
+    if case == "manifest-is-directory":
+        manifest = tmp_path / "traj" / "trajectory.json"
+        manifest.mkdir(parents=True)
+        return (["verify-energy", "--config", tiny_cfg, "--traj",
+                 str(manifest.parent)], str(manifest))
+    if case == "csv-is-directory":
+        return (["decompose", "--config", tiny_cfg, "--in", str(tmp_path)],
+                str(tmp_path))
+    latin1.write_bytes(b"index,x,re,im\n0,0.0,\xe9,0.0\n")
+    return ["decompose", "--config", tiny_cfg, "--in", str(latin1)], \
+        str(latin1)
+
+
+@pytest.mark.parametrize("case", ["config-is-directory", "config-not-utf8",
+                                  "traj-is-file", "manifest-is-directory",
+                                  "csv-is-directory", "csv-not-utf8"])
+def test_input_of_the_wrong_kind_is_config_error(tmp_path, tiny_cfg, capsys,
+                                                 case):
+    # a directory, a path through a file, or bytes that are not UTF-8 are
+    # refused as input (exit 2, one line naming the path), not a traceback
+    argv, named = _wrong_kind_input(case, tmp_path, tiny_cfg)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert named in err, err
+    assert not out.exists()

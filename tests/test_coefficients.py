@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpwave.coefficients import (BUILTIN_FAMILIES, MAX_ORDER, ConditionReport,
-                                 Witness, _scan_grids, builtin_family,
+                                 Witness, builtin_family,
                                  check_ellipticity,
                                  check_finite_degeneration, check_levi,
                                  check_order_condition,
                                  check_weak_hyperbolicity,
                                  constant_coefficients, flat_alpha,
-                                 run_all_checks, tensor_scan)
+                                 run_all_checks, scan_grids, tensor_scan)
 from lpwave.errors import ConfigurationError, UnknownFamilyError
 
 
@@ -308,7 +308,7 @@ def test_tensor_scan_matches_per_time_loop(case):
 # The two bound checks as they were written before they shared one scan,
 # kept verbatim as the reference of the merged check.
 def reference_weak_hyperbolicity(cs, x=None):
-    t_grid, x_grid = _scan_grids(cs, x)
+    t_grid, x_grid = scan_grids(cs, x)
     vals = tensor_scan(cs.a, t_grid, x_grid)
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
     amin = float(vals[i, j])
@@ -318,7 +318,7 @@ def reference_weak_hyperbolicity(cs, x=None):
 
 
 def reference_ellipticity(cs, x=None):
-    t_grid, x_grid = _scan_grids(cs, x)
+    t_grid, x_grid = scan_grids(cs, x)
     vals = tensor_scan(cs.beta, t_grid, x_grid)
     lo_margin = float(np.min(vals)) - cs.lambda0
     hi_margin = cs.Lambda0 - float(np.max(vals))

@@ -387,7 +387,7 @@ def test_schur_sums_bounded_under_more_bands():
     # adding bands must not grow the sums without bound: entries scale
     # like 2^-nu, so the sums converge with geometrically decaying
     # increments (the remaining growth from nu_max=8 on is a few percent)
-    from lpwave.energy import decay_weight
+    from lpwave.energy import weight_table
 
     cs = builtin_family("monomial", k=2)
     t = 0.5
@@ -395,7 +395,7 @@ def test_schur_sums_bounded_under_more_bands():
     for n_pts in (64, 256, 1024):
         fam = build_cutoffs(n_pts)
         s = scan(cs, t, fam)
-        h = np.array([decay_weight(nu, t, cs) for nu in range(fam.nu_max + 1)])
+        h = weight_table(fam.nu_max, [t], cs)[:, 0]
         rows = (2.0 ** np.arange(fam.nu_max + 1))[:, None] \
             * float(np.real(cs.alpha(t)))
         k = schur_kernel(h, s.norms_beta, rows=rows)

@@ -55,8 +55,9 @@ def _scan(tmp_path):
 def _energies(tmp_path):
     constants = energy.Constants(1.0, 2.0, 0.0, 4.0, 4.0, 3.0, 0.0)
     ledger = energy.EnergyLedger(
-        1, np.array([0.0, 0.5]), np.array([[1.0, 0.75], [0.5, -0.0]]),
-        np.array([[0.0, 0.0], [0.0, -0.0]]), np.array([1.5, 0.75]), constants)
+        np.array([0.0, 0.5]), np.array([[1.0, 0.75], [0.5, -0.0]]),
+        np.array([[0.0, 0.0], [0.0, -0.0]]), np.ones((2, 2)),
+        np.array([1.5, 0.75]), constants)
     energy.ledger_to_csv(ledger, tmp_path / "energies.csv")
     return tmp_path / "energies.csv"
 

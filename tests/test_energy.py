@@ -5,18 +5,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lpwave import experiment, grid
+from lpwave import coefficients, experiment, grid
 from lpwave.coefficients import (builtin_family, constant_coefficients,
                                  tensor_scan)
 from lpwave.commutator import scan
 from lpwave.dyadic import build_cutoffs, sobolev_norm
 from lpwave.energy import (block_epsilon, build_ledger, calibrate_constants,
-                           decay_weight, energy_table, estimate_loss,
-                           loss_ratio_curve, verify_energy_inequality,
-                           weight_integrand, weight_table)
+                           energy_table, estimate_loss, loss_ratio_curve,
+                           verify_energy_inequality, weight_integrand,
+                           weight_table)
 from lpwave.grid import GridFunction
 from lpwave.solver import (Trajectory, apply_L, cosine_mode,
-                           manufactured_rhs, solve_cauchy)
+                           manufactured_rhs, solve_cauchy, sup_a)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -189,21 +189,34 @@ def test_energy_quadratic_form_equivalence():
         assert lo - 1e-10 <= table[nu, 0] <= hi + 1e-10
 
 
+def quad_weight(nu, t, cs, scale=1.0):
+    """h(nu, t) by one scalar quad call from 0 to t: the pointwise
+    reference of the weight table."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if t == 0.0:
+        return 0.0
+    return float(scale * quad(weight_integrand(cs, nu), 0.0, t, epsabs=1e-10,
+                              epsrel=1e-10, limit=400)[0])
+
+
 def test_decay_weight_zero_at_start_and_monotone():
     cs = builtin_family("monomial", k=2)
-    assert decay_weight(3, 0.0, cs) == 0.0
-    vals = [decay_weight(3, t, cs) for t in (0.1, 0.3, 0.6, 1.0)]
+    vals = weight_table(3, [0.0, 0.1, 0.3, 0.6, 1.0], cs)[3]
+    assert vals[0] == 0.0
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_decay_weight_constant_integrand_closed_form():
     # alpha = 1, gamma = 1/2: integrand is constant in time
     cs = constant_coefficients(a0=1.0, k=2).with_params(gamma=0.5)
+    times = [0.25, 1.0]
+    table = weight_table(5, times, cs)
     for nu in (0, 2, 5):
         eps = block_epsilon(2, nu)
         rate = eps * 2.0 ** nu / np.sqrt(1 + eps) + 1.0 + 1.0
-        for t in (0.25, 1.0):
-            assert abs(decay_weight(nu, t, cs) - rate * t) < 1e-10
+        for i, t in enumerate(times):
+            assert abs(table[nu, i] - rate * t) < 1e-10
 
 
 def test_decay_weight_middle_term_log_closed_form():
@@ -223,14 +236,14 @@ def test_decay_weight_table_matches_pointwise():
     table = weight_table(5, times, cs, scale=2.0)
     for nu in (0, 3, 5):
         for i, t in enumerate(times):
-            assert abs(table[nu, i] - decay_weight(nu, t, cs, scale=2.0)) < 1e-8
+            assert abs(table[nu, i] - quad_weight(nu, t, cs, scale=2.0)) < 1e-8
 
 
 def test_weight_table_first_column_is_decay_weight():
     cs = builtin_family("monomial", k=2)
     table = weight_table(4, [0.3, 0.5], cs)
     for nu in range(5):
-        assert table[nu, 0] == decay_weight(nu, 0.3, cs)
+        assert table[nu, 0] == quad_weight(nu, 0.3, cs)
     with pytest.raises(ValueError):
         weight_table(4, [-0.1, 0.5], cs)
 
@@ -241,7 +254,7 @@ def _old_weight_table(nu_max, times, cs, scale=1.0):
     out = np.zeros((nu_max + 1, times.size))
     for nu in range(nu_max + 1):
         f = weight_integrand(cs, nu)
-        acc = out[nu, 0] = decay_weight(nu, times[0], cs)
+        acc = out[nu, 0] = quad_weight(nu, times[0], cs)
         for i in range(1, times.size):
             inc, _ = quad(f, times[i - 1], times[i], epsabs=1e-10,
                           epsrel=1e-10, limit=200)
@@ -313,7 +326,7 @@ def test_weight_integrand_takes_arrays():
 def test_decay_weight_linear_growth_in_band_index():
     # h(nu, T)/nu bounded for the quadratic family; neighbor gaps level off
     cs = builtin_family("monomial", k=2)
-    h = np.array([decay_weight(nu, 1.0, cs) for nu in range(1, 14)])
+    h = weight_table(13, [1.0], cs)[1:, 0]
     slopes = h / np.arange(1, 14)
     assert slopes.max() / slopes.min() < 3.0
     gaps = np.diff(h)
@@ -343,12 +356,18 @@ def test_calibration_constant_beta_drops_beta_term():
     assert const.components["C_B"] == 0.0
 
 
-def test_calibration_sup_norms_stable_under_denser_scan():
+def test_calibration_sup_norms_stable_under_denser_scan(monkeypatch):
     cs = builtin_family("monomial", k=2)
     fam = build_cutoffs(64)
     s = scan(cs, 1.0, fam)
-    coarse = calibrate_constants(cs, fam, s, nt=512)
-    fine = calibrate_constants(cs, fam, s, nt=2048)
+    coarse = calibrate_constants(cs, fam, s)
+    # the one scan grid, four times denser; sup_a must not keep its values
+    monkeypatch.setattr(coefficients, "SCAN_TIMES",
+                        4 * coefficients.SCAN_TIMES)
+    try:
+        fine = calibrate_constants(cs, fam, s)
+    finally:
+        sup_a.cache_clear()
     for name in ("C1", "C2", "C3", "C4", "Ctilde", "C_schur"):
         a, b = getattr(coarse, name), getattr(fine, name)
         assert abs(a - b) <= 0.01 * max(abs(b), 1e-12), name

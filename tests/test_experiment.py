@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -191,7 +193,7 @@ def test_pipeline_halts_on_failed_conditions(tmp_path):
 
 def test_sweep_serial_and_parallel(tmp_path, monkeypatch):
     # save_every = 1 gives 251 states, two row chunks: with two CPUs the
-    # daemonic pool workers fork their own trajectory writers, and the
+    # forked sweep members fork their own trajectory writers, and the
     # files must hash as those of the one-CPU serial run
     files = {}
     for name, jobs in (("serial", 1), ("parallel", 2)):
@@ -213,3 +215,43 @@ def test_sweep_serial_and_parallel(tmp_path, monkeypatch):
                        .read_text())["files"] for c in ("c0", "c1")]
     assert len(files["serial"][0]) > 251
     assert files["parallel"] == files["serial"]
+
+
+DYING_SWEEP = """
+import os, signal, sys
+from lpwave import experiment
+
+pipeline = experiment.run_full_pipeline
+
+
+def dies(cfg, out_dir, force=False):
+    if os.path.basename(out_dir) == "dies":     # as an OOM kill would
+        os.kill(os.getpid(), signal.SIGKILL)
+    return pipeline(cfg, out_dir, force=force)
+
+
+experiment.run_full_pipeline = dies
+print(experiment.run_sweep(sys.argv[1:3], sys.argv[3], jobs=2))
+"""
+
+
+def test_sweep_survives_a_member_that_dies(tmp_path):
+    # a member whose process is killed is reported as 1 and the other
+    # member finishes: a process pool would wait for the lost task forever
+    paths = []
+    for name in ("dies", "lives"):
+        paths.append(str(tmp_path / f"{name}.cfg"))
+        write_config(parse_config(TINY), paths[-1])
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", DYING_SWEEP, *paths,
+                           str(tmp_path / "out")], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "{'dies': 1, 'lives': 0}"
+    manifest = json.loads((tmp_path / "out" / "lives" / "manifest.json")
+                          .read_text())
+    assert manifest["stages"][-1] == "done"
+    assert "energies.csv" in manifest["files"]
