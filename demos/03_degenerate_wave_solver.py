@@ -13,8 +13,7 @@ from lpwave import grid
 from lpwave.coefficients import builtin_family, constant_coefficients
 from lpwave.errors import CFLError
 from lpwave.grid import GridFunction
-from lpwave.solver import (SpaceTimeFunction, cfl_limit, manufactured_rhs,
-                           solve_cauchy)
+from lpwave.solver import SpaceTimeFunction, cfl_limit, solve_cauchy
 
 N = 128
 cs = builtin_family("monomial", k=2, gamma=0.0)
@@ -22,7 +21,6 @@ exact = SpaceTimeFunction(
     u=lambda t, x: np.cos(3 * t) * np.cos(x),
     ut=lambda t, x: -3 * np.sin(3 * t) * np.cos(x),
     utt=lambda t, x: -9 * np.cos(3 * t) * np.cos(x))
-f = manufactured_rhs(cs, exact)
 u0, u1 = exact.initial_data(N)
 x = u0.x
 
@@ -32,8 +30,8 @@ print("=" * 64)
 print(f"{'steps':>6} {'dt':>10} {'max error':>12} {'ratio':>7}")
 prev = None
 for steps in (125, 250, 500, 1000):
-    traj = solve_cauchy(cs, u0, u1, f=f, M=steps, save_every=steps // 5,
-                        check=False)
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=steps,
+                        save_every=steps // 5, check=False)
     err = max(grid.norm(GridFunction(traj.u[i]
                                      - exact.u(float(traj.times[i]), x)))
               for i in range(traj.n_saved))
@@ -57,7 +55,8 @@ print()
 limit = cfl_limit(cs, N)
 print(f"stability bound for this family at N={N}: dt <= {limit:.3e}")
 try:
-    solve_cauchy(cs, u0, u1, f=f, M=int(cs.T / limit * 0.5), check=False)
+    solve_cauchy(cs, u0, u1, exact=exact, M=int(cs.T / limit * 0.5),
+                 check=False)
 except CFLError as exc:
     print(f"  oversized step refused as expected: {exc}")
 

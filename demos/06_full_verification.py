@@ -16,7 +16,7 @@ from lpwave.dyadic import build_cutoffs
 from lpwave.energy import (build_ledger, calibrate_constants, estimate_loss,
                            verify_energy_inequality)
 from lpwave.experiment import scan_time
-from lpwave.solver import cosine_mode, manufactured_rhs, solve_cauchy
+from lpwave.solver import cosine_mode, solve_cauchy
 
 N, STEPS = 128, 2000
 cs = builtin_family("monomial", k=2, gamma=0.0)
@@ -31,8 +31,7 @@ print()
 print("stage 2: solve with a manufactured source (u = cos t cos x)")
 exact = cosine_mode()
 u0, u1 = exact.initial_data(N)
-f = manufactured_rhs(cs, exact)
-traj = solve_cauchy(cs, u0, u1, f=f, M=STEPS, save_every=10)
+traj = solve_cauchy(cs, u0, u1, exact=exact, M=STEPS, save_every=10)
 print(f"  {traj.n_saved} states saved, dt = {traj.solver_dt:.1e}")
 
 print()

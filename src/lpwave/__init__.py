@@ -30,6 +30,6 @@ from .grid import (GridFunction, derivative, from_callable,
                    from_coefficients, frequencies, inner, norm,
                    random_band_limited)
 from .solver import (SpaceTimeFunction, Trajectory, apply_L, cfl_limit,
-                     cosine_mode, manufactured_rhs, solve_cauchy)
+                     cosine_mode, solve_cauchy)
 
 __version__ = "0.1.0"

@@ -66,11 +66,11 @@ def build_parser():
     p = sub.add_parser("pipeline", help="full check/solve/verify pipeline")
     _add_common(p, force=True, seed=True)
 
-    p = sub.add_parser("sweep", help="run several configs in parallel")
+    p = sub.add_parser("sweep", help="run the pipeline on several configs, "
+                                      "each in a process of its own")
     p.add_argument("configs", nargs="+", help="config files")
     p.add_argument("--out", default="sweep_out")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     return parser
 
 
@@ -94,7 +94,7 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "sweep":
         results = experiment.run_sweep(args.configs, args.out,
-                                       jobs=args.jobs, force=args.force)
+                                       force=args.force)
         for name, code in sorted(results.items()):
             print(f"{name}: {code}")
         return max(results.values(), default=EXIT_OK)

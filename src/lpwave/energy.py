@@ -446,7 +446,7 @@ def estimate_loss(cs: CoefficientSet, m, deltas, grid_sizes=(128, 256, 512),
         save_every = max(1, steps // 128)
         # round up to a multiple of save_every, so the final time is saved
         steps = -(-steps // save_every) * save_every
-        traj = solve_cauchy(cs, u0, u1, f=None, M=steps, check=False,
+        traj = solve_cauchy(cs, u0, u1, M=steps, check=False,
                             save_every=save_every)
         curve = loss_ratio_curve(traj, fam, m, deltas)
         if not np.all(np.isfinite(curve)):

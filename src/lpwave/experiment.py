@@ -155,16 +155,23 @@ def cutoff_family(cfg: ExperimentConfig):
     return dyadic.build_cutoffs(cfg.N)
 
 
-def initial_data(cfg: ExperimentConfig, cs):
-    """Returns (u0, u1, forcing or None) for the configured data kind."""
+def initial_data(cfg: ExperimentConfig, cs=None):
+    """(u0, u1, exact solution or None) of the data kind; cs is unused."""
     if cfg.data == "manufactured":
         exact = solver.cosine_mode()
-        u0, u1 = exact.initial_data(cfg.N)
-        return u0, u1, solver.manufactured_rhs(cs, exact)
+        return (*exact.initial_data(cfg.N), exact)
     rng = np.random.default_rng(cfg.seed)
     u0 = grid.random_band_limited(cfg.N, rng=rng, decay=1.0)
     u1 = grid.random_band_limited(cfg.N, rng=rng, decay=0.5)
     return u0, u1, None
+
+
+def _refuse_short_trajectory(n_saved):
+    """Refuse fewer saved states than the d_t^2 u stencils need."""
+    if n_saved < solver.MIN_SAVED:
+        raise ConfigurationError(
+            f"{n_saved} saved states are too few for the energy check, "
+            f"which needs at least {solver.MIN_SAVED}: lower save_every or dt")
 
 
 def scan_time(cs):
@@ -223,11 +230,10 @@ def run_check_conditions(cfg: ExperimentConfig, out_dir=None):
 
 
 def run_solve(cfg: ExperimentConfig, out_dir, force=False):
-    cs = coefficient_set(cfg)
-    u0, u1, f = initial_data(cfg, cs)
-    return solver.solve_cauchy(cs, u0, u1, f=f, M=cfg.steps,
-                               save_every=cfg.save_every, check=not force,
-                               out_dir=out_dir)
+    u0, u1, exact = initial_data(cfg)
+    return solver.solve_cauchy(coefficient_set(cfg), u0, u1, exact=exact,
+                               M=cfg.steps, save_every=cfg.save_every,
+                               check=not force, out_dir=out_dir)
 
 
 def run_decompose(cfg: ExperimentConfig, out_dir, source_csv=None):
@@ -280,7 +286,8 @@ def run_verify_energy(cfg: ExperimentConfig, traj, out_dir):
     for the coefficients the trajectory was solved with.
 
     A trajectory saved on another grid than the config's (N, T/dt steps,
-    save_every) is refused with a ConfigurationError naming each key.
+    save_every) is refused with a ConfigurationError naming each key, and
+    so is one of fewer than ``solver.MIN_SAVED`` states.
     """
     save_every = round(traj.dt / traj.solver_dt)
     saved = {"N": traj.n_points, "steps": (traj.n_saved - 1) * save_every,
@@ -291,6 +298,7 @@ def run_verify_energy(cfg: ExperimentConfig, traj, out_dir):
     if differ:
         raise ConfigurationError("trajectory was saved on another grid: "
                                  + "; ".join(differ))
+    _refuse_short_trajectory(traj.n_saved)
     cs = traj.coeffs
     fam = cutoff_family(cfg)
     s = commutator.scan(cs, scan_time(cs), fam)
@@ -313,7 +321,9 @@ def run_full_pipeline(cfg: ExperimentConfig, out_dir, force=False):
     Raises on the first failing stage; artifacts written so far stay in
     place and the manifest names the failed stage.
     """
-    cutoff_family(cfg)      # refuses a grid of too few bands, before writing
+    cutoff_family(cfg)      # these refuse a config before anything is written
+    coefficient_set(cfg)
+    _refuse_short_trajectory(cfg.steps // cfg.save_every + 1)
     os.makedirs(out_dir, exist_ok=True)
     stages = []
     try:
@@ -372,40 +382,36 @@ def _sweep_member(path, name, out_root, force):
         return code
 
 
-def run_sweep(config_paths, out_root, jobs=1, force=False):
+def run_sweep(config_paths, out_root, force=False):
     """Independent pipeline runs, each named, and writing under
     ``out_root``, by its config's file name; returns each name's exit code.
 
-    With jobs > 1 each member runs in a forked child, at most ``jobs`` at
-    a time, and the child's exit status is the member's code: a member
-    killed by a signal is 1, and the others run on."""
+    Each member runs in a forked child of its own, one after another, and
+    the child's exit status is the member's code: a member killed by a
+    signal is 1, and the others run on.  Without ``os.fork`` the members
+    run in this process."""
     names = [os.path.splitext(os.path.basename(p))[0] for p in config_paths]
     same = sorted({name for name in names if names.count(name) > 1})
     if same:
         raise ConfigError(f"sweep members share a name: {', '.join(same)}")
     os.makedirs(out_root, exist_ok=True)
-    members = [(p, name, out_root, force)
-               for p, name in zip(config_paths, names)]
-    if jobs <= 1 or not hasattr(os, "fork"):
-        return {m[1]: _sweep_member(*m) for m in members}
-    codes, running = {}, {}
-    while members or running:
-        if members and len(running) < jobs:
-            sys.stdout.flush()          # else the child writes them again
-            sys.stderr.flush()
-            member = members.pop(0)
-            pid = os.fork()
-            if pid == 0:        # a member's child ends only through os._exit
-                code = EXIT_FAIL
-                try:
-                    code = _sweep_member(*member)
-                    sys.stdout.flush()
-                    sys.stderr.flush()
-                finally:
-                    os._exit(code)
-            running[pid] = member[1]
-        else:
-            pid, status = os.wait()
-            codes[running.pop(pid)] = (os.WEXITSTATUS(status)
-                                       if os.WIFEXITED(status) else EXIT_FAIL)
-    return {name: codes[name] for name in names}
+    codes = {}
+    for path, name in zip(config_paths, names):
+        if not hasattr(os, "fork"):
+            codes[name] = _sweep_member(path, name, out_root, force)
+            continue
+        sys.stdout.flush()              # else the child writes them again
+        sys.stderr.flush()
+        pid = os.fork()
+        if pid == 0:            # a member's child ends only through os._exit
+            code = EXIT_FAIL
+            try:
+                code = _sweep_member(path, name, out_root, force)
+                sys.stdout.flush()
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        codes[name] = (os.WEXITSTATUS(status) if os.WIFEXITED(status)
+                       else EXIT_FAIL)
+    return codes

@@ -5,18 +5,19 @@ torus: spectral x-derivatives through the 1j*xi multiplier ``grid.ik``,
 pointwise coefficient products, and the divergence-form term evaluated as
 d_x(a * d_x u) so the structure the energy analysis integrates by parts
 against is preserved exactly.  ``_operator`` is the one assembly of L u
-from it, which ``apply_L``, the manufactured forcing and
-``operator_blocks`` call; the RK4 right-hand side calls ``_terms`` for
-d_t^2 u.  Time stepping is classical fourth-order Runge-Kutta on the
-first-order system, one (2, N) state y = (u, d_t u), with an explicit CFL
-bound tied to sup a.  The work that depends on time alone is taken out of
-the step loop: for a chunk of steps the stage times t, t + dt/2 and t + dt
-form one column, and a, b, c and the forcing are tabulated on it in one
-call each, so the loop itself only makes the four operator FFTs per stage.
-Coefficient callables and forcings must therefore accept a column of
-times, (S, 1), as well as a scalar.  Given an output directory, the solve
-also saves its trajectory as it runs, through ``save_trajectory``'s writer:
-forked writers take each finished chunk of saved states from its queue.
+from it, which ``apply_L`` and ``operator_blocks`` call; the RK4
+right-hand side and the manufactured forcing L[exact] call ``_terms``.
+Time stepping is classical fourth-order Runge-Kutta on the first-order
+system, one (2, N) state y = (u, d_t u), with an explicit CFL bound tied
+to sup a.  The work that depends on time alone is taken out of the step
+loop: for a chunk of steps the stage times t, t + dt/2 and t + dt form
+one column, a, b, c, ``exact.u`` and ``exact.utt`` are tabulated on it in
+one call each, and the forcing is built from those tables, so the loop
+itself only makes the four operator FFTs per stage; all five must accept
+a column of times, (S, 1), as well as a scalar.  Given an output
+directory, the solve also saves its trajectory as it runs, through
+``save_trajectory``'s writer: forked writers take each finished chunk of
+saved states from its queue.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .errors import (CFLError, ConditionError, ConfigurationError,
 from .grid import GridFunction, TWO_PI, same_grid
 
 C_CFL = 0.5         # Courant factor of the solver's step bound
+MIN_SAVED = 3       # saved states the d_t^2 u stencils need
 
 
 @dataclass(frozen=True)
@@ -115,21 +117,6 @@ def cosine_mode(freq=1) -> SpaceTimeFunction:
     )
 
 
-def manufactured_rhs(cs: CoefficientSet, exact: SpaceTimeFunction) -> Callable:
-    """Forcing f(t, x) = L[exact] so that `exact` solves Lu = f.
-
-    The spatial part is the same discrete operator the solver steps, so
-    the exact solution satisfies the semi-discrete system identically and
-    convergence studies see pure time-integration error.  ``t`` may be a
-    scalar or an (S, 1) column of times, giving one row per time.
-    """
-    def f(t, x):
-        return _operator(cs, t, x, np.asarray(exact.u(t, x), dtype=complex),
-                         np.asarray(exact.utt(t, x), dtype=complex))
-
-    return f
-
-
 @functools.lru_cache(maxsize=32)
 def sup_a(cs: CoefficientSet, n_points) -> float:
     """max(0, sup a) over [0, T] x grid; memoised, because estimate_loss
@@ -152,10 +139,13 @@ def _stage_times(start, stop, dt) -> np.ndarray:
 
 
 def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
-                 f: Optional[Callable] = None, M: int = 1000,
+                 exact: Optional[SpaceTimeFunction] = None, M: int = 1000,
                  save_every: int = 1, check: bool = True,
                  out_dir=None) -> Trajectory:
-    """Integrate the Cauchy problem from data (u0, u1) with forcing f.
+    """Integrate the Cauchy problem from data (u0, u1), forced by L[exact]
+    when ``exact`` is given: the operator the solver steps, so ``exact``
+    solves the semi-discrete system identically and convergence studies
+    see pure time-integration error.
 
     ``M`` steps of size T/M, T the family's final time.  The
     hypothesis checkers run first when ``check``; a step size above the
@@ -163,10 +153,10 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
     ``save_every`` steps, and M must be a multiple of save_every so the
     final time is always saved.
 
-    The steps run in ``grid.row_chunks(M, N)``.  Per chunk, a, b,
-    c and f are called once on the (3S, 1) column of its stage times, so
-    each must accept such a column and return (3S, N) or (N,) values; a
-    scalar time still works, as for ``apply_L``.
+    The steps run in ``grid.row_chunks(M, N)``.  Per chunk, a, b, c,
+    ``exact.u`` and ``exact.utt`` are called once on the (3S, 1) column of
+    its stage times, so each must accept such a column and return (3S, N)
+    or (N,) values; a scalar time still works, as for ``apply_L``.
 
     With ``out_dir`` the trajectory is saved as the solve runs by
     :func:`_save`, the writer of :func:`save_trajectory`, which takes the
@@ -206,14 +196,17 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
             # a, b, c and fs are the tables of the current chunk
             div, bux, cu = _terms(a[row], b[row], c[row], ik, y[0])
             vdot = div - bux - cu
-            return np.array((y[1], vdot if fs is None else vdot + fs[row]))
+            return np.array((y[1], vdot if exact is None else vdot + fs[row]))
 
         for steps in grid.row_chunks(M, n):
             ts = _stage_times(steps.start, steps.stop, dt)
             shape = (ts.shape[0], n)
             a, b, c = (np.broadcast_to(vals, shape)
                        for vals in (cs.a(ts, x), cs.b(ts, x), cs.c(ts, x)))
-            fs = None if f is None else np.broadcast_to(f(ts, x), shape)
+            if exact is not None:       # the forcing L[exact], as _operator
+                div, bux, cu = _terms(a, b, c, ik, np.asarray(
+                    exact.u(ts, x), dtype=complex))
+                fs = exact.utt(ts, x) - div + bux + cu
             for step in range(steps.start, steps.stop):
                 r = 3 * (step - steps.start)
                 k1 = rhs(r, y)
@@ -245,8 +238,8 @@ def second_time_derivative(traj: Trajectory, rows: slice) -> np.ndarray:
     ends; second-order in the save spacing.  One row per saved time.
     """
     d, ut, n = traj.dt, traj.ut, traj.n_saved
-    if n < 3:
-        raise ValueError("need at least three saved states")
+    if n < MIN_SAVED:
+        raise ValueError(f"need at least {MIN_SAVED} saved states")
     start, stop, _ = rows.indices(n)
     lo, hi = max(start, 1), min(stop, n - 1)
     out = np.empty((stop - start, traj.n_points), dtype=ut.dtype)

@@ -22,8 +22,7 @@ from lpwave.energy import (block_epsilon, build_ledger, calibrate_constants,
                            weight_table)
 from lpwave.experiment import coefficient_set, initial_data, read_config
 from lpwave.grid import GridFunction
-from lpwave.solver import (SpaceTimeFunction, cosine_mode, manufactured_rhs,
-                           solve_cauchy)
+from lpwave.solver import SpaceTimeFunction, cosine_mode, solve_cauchy
 from lpwave.commutator import scan as commutator_scan
 from lpwave.experiment import scan_time
 
@@ -173,11 +172,10 @@ def _config_violation(cfg_name, dt=None):
                         T=cfg.T)
     exact = cosine_mode()
     u0, u1 = exact.initial_data(cfg.N)
-    f = manufactured_rhs(cs, exact)
     dt = cfg.dt if dt is None else dt
     steps = int(round(cfg.T / dt))
-    traj = solve_cauchy(cs, u0, u1, f=f, M=steps, save_every=cfg.save_every,
-                        check=False)
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=steps,
+                        save_every=cfg.save_every, check=False)
     fam = build_cutoffs(cfg.N)
     s = commutator_scan(cs, scan_time(cs), fam)
     constants = calibrate_constants(cs, fam, s)
@@ -213,9 +211,9 @@ def test_criterion_6_negative_control_random_k2():
         read_config(os.path.join(CONFIG_DIR, "k2-gamma0.cfg")),
         data="random", dt=1e-3, save_every=1)
     cs = coefficient_set(cfg)
-    u0, u1, f = initial_data(cfg, cs)
-    traj = solve_cauchy(cs, u0, u1, f=f, M=int(round(cfg.T / cfg.dt)),
-                        check=False)
+    u0, u1, exact = initial_data(cfg)
+    traj = solve_cauchy(cs, u0, u1, exact=exact,
+                        M=int(round(cfg.T / cfg.dt)), check=False)
     fam = build_cutoffs(cfg.N)
     constants = calibrate_constants(cs, fam,
                                     commutator_scan(cs, scan_time(cs), fam))
@@ -277,9 +275,9 @@ def test_criterion_9_solver_sanity():
     cs = builtin_family("monomial", k=2, gamma=0.0)
     exact = cosine_mode()
     u0, u1 = exact.initial_data(128)
-    f = manufactured_rhs(cs, exact)
     x = u0.x
-    traj = solve_cauchy(cs, u0, u1, f=f, M=10000, save_every=500, check=False)
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=10000, save_every=500,
+                        check=False)
     max_err = max(
         grid.norm(GridFunction(traj.u[i] - exact.u(float(traj.times[i]), x)))
         for i in range(traj.n_saved))
@@ -288,11 +286,10 @@ def test_criterion_9_solver_sanity():
         u=lambda t, xx: np.cos(3 * t) * np.cos(xx),
         ut=lambda t, xx: -3 * np.sin(3 * t) * np.cos(xx),
         utt=lambda t, xx: -9 * np.cos(3 * t) * np.cos(xx))
-    fw = manufactured_rhs(cs, wiggly)
     errs = []
     for steps in (125, 250, 500):
-        t2 = solve_cauchy(cs, u0, u1, f=fw, M=steps, save_every=steps // 5,
-                          check=False)
+        t2 = solve_cauchy(cs, u0, u1, exact=wiggly, M=steps,
+                          save_every=steps // 5, check=False)
         errs.append(max(
             grid.norm(GridFunction(t2.u[i]
                                    - wiggly.u(float(t2.times[i]), x)))

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 
 import numpy as np
@@ -346,7 +347,7 @@ def test_pipeline_rerun_keeps_only_its_own_states(tmp_path, tiny_cfg,
 
 def test_sweep_subcommand(tmp_path, tiny_cfg, capsys):
     out = tmp_path / "sweep"
-    assert main(["sweep", tiny_cfg, "--out", str(out), "--jobs", "2"]) == 0
+    assert main(["sweep", tiny_cfg, "--out", str(out)]) == 0
     assert (out / "tiny" / "manifest.json").exists()
 
 
@@ -359,7 +360,7 @@ def test_sweep_refuses_members_of_one_name(tmp_path, capsys):
         (tmp_path / sub / "x.cfg").write_text(TINY)
         paths.append(str(tmp_path / sub / "x.cfg"))
     out = tmp_path / "sweep"
-    assert main(["sweep", *paths, "--out", str(out), "--jobs", "2"]) == 2
+    assert main(["sweep", *paths, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("configuration error: sweep members share a "
@@ -367,15 +368,19 @@ def test_sweep_refuses_members_of_one_name(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fork", [True, False], ids=["fork", "in-process"])
 def test_sweep_isolates_workers_and_keeps_exit_codes(tmp_path, tiny_cfg,
-                                                     capsys, jobs):
+                                                     capsys, monkeypatch,
+                                                     fork):
+    # each member runs in a forked child, or in this process without fork
+    if not fork:
+        monkeypatch.delattr(os, "fork")
     bad_k = tmp_path / "bad_k.cfg"
     bad_k.write_text("family = monomial\nk = 0\n")
     bad_dt = tmp_path / "bad_dt.cfg"
     bad_dt.write_text("family = monomial\nk = 2\nN = 64\ndt = 0.5\n")
     assert main(["sweep", tiny_cfg, str(bad_k), str(bad_dt),
-                 "--out", str(tmp_path / "sweep"), "--jobs", jobs]) == 3
+                 "--out", str(tmp_path / "sweep")]) == 3
     printed = capsys.readouterr().out.splitlines()
     assert printed == ["bad_dt: 3", "bad_k: 2", "tiny: 0"]
 
@@ -420,24 +425,69 @@ def test_pipeline_failed_checks_exit_1(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["flat: 1"]
 
 
-def test_pipeline_refuses_too_few_bands_before_writing(tmp_path, capsys):
+def test_pipeline_refuses_too_few_bands_before_writing(tmp_path, capfd):
     # N = 8 hosts bands 0 and 1 only: check-conditions and solve need no
     # bands and accept it; the pipeline and a sweep member refuse it with
-    # exit 2 before they write a file
+    # exit 2 before they write a file.  The member reports from its own
+    # process, so its stderr is read at the file descriptor
     cfg = tmp_path / "n8.cfg"
     cfg.write_text(TINY.replace("N = 64", "N = 8"))
     assert main(["check-conditions", "--config", str(cfg),
                  "--out", str(tmp_path / "cc")]) == 0
     assert main(["solve", "--config", str(cfg),
                  "--out", str(tmp_path / "traj")]) == 0
-    capsys.readouterr()
+    capfd.readouterr()
     assert main(["pipeline", "--config", str(cfg),
                  "--out", str(tmp_path / "pipe")]) == 2
-    assert "nu_max=1 < 2" in capsys.readouterr().err
+    assert "nu_max=1 < 2" in capfd.readouterr().err
     assert not (tmp_path / "pipe").exists()
     assert main(["sweep", str(cfg), "--out", str(tmp_path / "sweep")]) == 2
-    assert "n8: configuration error" in capsys.readouterr().err
+    assert "n8: configuration error" in capfd.readouterr().err
     assert list((tmp_path / "sweep").iterdir()) == []
+
+
+TWO_SAVED = """
+family = monomial
+k = 2
+N = 32
+T = 0.05
+dt = 0.00125
+save_every = 40
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("family = interior_zero\nk = 3\n", "interior_zero needs even k"),
+    (TWO_SAVED, "2 saved states are too few for the energy check")],
+    ids=["odd-interior-zero", "two-saved-states"])
+def test_pipeline_refuses_a_config_before_writing(tmp_path, capsys, text,
+                                                  message):
+    # refused with exit 2 and one stderr line, and no manifest, trajectory
+    # or directory left behind
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    assert main(["pipeline", "--config", str(cfg),
+                 "--out", str(tmp_path / "pipe")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert not (tmp_path / "pipe").exists()
+
+
+def test_verify_energy_refuses_two_saved_states(tmp_path, capsys):
+    # solve saves the two states; the energy check needs three
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TWO_SAVED)
+    traj_dir = tmp_path / "traj"
+    assert main(["solve", "--config", str(cfg), "--out", str(traj_dir)]) == 0
+    assert len(list(traj_dir.glob("state_*.csv"))) == 2
+    capsys.readouterr()
+    assert main(["verify-energy", "--config", str(cfg), "--traj",
+                 str(traj_dir), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["configuration error: 2 saved states are too few for the "
+                   "energy check, which needs at least 3: lower save_every or "
+                   "dt"]
+    assert not (tmp_path / "v").exists()
 
 
 @pytest.mark.parametrize("argv", [["weights", "--force"],

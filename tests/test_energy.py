@@ -15,8 +15,8 @@ from lpwave.energy import (block_epsilon, build_ledger, calibrate_constants,
                            verify_energy_inequality, weight_integrand,
                            weight_table)
 from lpwave.grid import GridFunction
-from lpwave.solver import (Trajectory, apply_L, cosine_mode,
-                           manufactured_rhs, solve_cauchy, sup_a)
+from lpwave.solver import (Trajectory, apply_L, cosine_mode, solve_cauchy,
+                           sup_a)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -113,8 +113,8 @@ def test_block_energy_against_naive_quadrature():
     cs = builtin_family("monomial", k=2)
     exact = cosine_mode()
     u0, u1 = exact.initial_data(64)
-    f = manufactured_rhs(cs, exact)
-    traj = solve_cauchy(cs, u0, u1, f=f, M=500, save_every=250, check=False)
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=500, save_every=250,
+                        check=False)
     fam = build_cutoffs(64)
     i = 1   # t = 0.5
     table = energy_table(traj, fam, cs)
@@ -429,11 +429,10 @@ def _pipeline(cs, n=64, steps=1000, save_every=10, data=None):
     if data is None:
         exact = cosine_mode()
         u0, u1 = exact.initial_data(n)
-        f = manufactured_rhs(cs, exact)
     else:
-        u0, u1, f = data
-    traj = solve_cauchy(cs, u0, u1, f=f, M=steps, save_every=save_every,
-                        check=False)
+        u0, u1, exact = data
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=steps,
+                        save_every=save_every, check=False)
     fam = build_cutoffs(n)
     s = scan(cs, 1.0, fam)
     const = calibrate_constants(cs, fam, s)

@@ -196,8 +196,8 @@ def test_sweep_serial_and_parallel(tmp_path, monkeypatch):
     # forked sweep members fork their own trajectory writers, and the
     # files must hash as those of the one-CPU serial run
     files = {}
-    for name, jobs in (("serial", 1), ("parallel", 2)):
-        monkeypatch.setattr(grid, "usable_cpus", lambda jobs=jobs: jobs)
+    for name, cpus in (("serial", 1), ("parallel", 2)):
+        monkeypatch.setattr(grid, "usable_cpus", lambda cpus=cpus: cpus)
         cfg_dir = tmp_path / f"cfgs_{name}"
         os.makedirs(cfg_dir)
         paths = []
@@ -207,8 +207,7 @@ def test_sweep_serial_and_parallel(tmp_path, monkeypatch):
             p = cfg_dir / f"c{i}.cfg"
             write_config(cfg, p)
             paths.append(str(p))
-        results = experiment.run_sweep(paths, tmp_path / f"out_{name}",
-                                       jobs=jobs)
+        results = experiment.run_sweep(paths, tmp_path / f"out_{name}")
         assert results == {"c0": 0, "c1": 0}
         files[name] = [
             json.loads((tmp_path / f"out_{name}" / c / "manifest.json")
@@ -231,7 +230,7 @@ def dies(cfg, out_dir, force=False):
 
 
 experiment.run_full_pipeline = dies
-print(experiment.run_sweep(sys.argv[1:3], sys.argv[3], jobs=2))
+print(experiment.run_sweep(sys.argv[1:3], sys.argv[3]))
 """
 
 

@@ -15,8 +15,8 @@ from lpwave.errors import (CFLError, ConditionError, ConfigurationError,
                            GridMismatchError, NumericalBlowupError)
 from lpwave.grid import CHUNK_VALUES, GridFunction
 from lpwave.solver import (SpaceTimeFunction, apply_L, cfl_limit,
-                           cosine_mode, load_trajectory, manufactured_rhs,
-                           operator_blocks, save_trajectory, solve_cauchy)
+                           cosine_mode, load_trajectory, operator_blocks,
+                           save_trajectory, solve_cauchy)
 
 
 def zero_field(t, x):
@@ -96,24 +96,34 @@ def test_apply_L_grid_mismatch():
 
 
 def test_manufactured_rhs_zero_solution():
+    # the forcing of the zero solution is exactly zero: so is the solve
     cs = builtin_family("monomial", k=2)
     exact = SpaceTimeFunction(u=zero_field, ut=zero_field, utt=zero_field)
-    f = manufactured_rhs(cs, exact)
-    x = grid.grid_points(64)
-    assert np.max(np.abs(f(0.3, x))) == 0.0
+    u0, u1 = exact.initial_data(64)
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=100, check=False)
+    assert np.all(traj.u == 0) and np.all(traj.ut == 0)
 
 
 def test_manufactured_rhs_free_operator():
-    # a = b = c = 0: f is exactly the second time derivative
+    # a = b = c = 0: the forcing is exactly utt = f(t) e^(ix), f = -cos,
+    # and RK4 on u'' = f(t) is u += dt v + dt^2 (f(t) + 2 f(t + dt/2)) / 6,
+    # v += dt (f(t) + 4 f(t + dt/2) + f(t + dt)) / 6
     cs = constant_coefficients(a0=0.0)
     exact = SpaceTimeFunction(
         u=lambda t, x: np.cos(t) * np.exp(1j * x),
         ut=lambda t, x: -np.sin(t) * np.exp(1j * x),
         utt=lambda t, x: -np.cos(t) * np.exp(1j * x))
-    f = manufactured_rhs(cs, exact)
-    x = grid.grid_points(64)
-    expect = -np.cos(0.3) * np.exp(1j * x)
-    assert np.max(np.abs(f(0.3, x) - expect)) < 1e-13
+    u0, u1 = exact.initial_data(64)
+    M = 50
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=M, check=False)
+    dt, u, v, wave = cs.T / M, 1.0, 0.0, np.exp(1j * u0.x)
+    for step in range(M):
+        f0, fh, f1 = (-np.cos(step * dt + s) for s in (0, dt / 2, dt))
+        u, v = (u + dt * v + dt ** 2 * (f0 + 2 * fh) / 6,
+                v + dt * (f0 + 4 * fh + f1) / 6)
+        assert np.max(np.abs(traj.u[step + 1] - u * wave)) < 1e-13
+        assert np.max(np.abs(traj.ut[step + 1] - v * wave)) < 1e-13
+    assert abs(u - np.cos(cs.T)) < 1e-8
 
 
 def test_solve_zero_data_stays_zero():
@@ -142,13 +152,12 @@ def test_solve_manufactured_accuracy_and_order():
         u=lambda t, x: np.cos(3 * t) * np.cos(x),
         ut=lambda t, x: -3 * np.sin(3 * t) * np.cos(x),
         utt=lambda t, x: -9 * np.cos(3 * t) * np.cos(x))
-    f = manufactured_rhs(cs, exact)
     u0, u1 = exact.initial_data(128)
     x = u0.x
     errs = []
     for steps in (125, 250, 500):
-        traj = solve_cauchy(cs, u0, u1, f=f, M=steps, save_every=steps // 5,
-                            check=False)
+        traj = solve_cauchy(cs, u0, u1, exact=exact, M=steps,
+                            save_every=steps // 5, check=False)
         worst = max(
             grid.norm(GridFunction(traj.u[i]
                                    - exact.u(float(traj.times[i]), x)))
@@ -248,34 +257,38 @@ def test_blowup_detection():
     assert info.value.t > 0
 
 
-def _residual_norm(traj, i, f):
-    """|| L u - f || at saved index i, L u from operator_blocks."""
+def _residual_norm(traj, i, exact):
+    """|| L u - L[exact] || at saved index i, L u from operator_blocks."""
     lu = np.concatenate([vals for _, vals in operator_blocks(traj.coeffs,
                                                               traj)])
+    t = float(traj.times[i])
     x = grid.grid_points(traj.n_points)
-    return grid.norm(GridFunction(lu[i] - f(float(traj.times[i]), x)))
+    forcing = apply_L(traj.coeffs, GridFunction(exact.u(t, x)),
+                      GridFunction(exact.utt(t, x)), t)
+    return grid.norm(GridFunction(lu[i] - forcing.values))
 
 
 def test_residual_small_on_solution():
     cs = builtin_family("monomial", k=2)
     exact = cosine_mode()
-    f = manufactured_rhs(cs, exact)
     u0, u1 = exact.initial_data(64)
-    traj = solve_cauchy(cs, u0, u1, f=f, M=1000, save_every=10, check=False)
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=1000, save_every=10,
+                        check=False)
     # central-difference reconstruction is 2nd order in the save spacing
     mid = traj.n_saved // 2
-    assert _residual_norm(traj, mid, f) < 1e-3
-    fine = solve_cauchy(cs, u0, u1, f=f, M=1000, save_every=5, check=False)
-    assert (_residual_norm(fine, fine.n_saved // 2, f)
-            < 0.3 * _residual_norm(traj, mid, f))
+    assert _residual_norm(traj, mid, exact) < 1e-3
+    fine = solve_cauchy(cs, u0, u1, exact=exact, M=1000, save_every=5,
+                        check=False)
+    assert (_residual_norm(fine, fine.n_saved // 2, exact)
+            < 0.3 * _residual_norm(traj, mid, exact))
 
 
 def test_save_load_roundtrip(tmp_path):
     cs = builtin_family("monomial", k=2)
     exact = cosine_mode()
     u0, u1 = exact.initial_data(64)
-    f = manufactured_rhs(cs, exact)
-    traj = solve_cauchy(cs, u0, u1, f=f, M=100, save_every=20, check=False)
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=100, save_every=20,
+                        check=False)
     save_trajectory(traj, tmp_path / "run")
     back = load_trajectory(tmp_path / "run")
     assert np.array_equal(back.u, traj.u)
@@ -310,6 +323,7 @@ def _old_manufactured_rhs(cs, exact):
 
 
 def _old_solve(cs, u0, u1, f, M, save_every):
+    """The old step loop with forcing f(t, x), or unforced if f is None."""
     dt, x = cs.T / M, u0.x
 
     def rhs(t, u, v):
@@ -340,8 +354,7 @@ def _forced_k4():
     cs = builtin_family("monomial", k=4, gamma=0.3)
     exact = cosine_mode()
     u0, u1 = exact.initial_data(128)
-    return cs, u0, u1, manufactured_rhs(cs, exact), \
-        _old_manufactured_rhs(cs, exact)
+    return cs, u0, u1, exact, _old_manufactured_rhs(cs, exact)
 
 
 def _random_k2():
@@ -354,38 +367,48 @@ def _random_k2():
 
 @pytest.mark.parametrize("case", [_forced_k4, _random_k2])
 def test_solve_matches_old_rhs_bit_for_bit(case):
-    cs, u0, u1, f, old_f = case()
-    traj = solve_cauchy(cs, u0, u1, f=f, M=300, save_every=20, check=False)
+    cs, u0, u1, exact, old_f = case()
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=300, save_every=20,
+                        check=False)
     us, uts = _old_solve(cs, u0, u1, old_f, M=300, save_every=20)
     assert traj.u.tobytes() == us.tobytes()
     assert traj.ut.tobytes() == uts.tobytes()
 
 
 def test_apply_L_and_forcing_match_old_bit_for_bit():
-    cs, u0, u1, f, old_f = _forced_k4()
+    # the forcing of the old solve is apply_L of the exact solution
+    cs, u0, u1, exact, old_f = _forced_k4()
     ut2 = grid.random_band_limited(128, rng=3)
+    x = u0.x
     for t in (0.0, 0.37, 1.0):
         assert (apply_L(cs, u0, ut2, t).values.tobytes()
                 == _old_apply_L(cs, u0, ut2, t).values.tobytes())
-        assert f(t, u0.x).tobytes() == old_f(t, u0.x).tobytes()
+        forcing = apply_L(cs, GridFunction(exact.u(t, x)),
+                          GridFunction(exact.utt(t, x)), t)
+        assert forcing.values.tobytes() == old_f(t, x).tobytes()
 
 
 def test_forcing_evaluated_once_per_stage_time():
-    # the forcing is tabulated on columns of stage times, chunk by chunk;
-    # flattened, the columns are the loop's stage times in order, each once
-    cs, u0, u1, f, _ = _forced_k4()
-    received = []
+    # exact.u and exact.utt are tabulated on columns of stage times, chunk
+    # by chunk; flattened, each one's columns are the loop's stage times in
+    # order, each once
+    cs, u0, u1, exact, _ = _forced_k4()
+    received = {"u": [], "utt": []}
 
-    def counted(t, x):
-        received.append(np.asarray(t, dtype=float).ravel())
-        return f(t, x)
+    def counted(name):
+        def call(t, x):
+            received[name].append(np.asarray(t, dtype=float).ravel())
+            return getattr(exact, name)(t, x)
+        return call
 
     M = 100
-    solve_cauchy(cs, u0, u1, f=counted, M=M, check=False)
+    solve_cauchy(cs, u0, u1, exact=SpaceTimeFunction(
+        u=counted("u"), ut=exact.ut, utt=counted("utt")), M=M, check=False)
     dt = cs.T / M
     expected = [s for step in range(M)
                 for s in (step * dt, step * dt + dt / 2, step * dt + dt)]
-    assert np.concatenate(received).tolist() == expected
+    for name in ("u", "utt"):
+        assert np.concatenate(received[name]).tolist() == expected
 
 
 CHUNK = CHUNK_VALUES // 128   # steps per tabulated chunk at N = 128
@@ -396,9 +419,9 @@ CHUNK = CHUNK_VALUES // 128   # steps per tabulated chunk at N = 128
     (1, 1), (CHUNK - 1, 9), (CHUNK, 16), (CHUNK + 1, 13),
     (3 * CHUNK + 7, 1), (3 * CHUNK + 7, 3 * CHUNK + 7)])
 def test_chunk_boundaries_match_old_solve_bit_for_bit(case, M, save_every):
-    cs, u0, u1, f, old_f = case()
+    cs, u0, u1, exact, old_f = case()
     cs = cs.with_params(T=min(cs.T, 0.01 * M))   # dt within the CFL bound
-    traj = solve_cauchy(cs, u0, u1, f=f, M=M, save_every=save_every,
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=M, save_every=save_every,
                         check=False)
     us, uts = _old_solve(cs, u0, u1, old_f, M=M, save_every=save_every)
     assert traj.u.tobytes() == us.tobytes()
@@ -415,12 +438,19 @@ def test_forced_k4_large_grid_matches_old_solve_bit_for_bit():
     u0, u1 = exact.initial_data(2048)
     M = int(np.ceil(cs.T / cfl_limit(cs, 2048)))
     assert M > 3 * (CHUNK_VALUES // 2048)
-    traj = solve_cauchy(cs, u0, u1, f=manufactured_rhs(cs, exact), M=M,
-                        check=False)
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=M, check=False)
     us, uts = _old_solve(cs, u0, u1, _old_manufactured_rhs(cs, exact), M=M,
                          save_every=1)
     assert traj.u.tobytes() == us.tobytes()
     assert traj.ut.tobytes() == uts.tobytes()
+
+
+def _infinite_from(t_bad):
+    """Zero u, with a utt that is infinite from t_bad on."""
+    return SpaceTimeFunction(
+        u=zero_field, ut=zero_field,
+        utt=lambda t, x: np.where(np.asarray(t) >= t_bad, np.inf, 0.0)
+        * np.ones_like(x))
 
 
 def _blowup_step(M, first_bad):
@@ -430,20 +460,18 @@ def _blowup_step(M, first_bad):
 
 @pytest.mark.parametrize("M, t_bad", [(400, 0.0), (400, 0.3), (110, 0.95)])
 def test_blowup_raised_at_the_checked_step(M, t_bad):
-    # a forcing that turns infinite from t_bad on; the first step whose
-    # stage times reach it goes non-finite, and the check after it raises
+    # an exact solution whose utt, so the forcing, turns infinite from
+    # t_bad on; the first step whose stage times reach it goes non-finite,
+    # and the check after it raises
     cs = constant_coefficients(a0=1.0)
     u0 = grid.from_callable(np.cos, 64)
     u1 = GridFunction(np.zeros(64, dtype=complex))
-
-    def f(t, x):
-        return np.where(np.asarray(t) >= t_bad, np.inf, 0.0) * np.ones_like(x)
-
     dt = cs.T / M
     first_bad = next(s for s in range(M) if s * dt + dt >= t_bad)
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(NumericalBlowupError) as info:
-            solve_cauchy(cs, u0, u1, f=f, M=M, check=False)
+            solve_cauchy(cs, u0, u1, exact=_infinite_from(t_bad), M=M,
+                         check=False)
     assert info.value.t == (_blowup_step(M, first_bad) + 1) * dt
 
 
@@ -486,13 +514,14 @@ def test_load_matches_csv_module_parse(tmp_path):
 # the split save and load: for_each_chunk over a trajectory of three chunks
 
 
-def _three_chunk_solve(out_dir=None, f=None):
+def _three_chunk_solve(out_dir=None, exact=None):
     """A random-k2 solve at N = 64 with 301 saved states: three row chunks."""
     cs = builtin_family("monomial", k=2)
     rng = np.random.default_rng(11)
     u0 = grid.random_band_limited(64, rng=rng, decay=1.0)
     u1 = grid.random_band_limited(64, rng=rng, decay=0.5)
-    return solve_cauchy(cs, u0, u1, f=f, M=300, check=False, out_dir=out_dir)
+    return solve_cauchy(cs, u0, u1, exact=exact, M=300, check=False,
+                        out_dir=out_dir)
 
 
 def _three_chunk_trajectory():
@@ -680,17 +709,15 @@ def test_solve_with_out_dir_writes_the_bytes_of_save_trajectory(
 def test_blowup_with_out_dir_leaves_no_trajectory(tmp_path, monkeypatch,
                                                   t_bad):
     # at t_bad = 0.95 two chunks of states are written before the blowup
-    def f(t, x):
-        return np.where(np.asarray(t) >= t_bad, np.inf, 0.0) * np.ones_like(x)
-
+    exact = _infinite_from(t_bad)
     monkeypatch.setattr(grid, "usable_cpus", lambda: 2)
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(NumericalBlowupError) as plain:
-            _three_chunk_solve(f=f)
+            _three_chunk_solve(exact=exact)
         (tmp_path / "kept").mkdir()
         for out in (tmp_path / "made" / "traj", tmp_path / "kept"):
             with pytest.raises(NumericalBlowupError) as saving:
-                _three_chunk_solve(out, f=f)
+                _three_chunk_solve(out, exact=exact)
             assert saving.value.t == plain.value.t
             _assert_no_child_left()
     assert not (tmp_path / "made").exists()
