@@ -7,7 +7,8 @@ Each band nu carries a regularized energy
 with eps_nu = 2^(-nu*2k/(2+k)) chosen so sqrt(eps_nu)*2^nu >= 1.  The decay
 weight h(nu, t) integrates the growth factor of E_nu, and the weighted
 total  sum_nu exp(-h(nu,t) - 2*sigma*t) * E_nu(t)  is the quantity whose
-one-sided evolution bound is verified in integrated form.
+one-sided evolution bound is verified in integrated form, with the
+solve's forcing f = L u (``Trajectory.exact``) as its source term.
 
 The weight table integrates all bands over [0, t_0] and all the intervals
 between the saved times t_0, t_1, ... in one vectorised pass of QUADPACK's
@@ -31,9 +32,9 @@ from . import grid
 from .coefficients import CoefficientSet, scan_grids, tensor_scan
 from .commutator import CommutatorScan, schur_kernel
 from .dyadic import CutoffFamily, band_norms_sq, build_cutoffs, sobolev_norms
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalBlowupError
 from .grid import TWO_PI
-from .solver import Trajectory, cfl_limit, operator_blocks, solve_cauchy
+from .solver import Trajectory, _operator, cfl_limit, solve_cauchy
 
 QUAD_TOL = 1e-10       # absolute and relative weight quadrature tolerance
 BUDGET = 1e-4          # largest relative violation the inequality check passes
@@ -222,6 +223,7 @@ class Constants:
         return asdict(self)
 
 
+@np.errstate(over="ignore", invalid="ignore")    # C_schur is checked below
 def calibrate_constants(cs: CoefficientSet, fam: CutoffFamily,
                         scan: CommutatorScan) -> Constants:
     """Compute explicit candidates for every constant from grid sup-norms.
@@ -230,7 +232,8 @@ def calibrate_constants(cs: CoefficientSet, fam: CutoffFamily,
     the absorption constant combines the Schur row/column sums of both
     cross-band kernels with the source term's Cauchy-Schwarz split, and
     sigma is set to it, leaving a factor-2 margin over the sigma > C/2
-    requirement.
+    requirement.  A C_schur that is not finite, from any overflow, is a
+    ConfigurationError.
     """
     t, x = scan_grids(cs, grid.grid_points(fam.n_points))
     lam = min(cs.lambda0, 1.0)
@@ -260,6 +263,10 @@ def calibrate_constants(cs: CoefficientSet, fam: CutoffFamily,
     S_row_b, S_col_b = kb.row_sum, kb.col_sum
     C_B = 2.0 * np.sqrt(S_row_b * S_col_b)
     C_schur = float(C_A + C_B + 1.0)
+    if not np.isfinite(C_schur):
+        raise ConfigurationError(f"the Schur sums of the weighted kernels "
+                                 f"overflow: C_schur = {C_schur} at Ctilde "
+                                 f"= {Ctilde:.6g}")
 
     components = {"C2_alpha": C2_alpha, "C2_beta": C2_beta,
                   "sup_beta_t": sup_beta_t, "sup_b": sup_b, "sup_c": sup_c,
@@ -301,7 +308,13 @@ class EnergyLedger:
 
 def build_ledger(traj: Trajectory, fam: CutoffFamily, cs: CoefficientSet,
                  constants: Constants) -> EnergyLedger:
+    """The ledger of traj; a band energy that overflows is a
+    NumericalBlowupError naming its saved time."""
     E = energy_table(traj, fam, cs)
+    overflow = ~np.all(np.isfinite(E), axis=0)
+    if overflow.any():
+        raise NumericalBlowupError(float(traj.times[np.argmax(overflow)]),
+                                   "band energy")
     h = weight_table(fam.nu_max, traj.times, cs, scale=constants.Ctilde)
     weights = np.exp(-h - 2.0 * constants.sigma * traj.times[None, :])
     Etot = np.sum(weights * E, axis=0)
@@ -336,18 +349,20 @@ def verify_energy_inequality(traj: Trajectory, fam: CutoffFamily,
                              ledger: EnergyLedger) -> InequalityReport:
     """Check Etot(t) <= Etot(0) + integral of the weighted source norms.
 
-    The source term is reconstructed from the trajectory itself (operator
-    applied with a central-difference second time derivative, to a chunk
-    of saved states at a time), so the check is self-contained and its
-    error is O(save spacing squared) plus the quadrature tolerance of the
-    weights.  Positive violations are
-    reported as-is, never clipped; the check passes when the largest is at
-    most BUDGET.
+    The source is the forcing L[traj.exact] of the solve (the saved
+    states' L u, d_t^2 u taken from the equation) at the saved times, a
+    ``grid.row_chunks`` chunk at a time; a trajectory without ``exact``
+    has none.  Positive violations are reported as-is, never clipped;
+    the check passes when the largest is at most BUDGET.
     """
-    d = traj.dt
-    sq = np.empty((traj.n_saved, fam.nu_max + 1))
-    for rows, lu in operator_blocks(cs, traj):
-        sq[rows] = band_norms_sq(fam, lu)
+    d, exact = traj.dt, traj.exact
+    sq = np.zeros((traj.n_saved, fam.nu_max + 1))
+    if exact is not None:
+        x = grid.grid_points(traj.n_points)
+        for rows in grid.row_chunks(traj.n_saved, traj.n_points):
+            t = traj.times[rows, None]
+            sq[rows] = band_norms_sq(fam, _operator(cs, t, x, exact.u(t, x),
+                                                    exact.utt(t, x)))
     rhs = np.sum(ledger.weights * sq.T, axis=0)
     cumulative = np.concatenate([[0.0],
                                  np.cumsum((rhs[1:] + rhs[:-1]) / 2.0 * d)])

@@ -26,14 +26,15 @@ class CFLError(LPWaveError):
 
 
 class NumericalBlowupError(LPWaveError):
-    """NaN or overflow appeared during time stepping.
+    """NaN or overflow appeared during time stepping, or in ``what`` of
+    its states.
 
-    Carries the first time at which the state was no longer finite.
+    Carries the first time at which it was no longer finite.
     """
 
-    def __init__(self, t):
+    def __init__(self, t, what="state"):
         self.t = t
-        super().__init__(f"non-finite state at t = {t}")
+        super().__init__(f"non-finite {what} at t = {t}")
 
 
 class PowerIterationError(LPWaveError):

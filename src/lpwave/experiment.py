@@ -166,14 +166,6 @@ def initial_data(cfg: ExperimentConfig, cs=None):
     return u0, u1, None
 
 
-def _refuse_short_trajectory(n_saved):
-    """Refuse fewer saved states than the d_t^2 u stencils need."""
-    if n_saved < solver.MIN_SAVED:
-        raise ConfigurationError(
-            f"{n_saved} saved states are too few for the energy check, "
-            f"which needs at least {solver.MIN_SAVED}: lower save_every or dt")
-
-
 def scan_time(cs):
     """Time at which beta oscillates most in x (largest commutators)."""
     t = np.linspace(0.0, cs.T, _SCAN_NT)
@@ -223,7 +215,7 @@ def run_check_conditions(cfg: ExperimentConfig, out_dir=None):
     reports = run_all_checks(cs)
     payload = [r.to_dict() for r in reports]
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+        grid.make_dirs(out_dir)
         grid.write_json(os.path.join(out_dir, "conditions.json"), payload)
     code = 0 if all(r.verdict for r in reports) else 1
     return code, payload
@@ -244,7 +236,7 @@ def run_decompose(cfg: ExperimentConfig, out_dir, source_csv=None):
     else:
         w = grid.random_band_limited(cfg.N, rng=cfg.seed)
     blocks = dyadic.decompose(w, fam)
-    os.makedirs(out_dir, exist_ok=True)
+    grid.make_dirs(out_dir)
     grid.to_csv(w, os.path.join(out_dir, "source.csv"))
     dyadic.cutoffs_to_csv(fam, os.path.join(out_dir, "cutoffs.csv"))
     for nu in range(len(blocks)):
@@ -264,7 +256,7 @@ def run_commutator_scan(cfg: ExperimentConfig, out_dir, t=None):
     elif not 0.0 <= t <= cfg.T:
         raise ConfigError(f"scan time t = {t!r} is not in [0, T]")
     s = commutator.scan(cs, float(t), cutoff_family(cfg))
-    os.makedirs(out_dir, exist_ok=True)
+    grid.make_dirs(out_dir)
     commutator.scan_to_csv(s, os.path.join(out_dir, "commutator_scan.csv"))
     return s, _write_lemma2_report(s, out_dir)
 
@@ -275,7 +267,7 @@ def run_weights(cfg: ExperimentConfig, out_dir):
     fam = cutoff_family(cfg)
     times = np.linspace(0.0, cfg.T, 65)
     table = energy.weight_table(fam.nu_max, times, cs)
-    os.makedirs(out_dir, exist_ok=True)
+    grid.make_dirs(out_dir)
     energy.band_tables_to_csv(os.path.join(out_dir, "weights.csv"), times,
                               h=table)
     return table
@@ -286,8 +278,10 @@ def run_verify_energy(cfg: ExperimentConfig, traj, out_dir):
     for the coefficients the trajectory was solved with.
 
     A trajectory saved on another grid than the config's (N, T/dt steps,
-    save_every) is refused with a ConfigurationError naming each key, and
-    so is one of fewer than ``solver.MIN_SAVED`` states.
+    save_every) is refused with a ConfigurationError naming each key.  The
+    config's exact solution, whose L[exact] is the check's source, is
+    attached to the trajectory, which is refused unless its first state
+    is that solution's initial data; random data have no source.
     """
     save_every = round(traj.dt / traj.solver_dt)
     saved = {"N": traj.n_points, "steps": (traj.n_saved - 1) * save_every,
@@ -298,14 +292,20 @@ def run_verify_energy(cfg: ExperimentConfig, traj, out_dir):
     if differ:
         raise ConfigurationError("trajectory was saved on another grid: "
                                  + "; ".join(differ))
-    _refuse_short_trajectory(traj.n_saved)
+    u0, u1, exact = initial_data(cfg)
+    if exact is not None and not np.allclose([traj.u[0], traj.ut[0]],
+                                             [u0.values, u1.values]):
+        raise ConfigurationError(
+            "the trajectory does not start from the initial data of the "
+            "config's manufactured solution, whose forcing the check uses")
+    traj = dataclasses.replace(traj, exact=exact)
     cs = traj.coeffs
     fam = cutoff_family(cfg)
     s = commutator.scan(cs, scan_time(cs), fam)
     constants = energy.calibrate_constants(cs, fam, s)
     ledger = energy.build_ledger(traj, fam, cs, constants)
     report = energy.verify_energy_inequality(traj, fam, cs, ledger)
-    os.makedirs(out_dir, exist_ok=True)
+    grid.make_dirs(out_dir)
     commutator.scan_to_csv(s, os.path.join(out_dir, "commutator_scan.csv"))
     energy.ledger_to_csv(ledger, os.path.join(out_dir, "energies.csv"))
     energy.inequality_to_csv(report, os.path.join(out_dir, "etot.csv"))
@@ -323,8 +323,7 @@ def run_full_pipeline(cfg: ExperimentConfig, out_dir, force=False):
     """
     cutoff_family(cfg)      # these refuse a config before anything is written
     coefficient_set(cfg)
-    _refuse_short_trajectory(cfg.steps // cfg.save_every + 1)
-    os.makedirs(out_dir, exist_ok=True)
+    grid.make_dirs(out_dir)
     stages = []
     try:
         stages.append("check-conditions")
@@ -388,13 +387,14 @@ def run_sweep(config_paths, out_root, force=False):
 
     Each member runs in a forked child of its own, one after another, and
     the child's exit status is the member's code: a member killed by a
-    signal is 1, and the others run on.  Without ``os.fork`` the members
-    run in this process."""
+    signal is 1, its output directory gets a manifest whose stages end
+    in FAILED if it has none (as a raising stage's do), and the others
+    run on.  Without ``os.fork`` the members run in this process."""
     names = [os.path.splitext(os.path.basename(p))[0] for p in config_paths]
     same = sorted({name for name in names if names.count(name) > 1})
     if same:
         raise ConfigError(f"sweep members share a name: {', '.join(same)}")
-    os.makedirs(out_root, exist_ok=True)
+    grid.make_dirs(out_root)
     codes = {}
     for path, name in zip(config_paths, names):
         if not hasattr(os, "fork"):
@@ -414,4 +414,9 @@ def run_sweep(config_paths, out_root, force=False):
         _, status = os.waitpid(pid, 0)
         codes[name] = (os.WEXITSTATUS(status) if os.WIFEXITED(status)
                        else EXIT_FAIL)
+        out_dir = os.path.join(out_root, name)
+        if os.WIFSIGNALED(status) and os.path.isdir(out_dir) and not \
+                os.path.exists(os.path.join(out_dir, "manifest.json")):
+            write_manifest(out_dir, read_config(path), ["FAILED"],
+                           extra={"signal": os.WTERMSIG(status)})
     return codes

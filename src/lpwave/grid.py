@@ -357,6 +357,21 @@ def read_text(path) -> str:
         raise ConfigurationError(f"{path} is not a UTF-8 text file") from None
 
 
+def make_dirs(path) -> list:
+    """Make the directory ``path`` and its missing parents, returned deepest
+    first; a path that is, or runs through, something other than a
+    directory is a ConfigurationError naming it, and nothing is made."""
+    missing, at = [], os.path.abspath(path)
+    while not os.path.isdir(at):
+        if os.path.lexists(at):
+            raise ConfigurationError(f"cannot make the directory {path}: "
+                                     f"{at} is not a directory")
+        missing.append(at)
+        at = os.path.dirname(at)
+    os.makedirs(path, exist_ok=True)
+    return missing
+
+
 @functools.lru_cache(maxsize=8)
 def _grid_cells(n_points):
     return (tuple(map(str, range(n_points))),

@@ -5,8 +5,8 @@ torus: spectral x-derivatives through the 1j*xi multiplier ``grid.ik``,
 pointwise coefficient products, and the divergence-form term evaluated as
 d_x(a * d_x u) so the structure the energy analysis integrates by parts
 against is preserved exactly.  ``_operator`` is the one assembly of L u
-from it, which ``apply_L`` and ``operator_blocks`` call; the RK4
-right-hand side and the manufactured forcing L[exact] call ``_terms``.
+from it, which ``apply_L`` and the energy check's source L[exact] call;
+the RK4 right-hand side and the solve's forcing L[exact] call ``_terms``.
 Time stepping is classical fourth-order Runge-Kutta on the first-order
 system, one (2, N) state y = (u, d_t u), with an explicit CFL bound tied
 to sup a.  The work that depends on time alone is taken out of the step
@@ -17,7 +17,8 @@ itself only makes the four operator FFTs per stage; all five must accept
 a column of times, (S, 1), as well as a scalar.  Given an output
 directory, the solve also saves its trajectory as it runs, through
 ``save_trajectory``'s writer: forked writers take each finished chunk of
-saved states from its queue.
+saved states from its queue.  The trajectory keeps the ``exact`` whose
+L[exact] forced it, in memory only: a loaded one has none.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .errors import (CFLError, ConditionError, ConfigurationError,
 from .grid import GridFunction, TWO_PI, same_grid
 
 C_CFL = 0.5         # Courant factor of the solver's step bound
-MIN_SAVED = 3       # saved states the d_t^2 u stencils need
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,7 @@ class Trajectory:
     dt: float                  # spacing of `times`
     coeffs: CoefficientSet
     solver_dt: float           # integrator step (dt = save_every * solver_dt)
+    exact: Optional[SpaceTimeFunction] = None   # L[exact] is the forcing
 
     @property
     def n_saved(self) -> int:
@@ -145,7 +146,7 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
     """Integrate the Cauchy problem from data (u0, u1), forced by L[exact]
     when ``exact`` is given: the operator the solver steps, so ``exact``
     solves the semi-discrete system identically and convergence studies
-    see pure time-integration error.
+    see pure time-integration error.  The trajectory records ``exact``.
 
     ``M`` steps of size T/M, T the family's final time.  The
     hypothesis checkers run first when ``check``; a step size above the
@@ -185,7 +186,7 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
     times = np.empty(n_saved)
     us = empty((n_saved, n), complex)
     uts = empty((n_saved, n), complex)
-    traj = Trajectory(times, us, uts, dt * save_every, cs, dt)
+    traj = Trajectory(times, us, uts, dt * save_every, cs, dt, exact)
 
     def steps_run():    # yields the count of saved states per chunk of steps
         y = np.stack((u0.values, u1.values))     # the state (u, d_t u)
@@ -231,38 +232,6 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
     return traj
 
 
-def second_time_derivative(traj: Trajectory, rows: slice) -> np.ndarray:
-    """d_t^2 u at the saved times of ``rows``, differencing the saved d_t u.
-
-    Central differences inside, one-sided second-order stencils at the
-    ends; second-order in the save spacing.  One row per saved time.
-    """
-    d, ut, n = traj.dt, traj.ut, traj.n_saved
-    if n < MIN_SAVED:
-        raise ValueError(f"need at least {MIN_SAVED} saved states")
-    start, stop, _ = rows.indices(n)
-    lo, hi = max(start, 1), min(stop, n - 1)
-    out = np.empty((stop - start, traj.n_points), dtype=ut.dtype)
-    out[lo - start:hi - start] = (ut[lo + 1:hi + 1] - ut[lo - 1:hi - 1]) \
-        / (2 * d)
-    if start == 0:
-        out[0] = (-3 * ut[0] + 4 * ut[1] - ut[2]) / (2 * d)
-    if stop == n:
-        out[-1] = (3 * ut[-1] - 4 * ut[-2] + ut[-3]) / (2 * d)
-    return out
-
-
-def operator_blocks(cs: CoefficientSet, traj: Trajectory):
-    """L u at every saved time, d_t^2 u by finite differences, as
-    (rows, values) blocks of ``grid.row_chunks``: one coefficient call on
-    the column of a block's times and one batched operator per block, so
-    temporaries stay small for long trajectories."""
-    x = grid.grid_points(traj.n_points)
-    for rows in grid.row_chunks(traj.n_saved, traj.n_points):
-        yield rows, _operator(cs, traj.times[rows, None], x, traj.u[rows],
-                              second_time_derivative(traj, rows))
-
-
 # ---------------------------------------------------------------------------
 # persistence: one grid CSV per saved state plus trajectory.json (N, steps,
 # period, coefficients, times), written last.  States are written a file at
@@ -295,8 +264,7 @@ def _save(traj: Trajectory, out_dir, produce=()):
     write trajectory.json.  If ``produce`` or a write raises, those files
     and the directories made for them are removed once every writer has
     ended, and the error is raised."""
-    made = _missing_dirs(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    made = grid.make_dirs(out_dir)
     try:
         grid.for_each_chunk(traj.n_saved, traj.n_points, functools.partial(
             _write_states, out_dir, traj.u, traj.ut), produce)
@@ -429,9 +397,3 @@ def _read_manifest(path) -> dict:
 def _state_path(out_dir, i):
     return os.path.join(out_dir, f"state_{i:06d}.csv")
 
-
-def _missing_dirs(path) -> list:
-    """``path`` and those of its parents that do not exist, deepest first."""
-    path = os.path.abspath(path)
-    return [] if os.path.isdir(path) else [path, *_missing_dirs(
-        os.path.dirname(path))]

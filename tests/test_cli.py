@@ -446,20 +446,9 @@ def test_pipeline_refuses_too_few_bands_before_writing(tmp_path, capfd):
     assert list((tmp_path / "sweep").iterdir()) == []
 
 
-TWO_SAVED = """
-family = monomial
-k = 2
-N = 32
-T = 0.05
-dt = 0.00125
-save_every = 40
-"""
-
-
 @pytest.mark.parametrize("text, message", [
-    ("family = interior_zero\nk = 3\n", "interior_zero needs even k"),
-    (TWO_SAVED, "2 saved states are too few for the energy check")],
-    ids=["odd-interior-zero", "two-saved-states"])
+    ("family = interior_zero\nk = 3\n", "interior_zero needs even k")],
+    ids=["odd-interior-zero"])
 def test_pipeline_refuses_a_config_before_writing(tmp_path, capsys, text,
                                                   message):
     # refused with exit 2 and one stderr line, and no manifest, trajectory
@@ -473,21 +462,149 @@ def test_pipeline_refuses_a_config_before_writing(tmp_path, capsys, text,
     assert not (tmp_path / "pipe").exists()
 
 
-def test_verify_energy_refuses_two_saved_states(tmp_path, capsys):
-    # solve saves the two states; the energy check needs three
+# T/dt = save_every: the solve saves two states, at 0 and T
+TWO_SAVED = """
+family = monomial
+k = 2
+N = 32
+T = 0.05
+dt = 0.00125
+save_every = 40
+"""
+
+
+@pytest.mark.parametrize("data", ["manufactured", "random"])
+def test_pipeline_runs_two_saved_states(tmp_path, capsys, data):
+    # the energy check reads the solve's forcing, so two saved states
+    # check like any other trajectory
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(TWO_SAVED)
+    cfg.write_text(TWO_SAVED + f"data = {data}\n")
+    assert main(["pipeline", "--config", str(cfg),
+                 "--out", str(tmp_path / "pipe")]) == 0
+    assert capsys.readouterr().err == ""
+    etot = (tmp_path / "pipe" / "etot.csv").read_text().splitlines()
+    assert len(etot) == 3 and etot[-1].startswith("0.05,")
+
+
+@pytest.mark.parametrize("data", ["manufactured", "random"])
+def test_verify_energy_runs_two_saved_states(tmp_path, capsys, data):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TWO_SAVED + f"data = {data}\n")
     traj_dir = tmp_path / "traj"
     assert main(["solve", "--config", str(cfg), "--out", str(traj_dir)]) == 0
     assert len(list(traj_dir.glob("state_*.csv"))) == 2
+    assert main(["verify-energy", "--config", str(cfg), "--traj",
+                 str(traj_dir), "--out", str(tmp_path / "v")]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "v" / "verify.json").read_text())["passed"]
+
+
+def test_verify_energy_refuses_data_of_another_kind(tmp_path, capsys):
+    # a random-data trajectory cannot be checked against the manufactured
+    # solution's forcing: its first state is not that solution's data
+    random_cfg, manufactured_cfg = tmp_path / "r.cfg", tmp_path / "m.cfg"
+    random_cfg.write_text(TINY + "data = random\n")
+    manufactured_cfg.write_text(TINY + "data = manufactured\n")
+    traj_dir = tmp_path / "traj"
+    assert main(["solve", "--config", str(random_cfg),
+                 "--out", str(traj_dir)]) == 0
+    capsys.readouterr()
+    assert main(["verify-energy", "--config", str(manufactured_cfg),
+                 "--traj", str(traj_dir), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "manufactured solution" in err[0]
+    assert not (tmp_path / "v").exists()
+
+
+# k = 1 and gamma = 40 give Ctilde = 3.3e7, whose weights overflow the
+# Schur sums of the calibration
+OVERFLOWING = """
+family = monomial
+k = 1
+gamma = 40.0
+N = 16
+T = 0.005
+dt = 0.001
+"""
+
+
+def test_constants_that_are_not_finite_are_refused(tmp_path, capsys):
+    # exit 2 with one stderr line, not a traceback from writing an
+    # infinite sigma into constants.json
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(OVERFLOWING)
+    assert main(["pipeline", "--config", str(cfg),
+                 "--out", str(tmp_path / "pipe")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "C_schur = inf" in err[0]
+    manifest = json.loads((tmp_path / "pipe" / "manifest.json").read_text())
+    assert manifest["stages"][-1] == "FAILED"
+    assert main(["verify-energy", "--config", str(cfg), "--traj",
+                 str(tmp_path / "pipe" / "trajectory"),
+                 "--out", str(tmp_path / "v")]) == 2
+    assert not (tmp_path / "v").exists()
+
+
+# b = 1000 a^(1/4) on the nondegenerate family: the solve stays finite,
+# near 1e155 at T, but its band energies overflow
+GROWING = """
+family = nondegenerate
+k = 3
+gamma = 0.25
+C0 = 1000.0
+N = 32
+T = 4.25
+dt = 0.05
+"""
+
+
+def test_energies_that_overflow_are_a_numerical_failure(tmp_path, capsys):
+    # exit 3 with one stderr line, not a traceback from writing a NaN
+    # violation into verify.json
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(GROWING)
+    traj_dir = tmp_path / "traj"
+    assert main(["solve", "--config", str(cfg), "--out", str(traj_dir)]) == 0
     capsys.readouterr()
     assert main(["verify-energy", "--config", str(cfg), "--traj",
-                 str(traj_dir), "--out", str(tmp_path / "v")]) == 2
+                 str(traj_dir), "--out", str(tmp_path / "v")]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert err == ["configuration error: 2 saved states are too few for the "
-                   "energy check, which needs at least 3: lower save_every or "
-                   "dt"]
+    assert err == ["numerical failure: non-finite band energy at t = 4.25"]
     assert not (tmp_path / "v").exists()
+    assert main(["pipeline", "--config", str(cfg),
+                 "--out", str(tmp_path / "pipe")]) == 3
+    manifest = json.loads((tmp_path / "pipe" / "manifest.json").read_text())
+    assert manifest["stages"][-1] == "FAILED"
+
+
+WRITERS = ["check-conditions", "solve", "decompose", "commutator-scan",
+           "weights", "verify-energy", "pipeline", "sweep"]
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_out_of_the_wrong_kind_is_refused(tmp_path, tiny_cfg, capsys,
+                                          command):
+    # --out naming a file, or a path through one, is exit 2 with one
+    # stderr line naming it, and nothing is written
+    work = tmp_path / "work"
+    work.mkdir()
+    blocker = work / "blocker"
+    blocker.write_text("not a directory\n")
+    extra = []
+    if command == "verify-energy":
+        traj_dir = tmp_path / "traj"
+        assert main(["solve", "--config", tiny_cfg,
+                     "--out", str(traj_dir)]) == 0
+        extra = ["--traj", str(traj_dir)]
+    for out in (blocker, blocker / "sub" / "dir"):
+        capsys.readouterr()
+        argv = ([command, tiny_cfg] if command == "sweep"
+                else [command, "--config", tiny_cfg])
+        assert main(argv + ["--out", str(out)] + extra) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(out) in err[0]
+        assert [p.name for p in work.iterdir()] == ["blocker"]
+        assert blocker.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("argv", [["weights", "--force"],

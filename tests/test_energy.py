@@ -446,9 +446,9 @@ def _pipeline(cs, n=64, steps=1000, save_every=10, data=None):
 @pytest.mark.parametrize("zeroed", [False, True], ids=["calibrated",
                                                        "zeroed"])
 def test_inequality_matches_per_state_loop(forced, zeroed):
-    # reference: the per-index stencil, apply_L and one FFT per saved
-    # state, as before the saved states were batched; zeroed constants
-    # keep every weight alive
+    # reference: per saved state, apply_L of the exact solution (the
+    # forcing) or zero (random data), and one FFT; zeroed constants keep
+    # every weight alive
     if forced:
         cs = builtin_family("monomial", k=4, gamma=0.3)
         data = None
@@ -467,16 +467,13 @@ def test_inequality_matches_per_state_loop(forced, zeroed):
     weights = np.exp(-ledger.h - 2.0 * ledger.constants.sigma
                      * traj.times[None, :])
     rhs = np.empty(traj.n_saved)
-    d, ut, last = traj.dt, traj.ut, traj.n_saved - 1
-    for i in range(traj.n_saved):
-        if i == 0:
-            ut2 = (-3 * ut[0] + 4 * ut[1] - ut[2]) / (2 * d)
-        elif i == last:
-            ut2 = (3 * ut[i] - 4 * ut[i - 1] + ut[i - 2]) / (2 * d)
-        else:
-            ut2 = (ut[i + 1] - ut[i - 1]) / (2 * d)
-        lu = apply_L(cs, GridFunction(traj.u[i]), GridFunction(ut2),
-                     float(traj.times[i])).values
+    x = grid.grid_points(traj.n_points)
+    exact = cosine_mode() if forced else None
+    for i, t in enumerate(traj.times.tolist()):
+        lu = np.zeros(traj.n_points, dtype=complex)
+        if forced:
+            lu = apply_L(cs, GridFunction(exact.u(t, x)),
+                         GridFunction(exact.utt(t, x)), t).values
         lu_hat = np.fft.fft(lu) / traj.n_points
         band_norms_sq = grid.TWO_PI * np.sum(
             np.abs(fam.phi * lu_hat[None, :]) ** 2, axis=1)
@@ -484,7 +481,28 @@ def test_inequality_matches_per_state_loop(forced, zeroed):
     cumulative = np.concatenate(
         [[0.0], np.cumsum((rhs[1:] + rhs[:-1]) / 2.0 * traj.dt)])
     assert report.rhs_cumulative.tobytes() == cumulative.tobytes()
-    assert cumulative[-1] > 0.0
+    assert (cumulative[-1] > 0.0) == forced
+
+
+def test_dropped_forcing_fails_the_check():
+    # negative control: the forced k2 solve checked without its forcing,
+    # and with sigma = Ctilde = 0 so no weight hides the growth, counts
+    # the energy the forcing puts in as a violation
+    cfg = dataclasses.replace(experiment.read_config(
+        os.path.join(CONFIG_DIR, "k2-gamma0.cfg")), dt=1e-3)
+    cs = experiment.coefficient_set(cfg)
+    traj = experiment.run_solve(cfg, None)
+    assert traj.exact is not None
+    fam = build_cutoffs(cfg.N)
+    const = dataclasses.replace(
+        calibrate_constants(cs, fam, scan(cs, experiment.scan_time(cs), fam)),
+        sigma=0.0, Ctilde=0.0)
+    ledger = build_ledger(traj, fam, cs, const)
+    kept = verify_energy_inequality(traj, fam, cs, ledger)
+    dropped = verify_energy_inequality(dataclasses.replace(traj, exact=None),
+                                       fam, cs, ledger)
+    assert kept.passed and kept.max_violation == 0.0
+    assert not dropped.passed and dropped.max_violation > 0.1
 
 
 def test_inequality_zero_data():

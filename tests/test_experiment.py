@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -220,23 +221,25 @@ DYING_SWEEP = """
 import os, signal, sys
 from lpwave import experiment
 
-pipeline = experiment.run_full_pipeline
+solve = experiment.run_solve
 
 
 def dies(cfg, out_dir, force=False):
-    if os.path.basename(out_dir) == "dies":     # as an OOM kill would
+    # once check-conditions has written, as an OOM kill would
+    if os.path.basename(os.path.dirname(out_dir)) == "dies":
         os.kill(os.getpid(), signal.SIGKILL)
-    return pipeline(cfg, out_dir, force=force)
+    return solve(cfg, out_dir, force=force)
 
 
-experiment.run_full_pipeline = dies
+experiment.run_solve = dies
 print(experiment.run_sweep(sys.argv[1:3], sys.argv[3]))
 """
 
 
 def test_sweep_survives_a_member_that_dies(tmp_path):
     # a member whose process is killed is reported as 1 and the other
-    # member finishes: a process pool would wait for the lost task forever
+    # member finishes: a process pool would wait for the lost task forever.
+    # The killed member's partial output gets the manifest of a failed run
     paths = []
     for name in ("dies", "lives"):
         paths.append(str(tmp_path / f"{name}.cfg"))
@@ -254,3 +257,8 @@ def test_sweep_survives_a_member_that_dies(tmp_path):
                           .read_text())
     assert manifest["stages"][-1] == "done"
     assert "energies.csv" in manifest["files"]
+    manifest = json.loads((tmp_path / "out" / "dies" / "manifest.json")
+                          .read_text())
+    assert manifest["stages"] == ["FAILED"]
+    assert manifest["signal"] == signal.SIGKILL
+    assert list(manifest["files"]) == ["conditions.json"]

@@ -15,8 +15,8 @@ from lpwave.errors import (CFLError, ConditionError, ConfigurationError,
                            GridMismatchError, NumericalBlowupError)
 from lpwave.grid import CHUNK_VALUES, GridFunction
 from lpwave.solver import (SpaceTimeFunction, apply_L, cfl_limit,
-                           cosine_mode, load_trajectory, operator_blocks,
-                           save_trajectory, solve_cauchy)
+                           cosine_mode, load_trajectory, save_trajectory,
+                           solve_cauchy)
 
 
 def zero_field(t, x):
@@ -255,32 +255,6 @@ def test_blowup_detection():
     with pytest.raises(NumericalBlowupError) as info:
         solve_cauchy(cs, bad, u1, M=400, check=False)
     assert info.value.t > 0
-
-
-def _residual_norm(traj, i, exact):
-    """|| L u - L[exact] || at saved index i, L u from operator_blocks."""
-    lu = np.concatenate([vals for _, vals in operator_blocks(traj.coeffs,
-                                                              traj)])
-    t = float(traj.times[i])
-    x = grid.grid_points(traj.n_points)
-    forcing = apply_L(traj.coeffs, GridFunction(exact.u(t, x)),
-                      GridFunction(exact.utt(t, x)), t)
-    return grid.norm(GridFunction(lu[i] - forcing.values))
-
-
-def test_residual_small_on_solution():
-    cs = builtin_family("monomial", k=2)
-    exact = cosine_mode()
-    u0, u1 = exact.initial_data(64)
-    traj = solve_cauchy(cs, u0, u1, exact=exact, M=1000, save_every=10,
-                        check=False)
-    # central-difference reconstruction is 2nd order in the save spacing
-    mid = traj.n_saved // 2
-    assert _residual_norm(traj, mid, exact) < 1e-3
-    fine = solve_cauchy(cs, u0, u1, exact=exact, M=1000, save_every=5,
-                        check=False)
-    assert (_residual_norm(fine, fine.n_saved // 2, exact)
-            < 0.3 * _residual_norm(traj, mid, exact))
 
 
 def test_save_load_roundtrip(tmp_path):
