@@ -4,13 +4,15 @@
 A known space-time solution is forced through the degenerate operator
 (the forcing is built so the solution satisfies the semi-discrete system
 exactly), so every digit of error is the time integrator's.  The step
-bound refuses unstable runs instead of producing garbage.
+bound refuses unstable runs instead of producing garbage; the hypothesis
+checks are the caller's, run before a solve.
 """
 
 import numpy as np
 
 from lpwave import grid
-from lpwave.coefficients import builtin_family, constant_coefficients
+from lpwave.coefficients import (builtin_family, constant_coefficients,
+                                 run_all_checks)
 from lpwave.errors import CFLError
 from lpwave.grid import GridFunction
 from lpwave.solver import SpaceTimeFunction, cfl_limit, solve_cauchy
@@ -31,7 +33,7 @@ print(f"{'steps':>6} {'dt':>10} {'max error':>12} {'ratio':>7}")
 prev = None
 for steps in (125, 250, 500, 1000):
     traj = solve_cauchy(cs, u0, u1, exact=exact, M=steps,
-                        save_every=steps // 5, check=False)
+                        save_every=steps // 5)
     err = max(grid.norm(GridFunction(traj.u[i]
                                      - exact.u(float(traj.times[i]), x)))
               for i in range(traj.n_saved))
@@ -45,7 +47,7 @@ print("free evolution sanity (constant coefficients, u0 = cos x):")
 csc = constant_coefficients(a0=1.0)
 traj = solve_cauchy(csc, grid.from_callable(np.cos, N),
                     GridFunction(np.zeros(N, dtype=complex)),
-                    M=4000, save_every=800, check=False)
+                    M=4000, save_every=800)
 worst = max(grid.norm(GridFunction(traj.u[i]
                                    - np.cos(traj.times[i]) * np.cos(x)))
             for i in range(traj.n_saved))
@@ -55,16 +57,13 @@ print()
 limit = cfl_limit(cs, N)
 print(f"stability bound for this family at N={N}: dt <= {limit:.3e}")
 try:
-    solve_cauchy(cs, u0, u1, exact=exact, M=int(cs.T / limit * 0.5),
-                 check=False)
+    solve_cauchy(cs, u0, u1, exact=exact, M=int(cs.T / limit * 0.5))
 except CFLError as exc:
     print(f"  oversized step refused as expected: {exc}")
 
 print()
-print("hypothesis gate: the flat family (infinite-order zero) is rejected")
-flat = builtin_family("flat", k=2)
-try:
-    solve_cauchy(flat, u0, u1, M=2000)
-except Exception as exc:
-    print(f"  {type(exc).__name__}: {exc}")
-print("  (pass check=False to run it anyway)")
+print("hypothesis gate: the flat family (infinite-order zero) fails a check")
+failed = [r.condition_id for r in run_all_checks(builtin_family("flat", k=2),
+                                                x=x) if not r.verdict]
+print(f"  failed: {', '.join(failed)}")
+print("  (lpwave solve refuses it with exit 1; --force runs it anyway)")

@@ -7,7 +7,6 @@ error, 3 numerical failure (CFL refusal or blow-up).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import experiment, solver
@@ -15,18 +14,14 @@ from .errors import (EXIT_FAIL, EXIT_OK, ConfigurationError, LPWaveError,
                      classify)
 
 
-def _add_common(p, force=False, seed=False):
-    """--config and --out, plus --force and --seed where the command
-    reads them."""
+def _add_common(p, force=False):
+    """--config and --out, plus --force where the command reads it."""
     p.add_argument("--config", required=True,
                    help="experiment config file (key = value lines)")
     p.add_argument("--out", default=None, help="output directory")
     if force:
         p.add_argument("--force", action="store_true",
                        help="run even if hypothesis checks fail")
-    if seed:
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config's seed")
 
 
 def build_parser():
@@ -41,11 +36,11 @@ def build_parser():
     _add_common(p)
 
     p = sub.add_parser("solve", help="integrate the Cauchy problem")
-    _add_common(p, force=True, seed=True)
+    _add_common(p, force=True)
 
     p = sub.add_parser("decompose",
                        help="dyadic decomposition of a grid function")
-    _add_common(p, seed=True)
+    _add_common(p)
     p.add_argument("--in", dest="source", default=None,
                    help="grid-function CSV (default: seeded random)")
 
@@ -64,7 +59,7 @@ def build_parser():
     p.add_argument("--traj", required=True, help="saved trajectory directory")
 
     p = sub.add_parser("pipeline", help="full check/solve/verify pipeline")
-    _add_common(p, force=True, seed=True)
+    _add_common(p, force=True)
 
     p = sub.add_parser("sweep", help="run the pipeline on several configs, "
                                       "each in a process of its own")
@@ -72,13 +67,6 @@ def build_parser():
     p.add_argument("--out", default="sweep_out")
     p.add_argument("--force", action="store_true")
     return parser
-
-
-def _load_config(args):
-    cfg = experiment.read_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed).validate()
-    return cfg
 
 
 def main(argv=None) -> int:
@@ -99,7 +87,7 @@ def _dispatch(args) -> int:
             print(f"{name}: {code}")
         return max(results.values(), default=EXIT_OK)
 
-    cfg = _load_config(args)
+    cfg = experiment.read_config(args.config)
     out = args.out or cfg.output_dir
 
     if args.command == "check-conditions":

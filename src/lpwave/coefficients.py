@@ -287,6 +287,7 @@ def check_finite_degeneration(cs: CoefficientSet, x=None) -> ConditionReport:
                            margin=smin)
 
 
+@np.errstate(over="ignore")      # a b that overflows is refused below
 def check_levi(cs: CoefficientSet, x=None) -> ConditionReport:
     """|b| <= C0 * a**gamma, with the a = 0 set handled by convention.
 

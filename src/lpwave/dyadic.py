@@ -130,6 +130,7 @@ class DyadicBlocks:
         return float(self.block_norms()[nu])
 
 
+@np.errstate(over="ignore")      # callers refuse a non-finite result
 def band_norms_sq(fam: CutoffFamily, values) -> np.ndarray:
     """(rows, bands) squared L2 norms of the bands of each row of grid
     ``values``: 2*pi * sum |phi_nu c|^2 with c = fft(row) / N, by
@@ -143,6 +144,7 @@ def band_norms_sq(fam: CutoffFamily, values) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")   # as band_norms_sq
 def sobolev_norms(fam: CutoffFamily, values, orders) -> np.ndarray:
     """(rows, orders) dyadic H^s proxies sqrt(sum_nu 4**(s*nu) |w_nu|^2)
     of the rows of ``values``, as in :func:`band_norms_sq`.

@@ -54,6 +54,7 @@ def block_epsilon(k, nu):
     return float(eps) if eps.ndim == 0 else eps
 
 
+@np.errstate(over="ignore")      # build_ledger refuses a non-finite table
 def energy_table(traj: Trajectory, fam: CutoffFamily,
                  cs: CoefficientSet) -> np.ndarray:
     """Matrix E[nu, i] of band energies over saved times.
@@ -379,6 +380,7 @@ def verify_energy_inequality(traj: Trajectory, fam: CutoffFamily,
 # a-priori estimate: loss-of-derivatives search
 
 
+@np.errstate(over="ignore", invalid="ignore")   # estimate_loss checks it
 def loss_ratio_curve(traj: Trajectory, fam: CutoffFamily, m,
                      deltas) -> np.ndarray:
     """Ratio sup_t [|u|_{m+1-d} + |d_t u|_{m-d}] / data norms, per delta.
@@ -461,8 +463,7 @@ def estimate_loss(cs: CoefficientSet, m, deltas, grid_sizes=(128, 256, 512),
         save_every = max(1, steps // 128)
         # round up to a multiple of save_every, so the final time is saved
         steps = -(-steps // save_every) * save_every
-        traj = solve_cauchy(cs, u0, u1, M=steps, check=False,
-                            save_every=save_every)
+        traj = solve_cauchy(cs, u0, u1, M=steps, save_every=save_every)
         curve = loss_ratio_curve(traj, fam, m, deltas)
         if not np.all(np.isfinite(curve)):
             raise ConfigurationError(

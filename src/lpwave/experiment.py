@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import commutator, dyadic, energy, grid, solver
-from .coefficients import (SCAN_POINTS, builtin_family, run_all_checks,
+from .coefficients import (builtin_family, run_all_checks, scan_grids,
                            tensor_scan)
 from .errors import EXIT_FAIL, ConditionError, ConfigurationError, classify
 
@@ -28,7 +28,6 @@ class ConfigError(ConfigurationError):
 
 
 _DEFAULT_DELTAS = tuple(round(0.1 * i, 10) for i in range(1, 31))
-_SCAN_NT = 64   # times over [0, T] of the scan-time search
 
 
 @dataclass(frozen=True)
@@ -167,9 +166,10 @@ def initial_data(cfg: ExperimentConfig, cs=None):
 
 
 def scan_time(cs):
-    """Time at which beta oscillates most in x (largest commutators)."""
-    t = np.linspace(0.0, cs.T, _SCAN_NT)
-    vals = tensor_scan(cs.beta, t, SCAN_POINTS)
+    """Time at which beta oscillates most in x (largest commutators), on
+    the hypothesis checks' (t, x) grid."""
+    t, x = scan_grids(cs, None)
+    vals = tensor_scan(cs.beta, t, x)
     return float(t[np.argmax(np.max(vals, axis=1) - np.min(vals, axis=1))])
 
 
@@ -209,6 +209,14 @@ def _write_lemma2_report(s, out_dir):
 # runs
 
 
+def _refuse_failed(reports):
+    """Raise the ConditionError naming each failed check of ``reports``
+    (ConditionReport dicts)."""
+    failed = [r["condition_id"] for r in reports if not r["verdict"]]
+    if failed:
+        raise ConditionError("hypothesis checks failed: " + ", ".join(failed))
+
+
 def run_check_conditions(cfg: ExperimentConfig, out_dir=None):
     """All five hypothesis checks; returns (exit_code, report list)."""
     cs = coefficient_set(cfg)
@@ -222,10 +230,14 @@ def run_check_conditions(cfg: ExperimentConfig, out_dir=None):
 
 
 def run_solve(cfg: ExperimentConfig, out_dir, force=False):
+    """Solve the config's Cauchy problem, refusing coefficients that fail
+    a hypothesis check on the solve's grid unless ``force``."""
+    cs = coefficient_set(cfg)
     u0, u1, exact = initial_data(cfg)
-    return solver.solve_cauchy(coefficient_set(cfg), u0, u1, exact=exact,
-                               M=cfg.steps, save_every=cfg.save_every,
-                               check=not force, out_dir=out_dir)
+    if not force:
+        _refuse_failed([r.to_dict() for r in run_all_checks(cs, x=u0.x)])
+    return solver.solve_cauchy(cs, u0, u1, exact=exact, M=cfg.steps,
+                               save_every=cfg.save_every, out_dir=out_dir)
 
 
 def run_decompose(cfg: ExperimentConfig, out_dir, source_csv=None):
@@ -278,10 +290,10 @@ def run_verify_energy(cfg: ExperimentConfig, traj, out_dir):
     for the coefficients the trajectory was solved with.
 
     A trajectory saved on another grid than the config's (N, T/dt steps,
-    save_every) is refused with a ConfigurationError naming each key.  The
-    config's exact solution, whose L[exact] is the check's source, is
-    attached to the trajectory, which is refused unless its first state
-    is that solution's initial data; random data have no source.
+    save_every) is refused with a ConfigurationError naming each key, and
+    so is one that does not start from the config's :func:`initial_data`.
+    The config's exact solution, whose L[exact] is the check's source, is
+    attached to the trajectory; random data have no source.
     """
     save_every = round(traj.dt / traj.solver_dt)
     saved = {"N": traj.n_points, "steps": (traj.n_saved - 1) * save_every,
@@ -293,11 +305,11 @@ def run_verify_energy(cfg: ExperimentConfig, traj, out_dir):
         raise ConfigurationError("trajectory was saved on another grid: "
                                  + "; ".join(differ))
     u0, u1, exact = initial_data(cfg)
-    if exact is not None and not np.allclose([traj.u[0], traj.ut[0]],
-                                             [u0.values, u1.values]):
-        raise ConfigurationError(
-            "the trajectory does not start from the initial data of the "
-            "config's manufactured solution, whose forcing the check uses")
+    if not np.allclose([traj.u[0], traj.ut[0]], [u0.values, u1.values]):
+        raise ConfigurationError("the trajectory does not start from " + (
+            "the initial data of the config's manufactured solution, whose "
+            "forcing the check uses" if exact is not None
+            else f"the config's random initial data, of seed {cfg.seed}"))
     traj = dataclasses.replace(traj, exact=exact)
     cs = traj.coeffs
     fam = cutoff_family(cfg)
@@ -327,15 +339,11 @@ def run_full_pipeline(cfg: ExperimentConfig, out_dir, force=False):
     stages = []
     try:
         stages.append("check-conditions")
-        code, reports = run_check_conditions(cfg, out_dir)
-        if code != 0 and not force:
-            raise ConditionError(
-                "hypothesis checks failed: "
-                + ", ".join(r["condition_id"] for r in reports
-                            if not r["verdict"]))
-        stages.append("solve")
-        traj = run_solve(cfg, os.path.join(out_dir, "trajectory"),
-                         force=force)
+        _, reports = run_check_conditions(cfg, out_dir)
+        if not force:
+            _refuse_failed(reports)
+        stages.append("solve")      # checked by the stage above
+        traj = run_solve(cfg, os.path.join(out_dir, "trajectory"), force=True)
         stages.append("verify-energy")
         s, constants, ledger, ineq = run_verify_energy(cfg, traj, out_dir)
         _write_lemma2_report(s, out_dir)

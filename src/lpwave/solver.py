@@ -18,7 +18,8 @@ a column of times, (S, 1), as well as a scalar.  Given an output
 directory, the solve also saves its trajectory as it runs, through
 ``save_trajectory``'s writer: forked writers take each finished chunk of
 saved states from its queue.  The trajectory keeps the ``exact`` whose
-L[exact] forced it, in memory only: a loaded one has none.
+L[exact] forced it, in memory only: a loaded one has none.  The
+coefficient hypothesis checks are the caller's (``experiment.run_solve``).
 """
 
 from __future__ import annotations
@@ -34,10 +35,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import grid
-from .coefficients import (CoefficientSet, builtin_family, run_all_checks,
-                           scan_grids, tensor_scan)
-from .errors import (CFLError, ConditionError, ConfigurationError,
-                     NumericalBlowupError)
+from .coefficients import (CoefficientSet, builtin_family, scan_grids,
+                           tensor_scan)
+from .errors import CFLError, ConfigurationError, NumericalBlowupError
 from .grid import GridFunction, TWO_PI, same_grid
 
 C_CFL = 0.5         # Courant factor of the solver's step bound
@@ -109,12 +109,12 @@ class SpaceTimeFunction:
         return GridFunction(self.u(0.0, x)), GridFunction(self.ut(0.0, x))
 
 
-def cosine_mode(freq=1) -> SpaceTimeFunction:
-    """u(t,x) = cos(t) cos(freq*x), the workhorse manufactured solution."""
+def cosine_mode() -> SpaceTimeFunction:
+    """u(t,x) = cos(t) cos(x), the workhorse manufactured solution."""
     return SpaceTimeFunction(
-        u=lambda t, x: np.cos(t) * np.cos(freq * x),
-        ut=lambda t, x: -np.sin(t) * np.cos(freq * x),
-        utt=lambda t, x: -np.cos(t) * np.cos(freq * x),
+        u=lambda t, x: np.cos(t) * np.cos(x),
+        ut=lambda t, x: -np.sin(t) * np.cos(x),
+        utt=lambda t, x: -np.cos(t) * np.cos(x),
     )
 
 
@@ -141,18 +141,16 @@ def _stage_times(start, stop, dt) -> np.ndarray:
 
 def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
                  exact: Optional[SpaceTimeFunction] = None, M: int = 1000,
-                 save_every: int = 1, check: bool = True,
-                 out_dir=None) -> Trajectory:
+                 save_every: int = 1, out_dir=None) -> Trajectory:
     """Integrate the Cauchy problem from data (u0, u1), forced by L[exact]
     when ``exact`` is given: the operator the solver steps, so ``exact``
     solves the semi-discrete system identically and convergence studies
     see pure time-integration error.  The trajectory records ``exact``.
 
-    ``M`` steps of size T/M, T the family's final time.  The
-    hypothesis checkers run first when ``check``; a step size above the
-    CFL bound is refused outright.  States are recorded every
-    ``save_every`` steps, and M must be a multiple of save_every so the
-    final time is always saved.
+    ``M`` steps of size T/M, T the family's final time.  A step size
+    above the CFL bound is refused outright; the hypothesis checks are
+    the caller's.  States are recorded every ``save_every`` steps, and M
+    must be a multiple of save_every so the final time is always saved.
 
     The steps run in ``grid.row_chunks(M, N)``.  Per chunk, a, b, c,
     ``exact.u`` and ``exact.utt`` are called once on the (3S, 1) column of
@@ -169,11 +167,6 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
     if save_every < 1 or M % save_every != 0:
         raise ValueError(f"M = {M} is not a multiple of save_every = "
                          f"{save_every}")
-    if check:
-        failures = [r for r in run_all_checks(cs, x=u0.x) if not r.verdict]
-        if failures:
-            ids = ", ".join(r.condition_id for r in failures)
-            raise ConditionError(f"coefficient checks failed: {ids}")
     dt = cs.T / M
     limit = cfl_limit(cs, u0.n_points)
     if dt > limit * (1.0 + 1e-12):

@@ -175,7 +175,7 @@ def _config_violation(cfg_name, dt=None):
     dt = cfg.dt if dt is None else dt
     steps = int(round(cfg.T / dt))
     traj = solve_cauchy(cs, u0, u1, exact=exact, M=steps,
-                        save_every=cfg.save_every, check=False)
+                        save_every=cfg.save_every)
     fam = build_cutoffs(cfg.N)
     s = commutator_scan(cs, scan_time(cs), fam)
     constants = calibrate_constants(cs, fam, s)
@@ -213,7 +213,7 @@ def test_criterion_6_negative_control_random_k2():
     cs = coefficient_set(cfg)
     u0, u1, exact = initial_data(cfg)
     traj = solve_cauchy(cs, u0, u1, exact=exact,
-                        M=int(round(cfg.T / cfg.dt)), check=False)
+                        M=int(round(cfg.T / cfg.dt)))
     fam = build_cutoffs(cfg.N)
     constants = calibrate_constants(cs, fam,
                                     commutator_scan(cs, scan_time(cs), fam))
@@ -276,8 +276,7 @@ def test_criterion_9_solver_sanity():
     exact = cosine_mode()
     u0, u1 = exact.initial_data(128)
     x = u0.x
-    traj = solve_cauchy(cs, u0, u1, exact=exact, M=10000, save_every=500,
-                        check=False)
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=10000, save_every=500)
     max_err = max(
         grid.norm(GridFunction(traj.u[i] - exact.u(float(traj.times[i]), x)))
         for i in range(traj.n_saved))
@@ -289,7 +288,7 @@ def test_criterion_9_solver_sanity():
     errs = []
     for steps in (125, 250, 500):
         t2 = solve_cauchy(cs, u0, u1, exact=wiggly, M=steps,
-                          save_every=steps // 5, check=False)
+                          save_every=steps // 5)
         errs.append(max(
             grid.norm(GridFunction(t2.u[i]
                                    - wiggly.u(float(t2.times[i]), x)))

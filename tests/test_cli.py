@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -126,12 +128,6 @@ def test_loss_search_refuses_an_m_whose_ratios_are_not_finite(tmp_path,
     manifest = json.loads((out / "manifest.json").read_text(),
                           parse_constant=strict)
     assert manifest["stages"][-2:] == ["loss-estimate", "FAILED"]
-
-
-def test_negative_seed_flag_is_config_error(tmp_path, tiny_cfg, capsys):
-    assert main(["solve", "--config", tiny_cfg, "--seed", "-1",
-                 "--out", str(tmp_path / "t")]) == 2
-    assert "configuration error" in capsys.readouterr().err
 
 
 def test_solve_writes_trajectory(tmp_path, tiny_cfg):
@@ -516,6 +512,31 @@ def test_verify_energy_refuses_data_of_another_kind(tmp_path, capsys):
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize("solved, checked", [
+    ("data = manufactured\n", "data = random\n"),
+    ("data = random\nseed = 1\n", "data = random\nseed = 2\n")],
+    ids=["forced-as-random", "random-of-another-seed"])
+def test_verify_energy_refuses_a_trajectory_not_from_its_config(
+        tmp_path, capsys, solved, checked):
+    # random data have no source, so a forced trajectory checked as random
+    # data would pass with nothing to check: every trajectory must start
+    # from its config's initial data, the seed's for random data
+    solved_cfg, checked_cfg = tmp_path / "s.cfg", tmp_path / "c.cfg"
+    solved_cfg.write_text(TINY + solved)
+    checked_cfg.write_text(TINY + checked)
+    traj_dir = tmp_path / "traj"
+    assert main(["solve", "--config", str(solved_cfg),
+                 "--out", str(traj_dir)]) == 0
+    capsys.readouterr()
+    assert main(["verify-energy", "--config", str(checked_cfg),
+                 "--traj", str(traj_dir), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "random initial data" in err[0], err
+    assert not (tmp_path / "v").exists()
+    assert main(["verify-energy", "--config", str(solved_cfg),
+                 "--traj", str(traj_dir), "--out", str(tmp_path / "v")]) == 0
+
+
 # k = 1 and gamma = 40 give Ctilde = 3.3e7, whose weights overflow the
 # Schur sums of the calibration
 OVERFLOWING = """
@@ -577,6 +598,29 @@ def test_energies_that_overflow_are_a_numerical_failure(tmp_path, capsys):
     assert manifest["stages"][-1] == "FAILED"
 
 
+@pytest.mark.parametrize("text, code, message", [
+    (TWO_SAVED + "m = 200\n", 2, "configuration error: m = 200.0 "),
+    (GROWING, 3, "numerical failure: non-finite band energy"),
+    ("family = monomial\nk = 12\ngamma = 40.0\nN = 32\nT = 5\ndt = 0.05\n",
+     2, "configuration error: b is not finite")],
+    ids=["loss-ratios-overflow", "energies-overflow", "b-overflows"])
+def test_a_refusal_prints_one_stderr_line(tmp_path, text, code, message):
+    # in a fresh interpreter, where numpy's RuntimeWarnings reach stderr
+    # (pytest captures them in-process): the overflow that a refusal
+    # names prints no warning before the refusal's one line
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve()
+                                          .parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "lpwave", "pipeline",
+                           "--config", str(cfg), "--out",
+                           str(tmp_path / "pipe")],
+                          env=env, capture_output=True, text=True)
+    err = done.stderr.splitlines()
+    assert done.returncode == code and len(err) == 1, done.stderr
+    assert err[0].startswith(message)
+
+
 WRITERS = ["check-conditions", "solve", "decompose", "commutator-scan",
            "weights", "verify-energy", "pipeline", "sweep"]
 
@@ -609,13 +653,18 @@ def test_out_of_the_wrong_kind_is_refused(tmp_path, tiny_cfg, capsys,
 
 @pytest.mark.parametrize("argv", [["weights", "--force"],
                                   ["commutator-scan", "--seed", "9"],
-                                  ["solve", "--save-every", "25"]],
+                                  ["solve", "--save-every", "25"],
+                                  ["solve", "--seed", "9"],
+                                  ["decompose", "--seed", "9"],
+                                  ["pipeline", "--seed", "9"]],
                          ids=["weights-force", "commutator-scan-seed",
-                              "solve-save-every"])
+                              "solve-save-every", "solve-seed",
+                              "decompose-seed", "pipeline-seed"])
 def test_unread_flags_are_unrecognised(tmp_path, tiny_cfg, capsys, argv):
-    # --force and --seed exist only where the command reads them; solve has
-    # no --save-every, whose trajectories verify-energy with the same
-    # config would refuse: the config's save_every is the one setting
+    # --force exists only where the command reads it.  No command has
+    # --save-every or --seed, whose trajectories verify-energy with the
+    # same config would refuse: the config's save_every and seed are the
+    # one settings
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--config", tiny_cfg, "--out", str(tmp_path / "o")]
              + argv[1:])
@@ -623,9 +672,11 @@ def test_unread_flags_are_unrecognised(tmp_path, tiny_cfg, capsys, argv):
     assert argv[1] in capsys.readouterr().err
 
 
-def test_decompose_seed_changes_the_random_function(tmp_path, tiny_cfg):
+def test_decompose_seed_changes_the_random_function(tmp_path):
     for seed in ("1", "2"):
-        assert main(["decompose", "--config", tiny_cfg, "--seed", seed,
+        cfg = tmp_path / f"seed{seed}.cfg"
+        cfg.write_text(TINY + f"seed = {seed}\n")
+        assert main(["decompose", "--config", str(cfg),
                      "--out", str(tmp_path / seed)]) == 0
     files = sorted(p.name for p in (tmp_path / "1").iterdir())
     assert any((tmp_path / "1" / name).read_bytes()

@@ -113,8 +113,7 @@ def test_block_energy_against_naive_quadrature():
     cs = builtin_family("monomial", k=2)
     exact = cosine_mode()
     u0, u1 = exact.initial_data(64)
-    traj = solve_cauchy(cs, u0, u1, exact=exact, M=500, save_every=250,
-                        check=False)
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=500, save_every=250)
     fam = build_cutoffs(64)
     i = 1   # t = 0.5
     table = energy_table(traj, fam, cs)
@@ -129,7 +128,7 @@ def test_energy_table_matches_per_band_loop():
     rng = np.random.default_rng(11)
     u0 = grid.random_band_limited(128, rng=rng, decay=1.0)
     u1 = grid.random_band_limited(128, rng=rng, decay=0.5)
-    traj = solve_cauchy(cs, u0, u1, M=100, save_every=10, check=False)
+    traj = solve_cauchy(cs, u0, u1, M=100, save_every=10)
     fam = build_cutoffs(128)
     xi = grid.frequencies(128)
     x = grid.grid_points(128)
@@ -432,7 +431,7 @@ def _pipeline(cs, n=64, steps=1000, save_every=10, data=None):
     else:
         u0, u1, exact = data
     traj = solve_cauchy(cs, u0, u1, exact=exact, M=steps,
-                        save_every=save_every, check=False)
+                        save_every=save_every)
     fam = build_cutoffs(n)
     s = scan(cs, 1.0, fam)
     const = calibrate_constants(cs, fam, s)
@@ -550,7 +549,7 @@ def test_loss_ratio_matches_per_delta_loop(n_points, m):
     u0 = grid.random_band_limited(n_points, rng=rng, decay=1.0)
     u1 = grid.random_band_limited(n_points, rng=rng, decay=0.5)
     M = 200 * max(1, n_points // 128)   # dt within the CFL bound
-    traj = solve_cauchy(cs, u0, u1, M=M, save_every=M // 10, check=False)
+    traj = solve_cauchy(cs, u0, u1, M=M, save_every=M // 10)
     fam = build_cutoffs(n_points)
     deltas = np.array([round(0.1 * i, 10) for i in range(1, 31)])
     denom = sobolev_norm(u0, m + 1.0, fam) + sobolev_norm(u1, m, fam)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lpwave import experiment, grid
+from lpwave.coefficients import run_all_checks
 from lpwave.experiment import (ConfigError, parse_config, read_config,
                                write_config)
 
@@ -190,6 +191,28 @@ def test_pipeline_halts_on_failed_conditions(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["stages"][-1] == "FAILED"
     assert (out / "conditions.json").exists()   # partial output retained
+
+
+def test_hypothesis_checks_run_once_per_run(tmp_path, monkeypatch):
+    # the pipeline's check-conditions stage refuses failing checks, so its
+    # solve does not check again; the solve command checks on its own grid
+    calls = []
+
+    def counted(cs, x=None):
+        calls.append(x)
+        return run_all_checks(cs, x)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "lpwave"
+                and getattr(module, "run_all_checks", None) is run_all_checks):
+            monkeypatch.setattr(module, "run_all_checks", counted)
+    cfg = parse_config(TINY)
+    assert experiment.run_full_pipeline(cfg, tmp_path / "run")[
+        "exit_code"] == 0
+    assert calls == [None]
+    calls.clear()
+    experiment.run_solve(cfg, None)
+    assert len(calls) == 1 and np.array_equal(calls[0], grid.grid_points(64))
 
 
 def test_sweep_serial_and_parallel(tmp_path, monkeypatch):

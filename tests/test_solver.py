@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpwave import grid
+from lpwave import experiment, grid
 from lpwave.coefficients import (BUILTIN_FAMILIES, builtin_family,
                                  constant_coefficients)
 from lpwave.errors import (CFLError, ConditionError, ConfigurationError,
@@ -100,7 +100,7 @@ def test_manufactured_rhs_zero_solution():
     cs = builtin_family("monomial", k=2)
     exact = SpaceTimeFunction(u=zero_field, ut=zero_field, utt=zero_field)
     u0, u1 = exact.initial_data(64)
-    traj = solve_cauchy(cs, u0, u1, exact=exact, M=100, check=False)
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=100)
     assert np.all(traj.u == 0) and np.all(traj.ut == 0)
 
 
@@ -115,7 +115,7 @@ def test_manufactured_rhs_free_operator():
         utt=lambda t, x: -np.cos(t) * np.exp(1j * x))
     u0, u1 = exact.initial_data(64)
     M = 50
-    traj = solve_cauchy(cs, u0, u1, exact=exact, M=M, check=False)
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=M)
     dt, u, v, wave = cs.T / M, 1.0, 0.0, np.exp(1j * u0.x)
     for step in range(M):
         f0, fh, f1 = (-np.cos(step * dt + s) for s in (0, dt / 2, dt))
@@ -129,7 +129,7 @@ def test_manufactured_rhs_free_operator():
 def test_solve_zero_data_stays_zero():
     cs = builtin_family("monomial", k=2)
     zero = GridFunction(np.zeros(64, dtype=complex))
-    traj = solve_cauchy(cs, zero, zero, M=100, check=False)
+    traj = solve_cauchy(cs, zero, zero, M=100)
     assert np.all(traj.u == 0) and np.all(traj.ut == 0)
 
 
@@ -138,7 +138,7 @@ def test_solve_dalembert_mode():
     cs = constant_coefficients(a0=1.0)
     u0 = grid.from_callable(np.cos, 128)
     u1 = GridFunction(np.zeros(128, dtype=complex))
-    traj = solve_cauchy(cs, u0, u1, M=4000, save_every=400, check=False)
+    traj = solve_cauchy(cs, u0, u1, M=4000, save_every=400)
     x = u0.x
     worst = max(
         grid.norm(GridFunction(traj.u[i] - np.cos(traj.times[i]) * np.cos(x)))
@@ -157,7 +157,7 @@ def test_solve_manufactured_accuracy_and_order():
     errs = []
     for steps in (125, 250, 500):
         traj = solve_cauchy(cs, u0, u1, exact=exact, M=steps,
-                            save_every=steps // 5, check=False)
+                            save_every=steps // 5)
         worst = max(
             grid.norm(GridFunction(traj.u[i]
                                    - exact.u(float(traj.times[i]), x)))
@@ -177,7 +177,7 @@ def test_solver_linearity():
           grid.random_band_limited(64, rng=rng, decay=1.0))
     mix = (GridFunction(0.5 * d1[0].values + 2.0 * d2[0].values),
            GridFunction(0.5 * d1[1].values + 2.0 * d2[1].values))
-    out = [solve_cauchy(cs, u0, u1, M=400, check=False)
+    out = [solve_cauchy(cs, u0, u1, M=400)
            for u0, u1 in (d1, d2, mix)]
     combo = 0.5 * out[0].u[-1] + 2.0 * out[1].u[-1]
     scale = grid.norm(GridFunction(out[2].u[-1]))
@@ -189,7 +189,7 @@ def test_energy_conservation_frozen_case():
     rng = np.random.default_rng(3)
     u0 = grid.random_band_limited(128, xi_max=4, rng=rng)
     u1 = grid.random_band_limited(128, xi_max=4, rng=rng)
-    traj = solve_cauchy(cs, u0, u1, M=10000, save_every=1000, check=False)
+    traj = solve_cauchy(cs, u0, u1, M=10000, save_every=1000)
     energies = []
     for i in range(traj.n_saved):
         du = grid.derivative(GridFunction(traj.u[i]))
@@ -210,7 +210,7 @@ def test_spectral_support_preserved():
     rng = np.random.default_rng(4)
     u0 = grid.random_band_limited(128, xi_max=8, rng=rng)
     u1 = grid.random_band_limited(128, xi_max=8, rng=rng)
-    traj = solve_cauchy(cs, u0, u1, M=2000, save_every=2000, check=False)
+    traj = solve_cauchy(cs, u0, u1, M=2000, save_every=2000)
     coeffs = grid.coefficients(GridFunction(traj.u[-1]))
     xi = grid.frequencies(128)
     outside = np.max(np.abs(coeffs[np.abs(xi) > 8]))
@@ -224,16 +224,16 @@ def test_cfl_refusal():
     limit = cfl_limit(cs, 64)
     steps_too_few = int(cs.T / limit * 0.5)
     with pytest.raises(CFLError):
-        solve_cauchy(cs, u0, u1, M=steps_too_few, check=False)
+        solve_cauchy(cs, u0, u1, M=steps_too_few)
 
 
 def test_condition_gate_and_force():
-    cs = builtin_family("flat", k=2)   # fails finite degeneration
-    u0 = grid.from_callable(np.cos, 64)
-    u1 = GridFunction(np.zeros(64, dtype=complex))
+    # the hypothesis checks are run_solve's; the flat family fails finite
+    # degeneration, and force solves it anyway
+    cfg = experiment.ExperimentConfig(family="flat", k=2, N=64, dt=0.0025)
     with pytest.raises(ConditionError):
-        solve_cauchy(cs, u0, u1, M=400)
-    traj = solve_cauchy(cs, u0, u1, M=400, check=False)
+        experiment.run_solve(cfg, None)
+    traj = experiment.run_solve(cfg, None, force=True)
     assert traj.n_saved == 401
 
 
@@ -243,8 +243,8 @@ def test_save_every_must_divide_steps():
     u0 = grid.from_callable(np.cos, 64)
     u1 = GridFunction(np.zeros(64, dtype=complex))
     with pytest.raises(ValueError):
-        solve_cauchy(cs, u0, u1, M=40, save_every=3, check=False)
-    traj = solve_cauchy(cs, u0, u1, M=40, save_every=4, check=False)
+        solve_cauchy(cs, u0, u1, M=40, save_every=3)
+    traj = solve_cauchy(cs, u0, u1, M=40, save_every=4)
     assert traj.n_saved == 11 and traj.times[-1] == cs.T
 
 
@@ -253,7 +253,7 @@ def test_blowup_detection():
     bad = GridFunction(np.full(64, np.nan, dtype=complex))
     u1 = GridFunction(np.zeros(64, dtype=complex))
     with pytest.raises(NumericalBlowupError) as info:
-        solve_cauchy(cs, bad, u1, M=400, check=False)
+        solve_cauchy(cs, bad, u1, M=400)
     assert info.value.t > 0
 
 
@@ -261,8 +261,7 @@ def test_save_load_roundtrip(tmp_path):
     cs = builtin_family("monomial", k=2)
     exact = cosine_mode()
     u0, u1 = exact.initial_data(64)
-    traj = solve_cauchy(cs, u0, u1, exact=exact, M=100, save_every=20,
-                        check=False)
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=100, save_every=20)
     save_trajectory(traj, tmp_path / "run")
     back = load_trajectory(tmp_path / "run")
     assert np.array_equal(back.u, traj.u)
@@ -342,8 +341,7 @@ def _random_k2():
 @pytest.mark.parametrize("case", [_forced_k4, _random_k2])
 def test_solve_matches_old_rhs_bit_for_bit(case):
     cs, u0, u1, exact, old_f = case()
-    traj = solve_cauchy(cs, u0, u1, exact=exact, M=300, save_every=20,
-                        check=False)
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=300, save_every=20)
     us, uts = _old_solve(cs, u0, u1, old_f, M=300, save_every=20)
     assert traj.u.tobytes() == us.tobytes()
     assert traj.ut.tobytes() == uts.tobytes()
@@ -377,7 +375,7 @@ def test_forcing_evaluated_once_per_stage_time():
 
     M = 100
     solve_cauchy(cs, u0, u1, exact=SpaceTimeFunction(
-        u=counted("u"), ut=exact.ut, utt=counted("utt")), M=M, check=False)
+        u=counted("u"), ut=exact.ut, utt=counted("utt")), M=M)
     dt = cs.T / M
     expected = [s for step in range(M)
                 for s in (step * dt, step * dt + dt / 2, step * dt + dt)]
@@ -395,8 +393,7 @@ CHUNK = CHUNK_VALUES // 128   # steps per tabulated chunk at N = 128
 def test_chunk_boundaries_match_old_solve_bit_for_bit(case, M, save_every):
     cs, u0, u1, exact, old_f = case()
     cs = cs.with_params(T=min(cs.T, 0.01 * M))   # dt within the CFL bound
-    traj = solve_cauchy(cs, u0, u1, exact=exact, M=M, save_every=save_every,
-                        check=False)
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=M, save_every=save_every)
     us, uts = _old_solve(cs, u0, u1, old_f, M=M, save_every=save_every)
     assert traj.u.tobytes() == us.tobytes()
     assert traj.ut.tobytes() == uts.tobytes()
@@ -412,7 +409,7 @@ def test_forced_k4_large_grid_matches_old_solve_bit_for_bit():
     u0, u1 = exact.initial_data(2048)
     M = int(np.ceil(cs.T / cfl_limit(cs, 2048)))
     assert M > 3 * (CHUNK_VALUES // 2048)
-    traj = solve_cauchy(cs, u0, u1, exact=exact, M=M, check=False)
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=M)
     us, uts = _old_solve(cs, u0, u1, _old_manufactured_rhs(cs, exact), M=M,
                          save_every=1)
     assert traj.u.tobytes() == us.tobytes()
@@ -444,8 +441,7 @@ def test_blowup_raised_at_the_checked_step(M, t_bad):
     first_bad = next(s for s in range(M) if s * dt + dt >= t_bad)
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(NumericalBlowupError) as info:
-            solve_cauchy(cs, u0, u1, exact=_infinite_from(t_bad), M=M,
-                         check=False)
+            solve_cauchy(cs, u0, u1, exact=_infinite_from(t_bad), M=M)
     assert info.value.t == (_blowup_step(M, first_bad) + 1) * dt
 
 
@@ -469,7 +465,7 @@ def test_property_coefficient_rows_match_scalar_calls(name, k, gamma, n,
 def test_load_matches_csv_module_parse(tmp_path):
     import csv
     cs, u0, u1, _, _ = _random_k2()
-    traj = solve_cauchy(cs, u0, u1, M=100, save_every=50, check=False)
+    traj = solve_cauchy(cs, u0, u1, M=100, save_every=50)
     traj.u[1, :4] = [complex(-0.0, -0.0), complex(0.0, -0.0),
                      complex(-0.0, 0.0), complex(-1.5, -0.0)]
     save_trajectory(traj, tmp_path / "run")
@@ -494,7 +490,7 @@ def _three_chunk_solve(out_dir=None, exact=None):
     rng = np.random.default_rng(11)
     u0 = grid.random_band_limited(64, rng=rng, decay=1.0)
     u1 = grid.random_band_limited(64, rng=rng, decay=0.5)
-    return solve_cauchy(cs, u0, u1, exact=exact, M=300, check=False,
+    return solve_cauchy(cs, u0, u1, exact=exact, M=300,
                         out_dir=out_dir)
 
 
@@ -810,7 +806,7 @@ def test_for_each_chunk_waits_for_its_children_when_produce_raises(
 
 def _saved_manifest(tmp_path):
     cs, u0, u1, _, _ = _random_k2()
-    traj = solve_cauchy(cs, u0, u1, M=100, save_every=50, check=False)
+    traj = solve_cauchy(cs, u0, u1, M=100, save_every=50)
     save_trajectory(traj, tmp_path / "run")
     path = tmp_path / "run" / "trajectory.json"
     return traj, path, json.loads(path.read_text())
