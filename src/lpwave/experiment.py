@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import commutator, dyadic, energy, grid, solver
-from .coefficients import (builtin_family, run_all_checks, scan_grids,
-                           tensor_scan)
+from .coefficients import builtin_family, run_all_checks, scan_grids
 from .errors import EXIT_FAIL, ConditionError, ConfigurationError, classify
 
 
@@ -167,10 +166,15 @@ def initial_data(cfg: ExperimentConfig, cs=None):
 
 def scan_time(cs):
     """Time at which beta oscillates most in x (largest commutators), on
-    the hypothesis checks' (t, x) grid."""
+    the hypothesis checks' (t, x) grid, its range max - min over x taken
+    a ``grid.row_chunks`` chunk of times at a time."""
     t, x = scan_grids(cs, None)
-    vals = tensor_scan(cs.beta, t, x)
-    return float(t[np.argmax(np.max(vals, axis=1) - np.min(vals, axis=1))])
+    spread = np.empty(t.size)
+    for rows in grid.row_chunks(t.size, x.size):
+        vals = np.broadcast_to(np.real(cs.beta(t[rows, None], x)),
+                               (rows.stop - rows.start, x.size))
+        spread[rows] = np.max(vals, axis=1) - np.min(vals, axis=1)
+    return float(t[np.argmax(spread)])
 
 
 def _hash_file(path):

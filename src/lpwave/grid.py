@@ -11,15 +11,18 @@ so ``coefficients(w) == fft(w.values)/N`` and the discrete L2 norm
 ``norm(w)^2 == 2*pi * sum |c_m|^2``.
 
 Every transform in the package goes through :func:`fft` and :func:`ifft`
-here, along the last axis.  They call scipy's pocketfft binding directly,
-imported by the first transform so that ``import lpwave`` loads no scipy,
-with the arguments ``scipy.fft`` itself passes, so the bits are those of
-``np.fft`` and of ``scipy.fft`` on complex input, without the per-call
+here, along the last axis, or, for real rows, :func:`rfft` and
+:func:`irfft`.  They call scipy's pocketfft binding (``c2c``, ``r2c``,
+``c2r``) directly, each bound by its first call so that ``import lpwave``
+loads no scipy, with the arguments ``scipy.fft`` itself passes, so the
+bits are those of ``np.fft`` and of ``scipy.fft``, without the per-call
 backend dispatch: on a 2-core x86 VM one call at N = 128 took 1.9 us
-against 6.9 us for ``scipy.fft.fft`` (4.3 against 13.2 us at N = 512),
-and an RK4 step makes 16 of them.  The input is cast to complex first
-(no copy for complex128): on real input the binding takes its
-real-to-complex route, whose bits differ from the complex transform's.
+against 6.9 us for ``scipy.fft.fft`` (4.3 against 13.2 us at N = 512).
+:func:`fft` and :func:`ifft` cast their input to complex first (no copy
+for complex128): on real input the binding takes its real-to-complex
+route, whose bits differ from the complex transform's.  The solver
+differentiates real rows through :func:`rfft`, the half-spectrum
+multiplier :func:`rik` and :func:`irfft`, with an ``out`` buffer each.
 """
 
 from __future__ import annotations
@@ -86,13 +89,18 @@ class GridFunction:
     __rmul__ = __mul__
 
 
-def _c2c(*args):
-    """pocketfft's complex transform: the first call imports the binding
-    (and with it ``scipy.fft``) and rebinds this name to it."""
-    global _c2c
-    from scipy.fft._pocketfft import pypocketfft
-    _c2c = pypocketfft.c2c
-    return _c2c(*args)
+def _binding(name):
+    """pocketfft's transform ``name``: the first call imports the binding
+    (and with it ``scipy.fft``) and rebinds the module name ``_<name>`` to
+    the binding's function."""
+    def bind(*args):
+        from scipy.fft._pocketfft import pypocketfft
+        transform = globals()["_" + name] = getattr(pypocketfft, name)
+        return transform(*args)
+    return bind
+
+
+_c2c, _r2c, _c2r = map(_binding, ("c2c", "r2c", "c2r"))
 
 
 def fft(values) -> np.ndarray:
@@ -105,6 +113,22 @@ def ifft(values) -> np.ndarray:
     """Inverse DFT along the last axis, scaled by 1/N, of the complex cast."""
     a = np.asarray(values, dtype=complex)
     return _c2c(a, (a.ndim - 1,), False, 2, None, 1)
+
+
+def rfft(values, out=None) -> np.ndarray:
+    """Unnormalised forward DFT along the last axis of real rows of N
+    values: the entries m = 0 ... N/2, into ``out`` when it is given."""
+    a = np.asarray(values, dtype=float)
+    return _r2c(a, (a.ndim - 1,), True, 0, out, 1)
+
+
+def irfft(spectrum, out=None) -> np.ndarray:
+    """The real rows of N = 2 (M - 1) values whose :func:`rfft` is the M
+    entries of ``spectrum`` along the last axis (scaled by 1/N), into
+    ``out`` when it is given; the imaginary parts of entries 0 and N/2
+    are ignored."""
+    a = np.asarray(spectrum, dtype=complex)
+    return _c2r(a, (a.ndim - 1,), 2 * (a.shape[-1] - 1), False, 2, out, 1)
 
 
 def row_chunks(n_rows, row_width):
@@ -216,6 +240,20 @@ def frequencies(n_points):
 def ik(n_points):
     """The spectral d_x multiplier 1j*xi of one grid, shared read-only."""
     out = 1j * frequencies(n_points)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def rik(n_points):
+    """The real-row d_x multiplier of :func:`rfft` spectra, 1j*m for
+    m = 0 ... N/2 with the Nyquist entry N/2 set to 0, shared read-only.
+    A real grid function's Nyquist mode cos(N x/2) has the derivative
+    -N/2 sin(N x/2), which vanishes on the grid; 1j*xi would give it the
+    imaginary one -1j*N/2 cos(N x/2) (Johnson, "Notes on FFT-based
+    differentiation", 2011)."""
+    out = 1j * np.arange(n_points // 2 + 1, dtype=float)
+    out[-1] = 0.0
     out.flags.writeable = False
     return out
 

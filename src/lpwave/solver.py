@@ -1,25 +1,37 @@
 """Pseudospectral time-domain solver for the degenerate wave operator.
 
-One array-level kernel, ``_terms``, holds the spatial operator on the 2*pi
-torus: spectral x-derivatives through the 1j*xi multiplier ``grid.ik``,
-pointwise coefficient products, and the divergence-form term evaluated as
-d_x(a * d_x u) so the structure the energy analysis integrates by parts
-against is preserved exactly.  ``_operator`` is the one assembly of L u
-from it, which ``apply_L`` and the energy check's source L[exact] call;
-the RK4 right-hand side and the solve's forcing L[exact] call ``_terms``.
+The operator has real coefficients, so the solver works in real
+arithmetic.  One array-level kernel, ``_terms``, holds the spatial part
+A u = d_x(a d_x u) - b d_x u - c u of L u = d_t^2 u - A u on real rows
+on the 2*pi torus: spectral x-derivatives through ``grid.rfft``, the
+half-spectrum multiplier ``grid.rik`` (whose Nyquist entry is 0, so real
+rows stay real) and ``grid.irfft``, pointwise coefficient products, and
+the divergence-form term evaluated as d_x(a * d_x u) so the structure the
+energy analysis integrates by parts against is preserved exactly.  The
+RK4 right-hand side, the solve's forcing L[exact] and ``_operator`` (the
+L u of ``apply_L`` and of the energy check's source) all call it, so they
+share one discrete operator; complex data go through it as their real and
+imaginary parts, by linearity.  Coefficients that are not real are
+refused with a ConfigurationError.
+
 Time stepping is classical fourth-order Runge-Kutta on the first-order
-system, one (2, N) state y = (u, d_t u), with an explicit CFL bound tied
-to sup a.  The work that depends on time alone is taken out of the step
-loop: for a chunk of steps the stage times t, t + dt/2 and t + dt form
-one column, a, b, c, ``exact.u`` and ``exact.utt`` are tabulated on it in
-one call each, and the forcing is built from those tables, so the loop
-itself only makes the four operator FFTs per stage; all five must accept
-a column of times, (S, 1), as well as a scalar.  Given an output
-directory, the solve also saves its trajectory as it runs, through
-``save_trajectory``'s writer: forked writers take each finished chunk of
-saved states from its queue.  The trajectory keeps the ``exact`` whose
-L[exact] forced it, in memory only: a loaded one has none.  The
-coefficient hypothesis checks are the caller's (``experiment.run_solve``).
+system, one real state y = (u, d_t u) of shape (2, B, N): B = 1 when the
+data and the forcing are real, B = 2 (real and imaginary parts) when
+not.  The step loop writes into buffers made once per solve, sized by
+one chunk of steps, with an explicit CFL bound tied to sup a.  The work
+that depends on time alone is taken out of the step loop: for a chunk of
+steps the stage times t, t + dt/2 and t + dt form one column, a, b, c,
+``exact.u`` and ``exact.utt`` are tabulated on it in one call each, and
+the forcing is built from those tables, so the loop itself only makes
+the four operator FFTs per stage; all five must accept a column of
+times, (S, 1), as well as a scalar.  Saved states are complex rows,
+re + 1j*im, whose imaginary parts are exactly 0.0 for real data.  Given
+an output directory, the solve also saves its trajectory as it runs,
+through ``save_trajectory``'s writer: forked writers take each finished
+chunk of saved states from its queue.  The trajectory keeps the
+``exact`` whose L[exact] forced it, in memory only: a loaded one has
+none.  The coefficient hypothesis checks are the caller's
+(``experiment.run_solve``).
 """
 
 from __future__ import annotations
@@ -64,26 +76,53 @@ class Trajectory:
         return self.u.shape[1]
 
 
-def _terms(a, b, c, ik, u):
-    """The spatial operator's terms (d_x(a d_x u), b d_x u, c u).
+def _terms(a, b, c, rik, u, out, ux, spec):
+    """A u = d_x(a d_x u) - b d_x u - c u of real rows u, into ``out``.
 
-    Plain arrays in and out, the FFTs along the last axis, so rows of u
-    may be states at different times with matching coefficient rows;
-    ``ik`` is ``grid.ik(N)`` of the grid.  u may be real:
-    :func:`lpwave.grid.fft` casts it to complex.
+    Plain real arrays, the FFTs along the last axis, so rows of u may be
+    states at different times with matching coefficient rows; ``rik`` is
+    ``grid.rik(N)`` of the grid.  ``ux`` (u's shape) and ``spec`` (N/2 + 1
+    complex entries a row) are scratch; neither they nor ``out`` may be u.
     """
-    ux = grid.ifft(ik * grid.fft(u))
-    div = grid.ifft(ik * grid.fft(a * ux))
-    return div, b * ux, c * u
+    grid.rfft(u, spec)
+    spec *= rik
+    grid.irfft(spec, ux)                            # d_x u
+    grid.rfft(np.multiply(a, ux, out), spec)
+    spec *= rik
+    grid.irfft(spec, out)                           # d_x(a d_x u)
+    out -= np.multiply(b, ux, ux)
+    out -= np.multiply(c, u, ux)
+    return out
+
+
+def _coefficients(cs: CoefficientSet, t, x):
+    """a, b and c at time t on x; a table that is not real is refused."""
+    tables = cs.a(t, x), cs.b(t, x), cs.c(t, x)
+    for name, table in zip("abc", tables):
+        if np.iscomplexobj(table):
+            raise ConfigurationError(
+                f"the coefficient {name} of {cs.name!r} takes complex "
+                f"values; the wave operator's coefficients are real")
+    return tables
 
 
 def _operator(cs: CoefficientSet, t, x, u, utt):
-    """L u = utt - d_x(a d_x u) + b d_x u + c u on plain arrays, with the
-    coefficients at time t, a scalar or an (S, 1) column whose rows match
-    those of u and utt, on the grid x."""
-    div, bux, cu = _terms(cs.a(t, x), cs.b(t, x), cs.c(t, x),
-                          grid.ik(x.shape[0]), u)
-    return utt - div + bux + cu
+    """L u = utt - A u on plain arrays, with the coefficients at time t, a
+    scalar or an (S, 1) column whose rows match those of u and utt, on
+    the grid x.  Complex u and utt are taken as their real and imaginary
+    parts, each through :func:`_terms`."""
+    if np.iscomplexobj(u) or np.iscomplexobj(utt):
+        re = _operator(cs, t, x, np.real(u), np.real(utt))
+        out = np.empty(re.shape, complex)
+        out.real = re
+        out.imag = _operator(cs, t, x, np.imag(u), np.imag(utt))
+        return out
+    a, b, c = _coefficients(cs, t, x)
+    shape = np.broadcast_shapes(*map(np.shape, (u, a, b, c)))
+    au, ux = np.empty(shape), np.empty(shape)
+    spec = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), complex)
+    return utt - _terms(a, b, c, grid.rik(shape[-1]),
+                        np.broadcast_to(u, shape), au, ux, spec)
 
 
 def apply_L(cs: CoefficientSet, u: GridFunction, ut2: GridFunction,
@@ -139,6 +178,21 @@ def _stage_times(start, stop, dt) -> np.ndarray:
     return np.stack([t, t + dt / 2, t + dt], axis=1).reshape(-1, 1)
 
 
+def _has_imaginary_part(values) -> bool:
+    return np.iscomplexobj(values) and bool(np.any(np.imag(values)))
+
+
+def _put_rows(out, values):
+    """values into the real rows out[..., 0, :] (its real part) and, when
+    out has two, out[..., 1, :] (its imaginary part)."""
+    out[..., 0, :] = np.real(values)
+    if out.shape[-2] == 2:
+        out[..., 1, :] = np.imag(values)
+    elif _has_imaginary_part(values):
+        raise ValueError("exact turned complex after the first chunk of "
+                         "steps; the solve took it to be real")
+
+
 def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
                  exact: Optional[SpaceTimeFunction] = None, M: int = 1000,
                  save_every: int = 1, out_dir=None) -> Trajectory:
@@ -148,9 +202,16 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
     see pure time-integration error.  The trajectory records ``exact``.
 
     ``M`` steps of size T/M, T the family's final time.  A step size
-    above the CFL bound is refused outright; the hypothesis checks are
-    the caller's.  States are recorded every ``save_every`` steps, and M
-    must be a multiple of save_every so the final time is always saved.
+    above the CFL bound is refused outright, and so, with a
+    ConfigurationError, are coefficients that are not real; the
+    hypothesis checks are the caller's.  States are recorded every
+    ``save_every`` steps, and M must be a multiple of save_every so the
+    final time is always saved.
+
+    The state is real: one row each for u and d_t u when the data and the
+    first chunk's forcing have no imaginary part, their real and
+    imaginary parts as two rows when they do.  The saved states are
+    re + 1j*im, with an imaginary part of exactly 0.0 for real data.
 
     The steps run in ``grid.row_chunks(M, N)``.  Per chunk, a, b, c,
     ``exact.u`` and ``exact.utt`` are called once on the (3S, 1) column of
@@ -172,7 +233,7 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
     if dt > limit * (1.0 + 1e-12):
         raise CFLError(f"dt = {dt:.3e} exceeds stability bound {limit:.3e}")
 
-    n, x, ik = u0.n_points, u0.x, grid.ik(u0.n_points)
+    n, x = u0.n_points, u0.x
     half, sixth = dt / 2, dt / 6
     n_saved = M // save_every + 1
     empty = np.empty if out_dir is None else grid.shared_empty
@@ -181,39 +242,77 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
     uts = empty((n_saved, n), complex)
     traj = Trajectory(times, us, uts, dt * save_every, cs, dt, exact)
 
+    def save(i, y):
+        times[i] = i * save_every * dt
+        for states, rows in zip((us, uts), y):
+            states.real[i] = rows[0]
+            states.imag[i] = rows[1] if len(rows) == 2 else 0.0
+
     def steps_run():    # yields the count of saved states per chunk of steps
-        y = np.stack((u0.values, u1.values))     # the state (u, d_t u)
-        times[0], (us[0], uts[0]) = 0.0, y
+        y = None        # the state (u, d_t u) as (2, B, N) real rows
         saved = 1
 
-        def rhs(row, y):
-            # a, b, c and fs are the tables of the current chunk
-            div, bux, cu = _terms(a[row], b[row], c[row], ik, y[0])
-            vdot = div - bux - cu
-            return np.array((y[1], vdot if exact is None else vdot + fs[row]))
+        def rhs(r, state, k):
+            """k = (d_t u, A u + f) at stage-time row r of the chunk."""
+            np.copyto(k[0], state[1])
+            _terms(a[r], b[r], c[r], rik, state[0], k[1], ux, spec)
+            if forcing:
+                k[1] += fs[r]
 
         for steps in grid.row_chunks(M, n):
             ts = _stage_times(steps.start, steps.stop, dt)
-            shape = (ts.shape[0], n)
-            a, b, c = (np.broadcast_to(vals, shape)
-                       for vals in (cs.a(ts, x), cs.b(ts, x), cs.c(ts, x)))
-            if exact is not None:       # the forcing L[exact], as _operator
-                div, bux, cu = _terms(a, b, c, ik, np.asarray(
-                    exact.u(ts, x), dtype=complex))
-                fs = exact.utt(ts, x) - div + bux + cu
+            rows = ts.shape[0]
+            forcing = (() if exact is None
+                       else (exact.u(ts, x), exact.utt(ts, x)))
+            if y is None:       # the state and its buffers, made once
+                parts = 2 if any(map(_has_imaginary_part, (
+                    u0.values, u1.values, *forcing))) else 1
+                y, ys, k, acc = np.empty((4, 2, parts, n))
+                ux = np.empty((parts, n))
+                spec = np.empty((parts, n // 2 + 1), complex)
+                rik = np.tile(grid.rik(n), (parts, 1))
+                if forcing:     # sized by the first, longest, chunk
+                    ue, fs, uxs = np.empty((3, rows, parts, n))
+                    specs = np.empty((rows, parts, n // 2 + 1), complex)
+                _put_rows(y[0], u0.values)
+                _put_rows(y[1], u1.values)
+                save(0, y)
+            # (3S, 1, N): a stage's (1, N) row meets a real state's rows
+            # in their own shape, as rik does, where numpy's broadcasting
+            # loops would cost about twice as much per call at N = 128
+            a, b, c = (np.broadcast_to(table, (rows, n))[:, None]
+                       for table in _coefficients(cs, ts, x))
+            if forcing:     # L[exact] = utt - A[exact], as _operator
+                f = fs[:rows]
+                _put_rows(ue[:rows], forcing[0])
+                _terms(a, b, c, rik, ue[:rows], f, uxs[:rows], specs[:rows])
+                _put_rows(ue[:rows], forcing[1])
+                np.subtract(ue[:rows], f, f)
+
             for step in range(steps.start, steps.stop):
                 r = 3 * (step - steps.start)
-                k1 = rhs(r, y)
-                k2 = rhs(r + 1, y + half * k1)
-                k3 = rhs(r + 1, y + half * k2)
-                k4 = rhs(r + 2, y + dt * k3)
-                y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+                rhs(r, y, acc)              # acc = k1
+                np.multiply(acc, half, ys)
+                ys += y
+                rhs(r + 1, ys, k)           # k = k2
+                np.multiply(k, half, ys)
+                ys += y
+                k *= 2.0
+                acc += k
+                rhs(r + 1, ys, k)           # k = k3
+                np.multiply(k, dt, ys)
+                ys += y
+                k *= 2.0
+                acc += k
+                rhs(r + 2, ys, k)           # k = k4
+                acc += k
+                acc *= sixth
+                y += acc
                 if (step % 25 == 24 or step == M - 1) and not np.all(
                         np.isfinite(y)):
                     raise NumericalBlowupError((step + 1) * dt)
                 if (step + 1) % save_every == 0:
-                    times[saved] = (step + 1) * dt
-                    us[saved], uts[saved] = y
+                    save(saved, y)
                     saved += 1
             yield saved
 

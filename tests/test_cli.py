@@ -567,14 +567,15 @@ def test_constants_that_are_not_finite_are_refused(tmp_path, capsys):
 
 
 # b = 1000 a^(1/4) on the nondegenerate family: the solve stays finite,
-# near 1e155 at T, but its band energies overflow
+# |u| near 5e153 and |d_t u| near 7e155 at T, but its band energies
+# overflow (at T = 4.25 they stay finite: |d_t u| is near 7e153 there)
 GROWING = """
 family = nondegenerate
 k = 3
 gamma = 0.25
 C0 = 1000.0
 N = 32
-T = 4.25
+T = 4.3
 dt = 0.05
 """
 
@@ -590,7 +591,7 @@ def test_energies_that_overflow_are_a_numerical_failure(tmp_path, capsys):
     assert main(["verify-energy", "--config", str(cfg), "--traj",
                  str(traj_dir), "--out", str(tmp_path / "v")]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert err == ["numerical failure: non-finite band energy at t = 4.25"]
+    assert err == ["numerical failure: non-finite band energy at t = 4.3"]
     assert not (tmp_path / "v").exists()
     assert main(["pipeline", "--config", str(cfg),
                  "--out", str(tmp_path / "pipe")]) == 3

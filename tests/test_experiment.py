@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from lpwave import experiment, grid
-from lpwave.coefficients import run_all_checks
+from lpwave.coefficients import (builtin_family, constant_coefficients,
+                                 run_all_checks, scan_grids, tensor_scan)
 from lpwave.experiment import (ConfigError, parse_config, read_config,
                                write_config)
 
@@ -139,6 +140,27 @@ def test_scan_time_picks_largest_oscillation():
     cs = experiment.coefficient_set(parse_config(TINY))
     t_star = experiment.scan_time(cs)
     assert abs(t_star - cs.T) < 1e-9   # sin(t) grows on [0, 0.5]
+
+
+def _beta_of_3t(j, t, x):
+    """d_t^j of beta = 1 + sin(x) sin(3t) / 2, most oscillating at pi/6."""
+    scale = 1.0 if j == 0 else 3.0 ** j
+    return float(j == 0) + 0.5 * scale * np.sin(np.asarray(x)) * np.sin(
+        3 * np.asarray(t) + 0.5 * j * np.pi)
+
+
+@pytest.mark.parametrize("cs", [
+    builtin_family("monomial", k=4, T=0.9), constant_coefficients(),
+    builtin_family("monomial", k=2).with_params(
+        beta_time_derivative=_beta_of_3t)],
+    ids=["sin-t", "constant-beta", "sin-3t"])
+def test_scan_time_is_that_of_the_whole_scan_table(cs):
+    # the range is taken a chunk of times at a time: the time is the one
+    # the whole (t, x) table of the hypothesis checks gives
+    t, x = scan_grids(cs, None)
+    table = tensor_scan(cs.beta, t, x)
+    spread = np.max(table, axis=1) - np.min(table, axis=1)
+    assert experiment.scan_time(cs) == float(t[np.argmax(spread)])
 
 
 def test_full_pipeline_and_manifest(tmp_path):

@@ -123,6 +123,38 @@ def test_grid_fft_of_real_input_is_that_of_its_complex_cast(n):
         assert ours(x[2]).tobytes() == expect[2].tobytes()
 
 
+@pytest.mark.parametrize("n", [2 ** p for p in range(3, 12)])
+def test_rfft_and_irfft_match_numpy_row_by_row(n):
+    # the solver's real transforms, pocketfft's r2c and c2r called
+    # directly, give numpy's bits, on a batch and on each of its rows, and
+    # into an out buffer as well
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((5, n))
+    cube = rng.standard_normal((3, 2, n))
+    for values in (x, x[1], x[:, ::-1], cube, np.broadcast_to(x[0], (4, n))):
+        spectrum = grid.rfft(values)
+        assert spectrum.tobytes() == np.fft.rfft(values).tobytes()
+        back = grid.irfft(spectrum)
+        assert back.tobytes() == np.fft.irfft(spectrum, n).tobytes()
+    spectrum, back = np.empty((5, n // 2 + 1), complex), np.empty((5, n))
+    assert grid.rfft(x, spectrum) is spectrum
+    assert grid.irfft(spectrum, back) is back
+    for row in range(5):
+        assert grid.rfft(x[row]).tobytes() == spectrum[row].tobytes()
+        assert grid.irfft(spectrum[row]).tobytes() == back[row].tobytes()
+
+
+def test_rik_is_a_shared_read_only_1j_m_without_nyquist():
+    for n in (8, 64, 1024):
+        rik = grid.rik(n)
+        expect = 1j * np.arange(n // 2 + 1.0)
+        expect[-1] = 0.0
+        assert rik.tobytes() == expect.tobytes()
+        assert grid.rik(n) is rik
+        with pytest.raises(ValueError):
+            rik[1] = 0.0
+
+
 def test_derivative_values_of_real_input_matches_numpy():
     # real input is cast to complex before the transform, whose
     # real-input route would give other bits than numpy's

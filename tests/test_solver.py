@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import json
 import os
 import signal
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpwave import experiment, grid
+from lpwave import experiment, grid, solver
 from lpwave.coefficients import (BUILTIN_FAMILIES, builtin_family,
                                  constant_coefficients)
 from lpwave.errors import (CFLError, ConditionError, ConfigurationError,
@@ -270,64 +271,74 @@ def test_save_load_roundtrip(tmp_path):
     assert back.coeffs.name == "monomial"
 
 
-# The operator as written before it moved into one kernel: an inline RK4
-# right-hand side, and a forcing that wraps GridFunctions and applies the
-# operator again, evaluated at every one of the four stages.
+# The scheme written out plainly, as the solver was before it moved into
+# one buffered kernel: A u = d_x(a d_x u) - b d_x u - c u through
+# np.fft.rfft/irfft with 1j*m and a zero Nyquist entry, L u = utt - A u,
+# complex data as their real and imaginary parts solved one at a time, the
+# forcing applied at every one of the four stages, and the RK4 step
+# allocating its stages.
+
 
 def _old_dx(values):
-    return grid.derivative_values(values, order=1)
+    n = values.shape[-1]
+    ik = 1j * np.arange(n // 2 + 1)
+    ik[-1] = 0.0
+    return np.fft.irfft(ik * np.fft.rfft(values), n)
+
+
+def _old_A(cs, t, x, u):
+    ux = _old_dx(u)
+    return _old_dx(cs.a(t, x) * ux) - cs.b(t, x) * ux - cs.c(t, x) * u
+
+
+def _complex(re, im):
+    """re + 1j*im, built part by part: 1j*im would turn an infinite im
+    into a NaN real part and a -0.0 re into 0.0."""
+    out = np.empty(np.shape(re), complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def _old_apply_L(cs, u, ut2, t):
     x = u.x
-    a = cs.a(t, x)
-    ux = _old_dx(u.values)
-    div = _old_dx(a * ux)
-    vals = ut2.values - div + cs.b(t, x) * ux + cs.c(t, x) * u.values
-    return GridFunction(vals)
+    parts = [ut2.values.real - _old_A(cs, t, x, u.values.real),
+             ut2.values.imag - _old_A(cs, t, x, u.values.imag)]
+    return GridFunction(_complex(*parts))
 
 
-def _old_manufactured_rhs(cs, exact):
-    def f(t, x):
-        uf = GridFunction(np.asarray(exact.u(t, x), dtype=complex))
-        utt = GridFunction(np.asarray(exact.utt(t, x), dtype=complex))
-        return _old_apply_L(cs, uf, utt, t).values
-    return f
-
-
-def _old_solve(cs, u0, u1, f, M, save_every):
-    """The old step loop with forcing f(t, x), or unforced if f is None."""
+def _old_solve(cs, u0, u1, exact, M, save_every):
+    """The plain step loop, forced by L[exact] unless exact is None."""
     dt, x = cs.T / M, u0.x
+    solved = []
+    for part in (np.real, np.imag):
+        def rhs(t, y):
+            vdot = _old_A(cs, t, x, y[0])
+            if exact is not None:
+                vdot = vdot + (part(exact.utt(t, x))
+                               - _old_A(cs, t, x, part(exact.u(t, x))))
+            return np.array((y[1], vdot))
 
-    def rhs(t, u, v):
-        a = cs.a(t, x)
-        ux = _old_dx(u)
-        vdot = _old_dx(a * ux) - cs.b(t, x) * ux - cs.c(t, x) * u
-        if f is not None:
-            vdot = vdot + f(t, x)
-        return v, vdot
-
-    us, uts = [u0.values.copy()], [u1.values.copy()]
-    u, v = us[0], uts[0]
-    for step in range(M):
-        t = step * dt
-        k1u, k1v = rhs(t, u, v)
-        k2u, k2v = rhs(t + dt / 2, u + dt / 2 * k1u, v + dt / 2 * k1v)
-        k3u, k3v = rhs(t + dt / 2, u + dt / 2 * k2u, v + dt / 2 * k2v)
-        k4u, k4v = rhs(t + dt, u + dt * k3u, v + dt * k3v)
-        u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        v = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if (step + 1) % save_every == 0:
-            us.append(u)
-            uts.append(v)
-    return np.array(us), np.array(uts)
+        y = np.array((part(u0.values), part(u1.values)))
+        saved = [y]
+        for step in range(M):
+            t = step * dt
+            k1 = rhs(t, y)
+            k2 = rhs(t + dt / 2, y + dt / 2 * k1)
+            k3 = rhs(t + dt / 2, y + dt / 2 * k2)
+            k4 = rhs(t + dt, y + dt * k3)
+            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if (step + 1) % save_every == 0:
+                saved.append(y)
+        solved.append(np.array(saved))
+    re, im = solved
+    return _complex(re[:, 0], im[:, 0]), _complex(re[:, 1], im[:, 1])
 
 
 def _forced_k4():
     cs = builtin_family("monomial", k=4, gamma=0.3)
     exact = cosine_mode()
     u0, u1 = exact.initial_data(128)
-    return cs, u0, u1, exact, _old_manufactured_rhs(cs, exact)
+    return cs, u0, u1, exact
 
 
 def _random_k2():
@@ -335,21 +346,21 @@ def _random_k2():
     rng = np.random.default_rng(7)
     u0 = grid.random_band_limited(128, rng=rng, decay=1.0)
     u1 = grid.random_band_limited(128, rng=rng, decay=0.5)
-    return cs, u0, u1, None, None
+    return cs, u0, u1, None
 
 
 @pytest.mark.parametrize("case", [_forced_k4, _random_k2])
 def test_solve_matches_old_rhs_bit_for_bit(case):
-    cs, u0, u1, exact, old_f = case()
+    cs, u0, u1, exact = case()
     traj = solve_cauchy(cs, u0, u1, exact=exact, M=300, save_every=20)
-    us, uts = _old_solve(cs, u0, u1, old_f, M=300, save_every=20)
+    us, uts = _old_solve(cs, u0, u1, exact, M=300, save_every=20)
     assert traj.u.tobytes() == us.tobytes()
     assert traj.ut.tobytes() == uts.tobytes()
 
 
 def test_apply_L_and_forcing_match_old_bit_for_bit():
-    # the forcing of the old solve is apply_L of the exact solution
-    cs, u0, u1, exact, old_f = _forced_k4()
+    # the forcing of the solve is apply_L of the exact solution
+    cs, u0, _, exact = _forced_k4()
     ut2 = grid.random_band_limited(128, rng=3)
     x = u0.x
     for t in (0.0, 0.37, 1.0):
@@ -357,14 +368,137 @@ def test_apply_L_and_forcing_match_old_bit_for_bit():
                 == _old_apply_L(cs, u0, ut2, t).values.tobytes())
         forcing = apply_L(cs, GridFunction(exact.u(t, x)),
                           GridFunction(exact.utt(t, x)), t)
-        assert forcing.values.tobytes() == old_f(t, x).tobytes()
+        assert forcing.values.tobytes() == _complex(
+            exact.utt(t, x) - _old_A(cs, t, x, exact.u(t, x)), 0.0).tobytes()
+
+
+# The complex scheme the solver stepped before it moved to real rows: the
+# derivative 1j*xi on the whole spectrum, whose Nyquist entry -N/2 gives
+# that mode an imaginary derivative.
+
+def _complex_solve(cs, u0, u1, M):
+    dt, x = cs.T / M, u0.x
+
+    def dx(values):
+        return grid.derivative_values(values)
+
+    def rhs(t, y):
+        ux = dx(y[0])
+        return np.array((y[1], dx(cs.a(t, x) * ux) - cs.b(t, x) * ux
+                         - cs.c(t, x) * y[0]))
+
+    y = np.array((u0.values, u1.values))
+    for step in range(M):
+        t = step * dt
+        k1 = rhs(t, y)
+        k2 = rhs(t + dt / 2, y + dt / 2 * k1)
+        k3 = rhs(t + dt / 2, y + dt / 2 * k2)
+        k4 = rhs(t + dt, y + dt * k3)
+        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
+def test_solve_agrees_with_the_complex_scheme_without_nyquist_content():
+    # random k2 data have no Nyquist content: the real scheme and the
+    # complex one differ only by rounding (3.9e-15 of the largest state
+    # entry measured), where the coefficient products feed that mode
+    relative_bound = 1e-13
+    cs, u0, u1, _ = _random_k2()
+    for values in (u0.values, u1.values):
+        assert abs(grid.fft(values)[64]) < 1e-12 * np.abs(values).max()
+    traj = solve_cauchy(cs, u0, u1, M=300, save_every=300)
+    old = _complex_solve(cs, u0, u1, M=300)
+    for new, ref in ((traj.u[-1], old[0]), (traj.ut[-1], old[1])):
+        assert np.abs(new - ref).max() <= relative_bound * np.abs(ref).max()
+
+
+def test_real_data_save_imaginary_parts_of_exactly_zero(tmp_path):
+    cs, u0, u1, exact = _forced_k4()
+    traj = solve_cauchy(cs, u0, u1, exact=exact, M=100, save_every=50,
+                        out_dir=tmp_path / "run")
+    for states in (traj.u, traj.ut):
+        assert np.all(states.imag == 0.0) and not np.signbit(states.imag).any()
+    for i in range(traj.n_saved):
+        with open(tmp_path / "run" / f"state_{i:06d}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["im_u"] for r in rows} == {r["im_ut"] for r in rows} == {"0.0"}
+
+
+def test_complex_solve_is_the_real_solves_of_its_parts_bit_for_bit():
+    # the real and imaginary parts of the data and of the forcing are two
+    # rows of one real state; each row is solved as a real solve would
+    cs = builtin_family("monomial", k=4, gamma=0.3)
+    exact = SpaceTimeFunction(
+        u=lambda t, x: np.cos(t) * np.exp(1j * x),
+        ut=lambda t, x: -np.sin(t) * np.exp(1j * x),
+        utt=lambda t, x: -np.cos(t) * np.exp(1j * x))
+    rng = np.random.default_rng(5)
+    u0, u1 = (grid.random_band_limited(64, rng=rng) for _ in range(2))
+    for forced in (None, exact):
+        whole = solve_cauchy(cs, u0, u1, exact=forced, M=200, save_every=40)
+        for part, attr in ((np.real, "real"), (np.imag, "imag")):
+            part_exact = None if forced is None else SpaceTimeFunction(
+                *(lambda t, x, fn=fn: part(fn(t, x))
+                  for fn in (forced.u, forced.ut, forced.utt)))
+            alone = solve_cauchy(cs, GridFunction(part(u0.values)),
+                                 GridFunction(part(u1.values)),
+                                 exact=part_exact, M=200, save_every=40)
+            for states, ref in ((whole.u, alone.u), (whole.ut, alone.ut)):
+                assert (getattr(states, attr).tobytes()
+                        == ref.real.tobytes())
+                assert np.all(ref.imag == 0.0)
+
+
+def test_terms_differentiate_the_nyquist_mode_to_zero():
+    # cos(N x/2) is (-1)^j on the grid, and so is its derivative
+    # -N/2 sin(N x/2) there zero; the complex multiplier 1j*xi would make
+    # it -1j N/2 cos(N x/2)
+    n = 64
+    u = np.cos(n / 2 * grid.grid_points(n))
+    assert u.tolist() == [(-1.0) ** j for j in range(n)]
+    one, zero = np.ones(n), np.zeros(n)
+    out, ux = np.empty(n), np.empty(n)
+    spec = np.empty(n // 2 + 1, complex)
+    rik = grid.rik(n)
+    assert solver._terms(zero, -one, zero, rik, u, out, ux, spec).tolist() \
+        == [0.0] * n                                  # d_x u
+    assert solver._terms(one, zero, zero, rik, u, out, ux, spec).tolist() \
+        == [0.0] * n                                  # d_x(d_x u)
+    assert np.abs(grid.derivative_values(u).imag).max() == n / 2
+
+
+def test_a_forcing_that_turns_complex_after_the_first_chunk_is_refused():
+    # the state's rows are chosen on the first chunk of steps; a forcing
+    # whose imaginary part starts later cannot be dropped silently
+    cs = constant_coefficients(a0=1.0)
+    late = SpaceTimeFunction(
+        u=zero_field, ut=zero_field,
+        utt=lambda t, x: np.where(np.asarray(t) >= 0.5, 1j, 0.0) * np.cos(x))
+    u0 = grid.from_callable(np.cos, 64)
+    zero = GridFunction(np.zeros(64, dtype=complex))
+    with pytest.raises(ValueError, match="after the first chunk"):
+        solve_cauchy(cs, u0, zero, exact=late, M=400)
+
+
+def _complex_c(t, x):
+    return np.cos(x) * np.exp(1j * np.asarray(t, dtype=float))
+
+
+def test_a_complex_coefficient_is_refused():
+    cs = builtin_family("monomial", k=2).with_params(c=_complex_c)
+    u0 = grid.from_callable(np.cos, 64)
+    zero = GridFunction(np.zeros(64, dtype=complex))
+    with pytest.raises(ConfigurationError, match="coefficient c"):
+        solve_cauchy(cs, u0, zero, M=100)
+    with pytest.raises(ConfigurationError, match="coefficient c"):
+        apply_L(cs, u0, zero, 0.5)
 
 
 def test_forcing_evaluated_once_per_stage_time():
     # exact.u and exact.utt are tabulated on columns of stage times, chunk
     # by chunk; flattened, each one's columns are the loop's stage times in
     # order, each once
-    cs, u0, u1, exact, _ = _forced_k4()
+    cs, u0, u1, exact = _forced_k4()
     received = {"u": [], "utt": []}
 
     def counted(name):
@@ -391,10 +525,10 @@ CHUNK = CHUNK_VALUES // 128   # steps per tabulated chunk at N = 128
     (1, 1), (CHUNK - 1, 9), (CHUNK, 16), (CHUNK + 1, 13),
     (3 * CHUNK + 7, 1), (3 * CHUNK + 7, 3 * CHUNK + 7)])
 def test_chunk_boundaries_match_old_solve_bit_for_bit(case, M, save_every):
-    cs, u0, u1, exact, old_f = case()
+    cs, u0, u1, exact = case()
     cs = cs.with_params(T=min(cs.T, 0.01 * M))   # dt within the CFL bound
     traj = solve_cauchy(cs, u0, u1, exact=exact, M=M, save_every=save_every)
-    us, uts = _old_solve(cs, u0, u1, old_f, M=M, save_every=save_every)
+    us, uts = _old_solve(cs, u0, u1, exact, M=M, save_every=save_every)
     assert traj.u.tobytes() == us.tobytes()
     assert traj.ut.tobytes() == uts.tobytes()
     dt = cs.T / M
@@ -410,8 +544,7 @@ def test_forced_k4_large_grid_matches_old_solve_bit_for_bit():
     M = int(np.ceil(cs.T / cfl_limit(cs, 2048)))
     assert M > 3 * (CHUNK_VALUES // 2048)
     traj = solve_cauchy(cs, u0, u1, exact=exact, M=M)
-    us, uts = _old_solve(cs, u0, u1, _old_manufactured_rhs(cs, exact), M=M,
-                         save_every=1)
+    us, uts = _old_solve(cs, u0, u1, exact, M=M, save_every=1)
     assert traj.u.tobytes() == us.tobytes()
     assert traj.ut.tobytes() == uts.tobytes()
 
@@ -463,8 +596,7 @@ def test_property_coefficient_rows_match_scalar_calls(name, k, gamma, n,
 
 
 def test_load_matches_csv_module_parse(tmp_path):
-    import csv
-    cs, u0, u1, _, _ = _random_k2()
+    cs, u0, u1, _ = _random_k2()
     traj = solve_cauchy(cs, u0, u1, M=100, save_every=50)
     traj.u[1, :4] = [complex(-0.0, -0.0), complex(0.0, -0.0),
                      complex(-0.0, 0.0), complex(-1.5, -0.0)]
@@ -805,7 +937,7 @@ def test_for_each_chunk_waits_for_its_children_when_produce_raises(
 
 
 def _saved_manifest(tmp_path):
-    cs, u0, u1, _, _ = _random_k2()
+    cs, u0, u1, _ = _random_k2()
     traj = solve_cauchy(cs, u0, u1, M=100, save_every=50)
     save_trajectory(traj, tmp_path / "run")
     path = tmp_path / "run" / "trajectory.json"
