@@ -171,13 +171,10 @@ def decompose(w: GridFunction, fam: CutoffFamily) -> DyadicBlocks:
 
 
 def reconstruct(blocks: DyadicBlocks) -> GridFunction:
-    """Pointwise sum of the blocks."""
+    """Pointwise sum of the blocks, band 0 first."""
     if len(blocks) == 0:
         raise ValueError("no blocks to reconstruct")
-    total = np.zeros(blocks.n_points, dtype=complex)
-    for nu in range(len(blocks)):
-        total = total + blocks.block(nu).values
-    return GridFunction(total)
+    return GridFunction(grid.ifft(blocks.spectra * blocks.n_points).sum(0))
 
 
 def sobolev_norm(w: GridFunction, m, fam: CutoffFamily) -> float:

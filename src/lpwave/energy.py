@@ -34,7 +34,8 @@ from .commutator import CommutatorScan, schur_kernel
 from .dyadic import CutoffFamily, band_norms_sq, build_cutoffs, sobolev_norms
 from .errors import ConfigurationError, NumericalBlowupError
 from .grid import TWO_PI
-from .solver import Trajectory, _operator, cfl_limit, solve_cauchy
+from .solver import (Trajectory, _coefficients, _operator, cfl_limit,
+                     solve_cauchy)
 
 QUAD_TOL = 1e-10       # absolute and relative weight quadrature tolerance
 BUDGET = 1e-4          # largest relative violation the inequality check passes
@@ -362,8 +363,8 @@ def verify_energy_inequality(traj: Trajectory, fam: CutoffFamily,
         x = grid.grid_points(traj.n_points)
         for rows in grid.row_chunks(traj.n_saved, traj.n_points):
             t = traj.times[rows, None]
-            sq[rows] = band_norms_sq(fam, _operator(cs, t, x, exact.u(t, x),
-                                                    exact.utt(t, x)))
+            sq[rows] = band_norms_sq(fam, _operator(
+                *_coefficients(cs, t, x), exact.u(t, x), exact.utt(t, x)))
     rhs = np.sum(ledger.weights * sq.T, axis=0)
     cumulative = np.concatenate([[0.0],
                                  np.cumsum((rhs[1:] + rhs[:-1]) / 2.0 * d)])

@@ -20,9 +20,10 @@ backend dispatch: on a 2-core x86 VM one call at N = 128 took 1.9 us
 against 6.9 us for ``scipy.fft.fft`` (4.3 against 13.2 us at N = 512).
 :func:`fft` and :func:`ifft` cast their input to complex first (no copy
 for complex128): on real input the binding takes its real-to-complex
-route, whose bits differ from the complex transform's.  The solver
-differentiates real rows through :func:`rfft`, the half-spectrum
-multiplier :func:`rik` and :func:`irfft`, with an ``out`` buffer each.
+route, whose bits differ from the complex transform's.  :func:`ik` is
+the one d_x multiplier: :func:`derivative` applies it to full spectra,
+the solver its first N/2 + 1 entries to :func:`rfft` spectra of real
+rows, with an ``out`` buffer for each transform.
 """
 
 from __future__ import annotations
@@ -238,22 +239,14 @@ def frequencies(n_points):
 
 @functools.lru_cache(maxsize=32)
 def ik(n_points):
-    """The spectral d_x multiplier 1j*xi of one grid, shared read-only."""
+    """The spectral d_x multiplier 1j*xi of one grid, shared read-only,
+    with the Nyquist entry N/2 set to 0: a real grid function's Nyquist
+    mode cos(N x/2) has the derivative -N/2 sin(N x/2), zero on the grid,
+    where 1j*xi would give it -1j*N/2 cos(N x/2) (Johnson, "Notes on
+    FFT-based differentiation", 2011).  Its first N/2 + 1 entries are the
+    multiplier of :func:`rfft` spectra."""
     out = 1j * frequencies(n_points)
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=32)
-def rik(n_points):
-    """The real-row d_x multiplier of :func:`rfft` spectra, 1j*m for
-    m = 0 ... N/2 with the Nyquist entry N/2 set to 0, shared read-only.
-    A real grid function's Nyquist mode cos(N x/2) has the derivative
-    -N/2 sin(N x/2), which vanishes on the grid; 1j*xi would give it the
-    imaginary one -1j*N/2 cos(N x/2) (Johnson, "Notes on FFT-based
-    differentiation", 2011)."""
-    out = 1j * np.arange(n_points // 2 + 1, dtype=float)
-    out[-1] = 0.0
+    out[n_points // 2] = 0.0
     out.flags.writeable = False
     return out
 
@@ -295,14 +288,14 @@ def inner(f: GridFunction, g: GridFunction) -> complex:
     return complex(f.dx * np.sum(f.values * np.conj(g.values)))
 
 
-def derivative(w: GridFunction, order: int = 1) -> GridFunction:
-    """Spectral derivative: multiply coefficients by (i*xi)^order."""
-    return GridFunction(derivative_values(w.values, order))
+def derivative(w: GridFunction) -> GridFunction:
+    """Spectral derivative, the solver's d_x: coefficients times :func:`ik`."""
+    return GridFunction(derivative_values(w.values))
 
 
-def derivative_values(values, order=1):
-    """Array version of :func:`derivative` for hot loops."""
-    return ifft(ik(values.shape[0]) ** order * fft(values))
+def derivative_values(values):
+    """Array version of :func:`derivative`."""
+    return ifft(ik(values.shape[0]) * fft(values))
 
 
 def random_band_limited(n_points, xi_max=None, rng=None,

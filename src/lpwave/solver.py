@@ -4,13 +4,14 @@ The operator has real coefficients, so the solver works in real
 arithmetic.  One array-level kernel, ``_terms``, holds the spatial part
 A u = d_x(a d_x u) - b d_x u - c u of L u = d_t^2 u - A u on real rows
 on the 2*pi torus: spectral x-derivatives through ``grid.rfft``, the
-half-spectrum multiplier ``grid.rik`` (whose Nyquist entry is 0, so real
-rows stay real) and ``grid.irfft``, pointwise coefficient products, and
-the divergence-form term evaluated as d_x(a * d_x u) so the structure the
-energy analysis integrates by parts against is preserved exactly.  The
-RK4 right-hand side, the solve's forcing L[exact] and ``_operator`` (the
-L u of ``apply_L`` and of the energy check's source) all call it, so they
-share one discrete operator; complex data go through it as their real and
+first N/2 + 1 entries of ``grid.derivative``'s multiplier ``grid.ik``
+(whose Nyquist entry is 0, so real rows stay real) and ``grid.irfft``,
+pointwise coefficient products, and the divergence-form term evaluated
+as d_x(a * d_x u) so the structure the energy analysis integrates by
+parts against is preserved exactly.  The RK4 right-hand side calls it,
+and so does ``_operator``, the one assembly of L u (the solve's forcing
+L[exact], ``apply_L`` and the energy check's source), so they share one
+discrete operator; complex data go through it as their real and
 imaginary parts, by linearity.  Coefficients that are not real are
 refused with a ConfigurationError.
 
@@ -22,8 +23,8 @@ one chunk of steps, with an explicit CFL bound tied to sup a.  The work
 that depends on time alone is taken out of the step loop: for a chunk of
 steps the stage times t, t + dt/2 and t + dt form one column, a, b, c,
 ``exact.u`` and ``exact.utt`` are tabulated on it in one call each, and
-the forcing is built from those tables, so the loop itself only makes
-the four operator FFTs per stage; all five must accept a column of
+``_operator`` makes the forcing of those tables, so the loop itself only
+makes the four operator FFTs per stage; all five must accept a column of
 times, (S, 1), as well as a scalar.  Saved states are complex rows,
 re + 1j*im, whose imaginary parts are exactly 0.0 for real data.  Given
 an output directory, the solve also saves its trajectory as it runs,
@@ -76,19 +77,20 @@ class Trajectory:
         return self.u.shape[1]
 
 
-def _terms(a, b, c, rik, u, out, ux, spec):
+def _terms(a, b, c, ik, u, out, ux, spec):
     """A u = d_x(a d_x u) - b d_x u - c u of real rows u, into ``out``.
 
     Plain real arrays, the FFTs along the last axis, so rows of u may be
-    states at different times with matching coefficient rows; ``rik`` is
-    ``grid.rik(N)`` of the grid.  ``ux`` (u's shape) and ``spec`` (N/2 + 1
-    complex entries a row) are scratch; neither they nor ``out`` may be u.
+    states at different times with matching coefficient rows; ``ik`` is
+    ``grid.ik(N)[:N // 2 + 1]`` of the grid.  ``ux`` (u's shape) and
+    ``spec`` (N/2 + 1 complex entries a row) are scratch; neither they nor
+    ``out`` may be u.
     """
     grid.rfft(u, spec)
-    spec *= rik
+    spec *= ik
     grid.irfft(spec, ux)                            # d_x u
     grid.rfft(np.multiply(a, ux, out), spec)
-    spec *= rik
+    spec *= ik
     grid.irfft(spec, out)                           # d_x(a d_x u)
     out -= np.multiply(b, ux, ux)
     out -= np.multiply(c, u, ux)
@@ -106,22 +108,22 @@ def _coefficients(cs: CoefficientSet, t, x):
     return tables
 
 
-def _operator(cs: CoefficientSet, t, x, u, utt):
-    """L u = utt - A u on plain arrays, with the coefficients at time t, a
-    scalar or an (S, 1) column whose rows match those of u and utt, on
-    the grid x.  Complex u and utt are taken as their real and imaginary
-    parts, each through :func:`_terms`."""
+def _operator(a, b, c, u, utt):
+    """L u = utt - A u on plain arrays, with the coefficient tables a, b
+    and c of :func:`_coefficients`, whose rows match those of u and utt.
+    Complex u and utt are taken as their real and imaginary parts, each
+    through :func:`_terms`."""
     if np.iscomplexobj(u) or np.iscomplexobj(utt):
-        re = _operator(cs, t, x, np.real(u), np.real(utt))
+        re = _operator(a, b, c, np.real(u), np.real(utt))
         out = np.empty(re.shape, complex)
         out.real = re
-        out.imag = _operator(cs, t, x, np.imag(u), np.imag(utt))
+        out.imag = _operator(a, b, c, np.imag(u), np.imag(utt))
         return out
-    a, b, c = _coefficients(cs, t, x)
     shape = np.broadcast_shapes(*map(np.shape, (u, a, b, c)))
+    n = shape[-1]
     au, ux = np.empty(shape), np.empty(shape)
-    spec = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), complex)
-    return utt - _terms(a, b, c, grid.rik(shape[-1]),
+    spec = np.empty(shape[:-1] + (n // 2 + 1,), complex)
+    return utt - _terms(a, b, c, grid.ik(n)[:n // 2 + 1],
                         np.broadcast_to(u, shape), au, ux, spec)
 
 
@@ -132,7 +134,8 @@ def apply_L(cs: CoefficientSet, u: GridFunction, ut2: GridFunction,
     Returns ut2 - d_x(a d_x u) + b d_x u + c u with spectral derivatives.
     """
     same_grid(u, ut2)
-    return GridFunction(_operator(cs, t, u.x, u.values, ut2.values))
+    return GridFunction(_operator(*_coefficients(cs, t, u.x), u.values,
+                                  ut2.values))
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,7 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
     final time is always saved.
 
     The state is real: one row each for u and d_t u when the data and the
-    first chunk's forcing have no imaginary part, their real and
+    first chunk's forcing L[exact] have no imaginary part, their real and
     imaginary parts as two rows when they do.  The saved states are
     re + 1j*im, with an imaginary part of exactly 0.0 for real data.
 
@@ -255,39 +258,35 @@ def solve_cauchy(cs: CoefficientSet, u0: GridFunction, u1: GridFunction,
         def rhs(r, state, k):
             """k = (d_t u, A u + f) at stage-time row r of the chunk."""
             np.copyto(k[0], state[1])
-            _terms(a[r], b[r], c[r], rik, state[0], k[1], ux, spec)
-            if forcing:
+            _terms(a[r], b[r], c[r], ik, state[0], k[1], ux, spec)
+            if forcing is not None:
                 k[1] += fs[r]
 
         for steps in grid.row_chunks(M, n):
             ts = _stage_times(steps.start, steps.stop, dt)
             rows = ts.shape[0]
-            forcing = (() if exact is None
-                       else (exact.u(ts, x), exact.utt(ts, x)))
+            tables = [np.broadcast_to(table, (rows, n))
+                      for table in _coefficients(cs, ts, x)]
+            forcing = (None if exact is None else _operator(
+                *tables, exact.u(ts, x), exact.utt(ts, x)))
             if y is None:       # the state and its buffers, made once
                 parts = 2 if any(map(_has_imaginary_part, (
-                    u0.values, u1.values, *forcing))) else 1
+                    u0.values, u1.values, forcing))) else 1
                 y, ys, k, acc = np.empty((4, 2, parts, n))
                 ux = np.empty((parts, n))
                 spec = np.empty((parts, n // 2 + 1), complex)
-                rik = np.tile(grid.rik(n), (parts, 1))
-                if forcing:     # sized by the first, longest, chunk
-                    ue, fs, uxs = np.empty((3, rows, parts, n))
-                    specs = np.empty((rows, parts, n // 2 + 1), complex)
+                ik = np.tile(grid.ik(n)[:n // 2 + 1], (parts, 1))
+                if forcing is not None:  # sized by the first, longest, chunk
+                    fs = np.empty((rows, parts, n))
                 _put_rows(y[0], u0.values)
                 _put_rows(y[1], u1.values)
                 save(0, y)
+            if forcing is not None:
+                _put_rows(fs[:rows], forcing)
             # (3S, 1, N): a stage's (1, N) row meets a real state's rows
-            # in their own shape, as rik does, where numpy's broadcasting
+            # in their own shape, as ik does, where numpy's broadcasting
             # loops would cost about twice as much per call at N = 128
-            a, b, c = (np.broadcast_to(table, (rows, n))[:, None]
-                       for table in _coefficients(cs, ts, x))
-            if forcing:     # L[exact] = utt - A[exact], as _operator
-                f = fs[:rows]
-                _put_rows(ue[:rows], forcing[0])
-                _terms(a, b, c, rik, ue[:rows], f, uxs[:rows], specs[:rows])
-                _put_rows(ue[:rows], forcing[1])
-                np.subtract(ue[:rows], f, f)
+            a, b, c = (table[:, None] for table in tables)
 
             for step in range(steps.start, steps.stop):
                 r = 3 * (step - steps.start)

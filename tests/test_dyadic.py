@@ -115,6 +115,23 @@ def test_reconstruction_against_naive_oracle():
     assert grid.norm(reconstruct(blocks) - w) < 1e-12 * grid.norm(w)
 
 
+def test_reconstruct_is_the_band_by_band_sum_bit_for_bit():
+    # one batched inverse FFT summed over the bands, band 0 first, gives
+    # the bits of adding the blocks one at a time
+    for n in (16, 128, 2048):
+        fam = build_cutoffs(n)
+        for seed in range(5):
+            w = grid.random_band_limited(n, xi_max=n // 2, rng=seed)
+            blocks = decompose(w, fam)
+            total = np.zeros(n, dtype=complex)
+            for nu in range(len(blocks)):
+                total = total + blocks.block(nu).values
+            assert reconstruct(blocks).values.tobytes() == total.tobytes()
+    empty = dyadic.DyadicBlocks(np.empty((0, 16), complex), 16, "")
+    with pytest.raises(ValueError, match="no blocks"):
+        reconstruct(empty)
+
+
 def test_reconstruction_random_corpus():
     rng = np.random.default_rng(12)
     for n in (256, 1024):

@@ -144,22 +144,13 @@ def test_rfft_and_irfft_match_numpy_row_by_row(n):
         assert grid.irfft(spectrum[row]).tobytes() == back[row].tobytes()
 
 
-def test_rik_is_a_shared_read_only_1j_m_without_nyquist():
-    for n in (8, 64, 1024):
-        rik = grid.rik(n)
-        expect = 1j * np.arange(n // 2 + 1.0)
-        expect[-1] = 0.0
-        assert rik.tobytes() == expect.tobytes()
-        assert grid.rik(n) is rik
-        with pytest.raises(ValueError):
-            rik[1] = 0.0
-
-
 def test_derivative_values_of_real_input_matches_numpy():
     # real input is cast to complex before the transform, whose
-    # real-input route would give other bits than numpy's
+    # real-input route would give other bits than numpy's; the multiplier
+    # is 1j*xi with the Nyquist entry 0
     values = np.random.default_rng(8).standard_normal(64)
     ik = 1j * grid.frequencies(64)
+    ik[32] = 0.0
     expect = np.fft.ifft(ik * np.fft.fft(values))
     assert grid.derivative_values(values).tobytes() == expect.tobytes()
 
@@ -174,9 +165,16 @@ def test_write_json_refuses_non_finite_floats(tmp_path, value):
 
 
 def test_ik_is_a_shared_read_only_1j_xi():
+    # the Nyquist entry N/2 is 0, and the first N/2 + 1 entries, the
+    # multiplier of rfft spectra, are 1j*m for m = 0 ... N/2 - 1, then 0
     for n in (8, 64, 1024):
         ik = grid.ik(n)
-        assert ik.tobytes() == (1j * grid.frequencies(n)).tobytes()
+        expect = 1j * grid.frequencies(n)
+        expect[n // 2] = 0.0
+        assert ik.tobytes() == expect.tobytes()
+        half = 1j * np.arange(n // 2 + 1.0)
+        half[-1] = 0.0
+        assert ik[:n // 2 + 1].tobytes() == half.tobytes()
         assert grid.ik(n) is ik
         with pytest.raises(ValueError):
             ik[1] = 0.0
