@@ -165,16 +165,26 @@ def test_write_json_refuses_non_finite_floats(tmp_path, value):
 
 
 def test_ik_is_a_shared_read_only_1j_xi():
-    # the Nyquist entry N/2 is 0, and the first N/2 + 1 entries, the
-    # multiplier of rfft spectra, are 1j*m for m = 0 ... N/2 - 1, then 0
+    # the Nyquist entry N/2 is 0
     for n in (8, 64, 1024):
         ik = grid.ik(n)
         expect = 1j * grid.frequencies(n)
         expect[n // 2] = 0.0
         assert ik.tobytes() == expect.tobytes()
-        half = 1j * np.arange(n // 2 + 1.0)
-        half[-1] = 0.0
-        assert ik[:n // 2 + 1].tobytes() == half.tobytes()
         assert grid.ik(n) is ik
         with pytest.raises(ValueError):
             ik[1] = 0.0
+
+
+def test_rik_is_a_shared_read_only_1j_m_without_nyquist():
+    # the multiplier of rfft spectra is the first N/2 + 1 entries of
+    # grid.ik: 1j*m for m = 0 ... N/2 - 1, then 0, a read-only view of
+    # the one cached array
+    for n in (8, 64, 1024):
+        rik = grid.ik(n)[:n // 2 + 1]
+        expect = 1j * np.arange(n // 2 + 1.0)
+        expect[-1] = 0.0
+        assert rik.tobytes() == expect.tobytes()
+        assert rik.base is grid.ik(n)
+        with pytest.raises(ValueError):
+            rik[1] = 0.0
